@@ -18,7 +18,8 @@ from .curves import LevelCurve, boundary_points, level_curve
 from .oracle import RefineResult, grid_shortest_path, oracle_cost, refine_until
 from .paths import Polyline, segment, weighted_length
 from .shooting import shoot_two_point
-from .snell import H_of, heavy_disk_arc_test, snell_chain, snell_refract
+from .snell import (H_of, SolverError, heavy_disk_arc_test, snell_chain,
+                    snell_refract)
 from .stacker import (ALL_MAXIMAL, ALL_MINIMAL, GridField, SolutionStack,
                       StackNestingError, SwitchPolicy, bv_energy, jump_set,
                       local_oscillation, midpoint_levels, stack, trace_error)
@@ -31,7 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_MAXIMAL", "ALL_MINIMAL", "ExperimentReport", "GridField", "H_of",
     "LevelCurve", "Polyline", "Quantity", "RefineResult", "RunConfig",
-    "SUITES", "SolutionStack", "StackNestingError", "SwitchPolicy",
+    "SUITES", "SolutionStack", "SolverError", "StackNestingError",
+    "SwitchPolicy",
     "TotalInternalReflection", "TraceError", "WeightField",
     "boundary_points", "bv_energy", "catalog_describe", "catalog_names",
     "curvature_clearance", "disagreement_area", "grid_shortest_path",

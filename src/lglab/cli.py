@@ -25,6 +25,7 @@ from .paths import Polyline, weighted_length
 from .render import (curves_csv, geodesic_csv, pgm_text, report_csv, svg_text,
                      write_text)
 from .shooting import shoot_two_point
+from .snell import SolverError
 from .stacker import (SolutionStack, StackNestingError, SwitchPolicy,
                       midpoint_levels, stack)
 from .tracing import TotalInternalReflection, TraceError
@@ -36,7 +37,7 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
 _SOLVER_ERRORS = (StackNestingError, TraceError, TotalInternalReflection,
-                  NotImplementedError)
+                  SolverError, NotImplementedError)
 
 _FIGURES = {
     "constant": RunConfig(weight="constant"),

@@ -27,15 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .paths import Polyline, weighted_length
+from .paths import Polyline, rim_wrap, weighted_length
+from .snell import SolverError
 from .weights import (ConstantWeight, MultiDiamondWeight, RadialWeight,
-                      WeightField)
+                      WeightField, circle_hits)
 
 SWEEP_SHELLS = 4096
-_ARC_STEP = 2e-3
-_ARC_LIFT = 1e-6
 
 BRANCHES = ("minimal", "maximal")
 
@@ -88,14 +87,6 @@ def _mirror_y(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dedupe(pts: np.ndarray) -> np.ndarray:
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-14:
-            keep.append(i)
-    return pts[keep]
-
-
 def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
     """Thin a dense sweep polyline, always keeping both endpoints."""
     if len(pts) <= target:
@@ -108,38 +99,8 @@ def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
 
 # ---------------------------------------------------------------- sweeps ----
 
-@lru_cache(maxsize=32)
-def _radial_grid(w: RadialWeight, n_shells: int):
-    """Shell interface radii over the varying span, plus per-shell weights."""
-    radii = [0.0]
-    span = sum(p.hi - p.lo for p in w.pieces
-               if math.isfinite(p.hi) and p.slope != 0.0)
-    for p in w.pieces:
-        if not math.isfinite(p.hi):
-            break
-        m = 1
-        if p.slope != 0.0 and span > 0.0:
-            m = max(1, int(round(n_shells * (p.hi - p.lo) / span)))
-        for j in range(1, m + 1):
-            radii.append(p.lo + (p.hi - p.lo) * j / m)
-    r = np.array(radii)
-    # shell k lies between r[k] and r[k+1]; weight at the outer radius
-    wk = np.array([w.profile_inner(x) for x in r[1:]])
-    return r, wk
-
-
 def _w_at(w: RadialWeight, rho: float) -> float:
     return float(w.profile(np.array([float(rho)]))[0])
-
-
-def _circle_exit(p, v):
-    """Forward intersection of the ray p + t v with the unit circle."""
-    aa = v[0] * v[0] + v[1] * v[1]
-    bb = 2.0 * (p[0] * v[0] + p[1] * v[1])
-    cc = p[0] * p[0] + p[1] * p[1] - 1.0
-    disc = max(0.0, bb * bb - 4 * aa * cc)
-    t = (-bb + math.sqrt(disc)) / (2 * aa)
-    return (p[0] + t * v[0], p[1] + t * v[1])
 
 
 def _climb(w: RadialWeight, start, kappa: float,
@@ -149,12 +110,12 @@ def _climb(w: RadialWeight, start, kappa: float,
     start must satisfy x, y >= 0.  Raises on total internal reflection,
     which none of the curve families here is allowed to reach.
     """
-    r, wk = _radial_grid(w, n_shells)
+    r, wk = w.shell_grid(n_shells)
     rho0 = start[0] + start[1]
     k0 = int(np.searchsorted(r, rho0 + 1e-13, side="right")) - 1
-    # clip the partial first shell
+    # clip the partial first shell; the sweep ends at the outermost radius
     radii = np.concatenate([[rho0], r[k0 + 1:]])
-    weights = wk[k0:]
+    weights = wk[k0:-1]
     s = kappa / weights
     if np.any(s >= 1.0 - 1e-13):
         raise ValueError("sweep hit total internal reflection")
@@ -169,8 +130,9 @@ def _climb(w: RadialWeight, start, kappa: float,
     s_out = kappa / w_out
     c_out = math.sqrt(1.0 - s_out * s_out)
     v = ((c_out + s_out) / math.sqrt(2.0), (c_out - s_out) / math.sqrt(2.0))
-    exit_pt = _circle_exit(tuple(pts[-1]), v)
-    return np.vstack([pts, exit_pt])
+    p = tuple(pts[-1])
+    t = circle_hits(p, v, 1.0)[2]
+    return np.vstack([pts, (p[0] + t * v[0], p[1] + t * v[1])])
 
 
 def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
@@ -180,7 +142,7 @@ def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     the y-axis (y_cross = height there), 'sag' when it turns back down to
     y < 0 first, 'tir' when a shell reflects it.
     """
-    r, wk = _radial_grid(w, n_shells)
+    r, wk = w.shell_grid(n_shells)
     k0 = int(np.searchsorted(r, a - 1e-13, side="left")) - 1
     radii = np.concatenate([[a], r[k0::-1] if k0 >= 0 else []])
     weights = wk[k0::-1] if k0 >= 0 else np.array([])
@@ -256,7 +218,8 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
 
     lo, hi = 0.55, 0.74
     flo, fhi = g(lo), g(hi)
-    assert flo < 0 < fhi, "inner-arc bracket failed"
+    if not flo < 0 < fhi:
+        raise SolverError("inner-arc bracket failed")
     a_star = _bisect(g, lo, hi, flo, fhi)
     h_star = 2.0 * (0.75 - a_star)
     _, yc, pts = _glide_in(w, a_star, n_shells)
@@ -308,7 +271,7 @@ def _assemble_symmetric(right: np.ndarray, h: float, xb: float) -> Polyline:
     right[-1] = (xb, h)
     left = right[::-1].copy()
     left[:, 0] = -left[:, 0]
-    return Polyline.from_points(_dedupe(np.vstack([left, right])))
+    return Polyline.from_points(np.vstack([left, right]))
 
 
 def _radial_level_curve(w: RadialWeight, t: float, branch: str,
@@ -350,7 +313,7 @@ def _radial_level_curve(w: RadialWeight, t: float, branch: str,
             right[-1] = (xb, h)
             left = right[::-1].copy()
             left[:, 0] = -left[:, 0]
-            pts = _dedupe(np.vstack([left, arc_l, arc_r, right]))
+            pts = np.vstack([left, arc_l, arc_r, right])
             candidates.append(Polyline.from_points(pts))
         else:
             candidates.append(_assemble_symmetric(right, h, xb))
@@ -368,7 +331,7 @@ def _radial_level_curve(w: RadialWeight, t: float, branch: str,
         arc_thin = _decimate(arc)
         arc_l = arc_thin * (-1.0, sign)
         arc_r = arc_thin[::-1] * (1.0, sign)
-        pts = _dedupe(np.vstack([[(-1.0, 0.0)], arc_l, arc_r, [(1.0, 0.0)]]))
+        pts = np.vstack([[(-1.0, 0.0)], arc_l, arc_r, [(1.0, 0.0)]])
         candidates.append(Polyline.from_points(pts))
 
     lengths = [weighted_length(c, w) for c in candidates]
@@ -415,19 +378,22 @@ def _heavy_diamond_curve(w: RadialWeight, t: float, branch: str) -> Polyline:
         pts = [(-xb, h), (-(0.5 - s), sign * s), ((0.5 - s), sign * s), (xb, h)]
         return Polyline.from_points(np.array(pts))
 
-    options = [(cost_chord, _chord(t)),
-               (cost_top, build(s_top, 1.0)),
-               (cost_bot, build(s_bot, -1.0))]
+    return _cheapest_by_branch([(cost_chord, _chord(t)),
+                                (cost_top, build(s_top, 1.0)),
+                                (cost_bot, build(s_bot, -1.0))], branch)
+
+
+def _cheapest_by_branch(options, branch: str) -> Polyline:
+    """Cheapest (cost, path) option.  Upper and lower routes tie exactly at
+    h = 0; the minimal branch then takes the first tied path rising above
+    the axis, the maximal branch the first one dipping below it."""
     best = min(o[0] for o in options)
     tied = [o for o in options if o[0] <= best + 1e-12]
     if len(tied) > 1:
-        # exact tie (only at h = 0): the branch picks the side
         want = 1.0 if branch == "minimal" else -1.0
         for cost, poly in tied:
-            ys = poly.as_array()[:, 1]
-            if np.any(want * ys > 1e-12):
+            if np.any(want * poly.as_array()[:, 1] > 1e-12):
                 return poly
-        return tied[0][1]
     return tied[0][1]
 
 
@@ -436,14 +402,8 @@ def _disk_wrap(xb: float, h: float, sign: float) -> tuple[float, Polyline]:
     psi = math.pi - math.asin(sign * h)
     phi_l = psi - math.pi / 3.0
     phi_r = math.pi - phi_l
-    arc_angle = phi_l - phi_r
-    cost = math.sqrt(3.0) + 0.5 * arc_angle
-    r = 0.5 * (1.0 + 2.0 * _ARC_LIFT)
-    n_arc = max(2, int(math.ceil(arc_angle / _ARC_STEP)) + 1)
-    phis = np.linspace(phi_l, phi_r, n_arc)
-    arc = np.column_stack([r * np.cos(phis), sign * r * np.sin(phis)])
-    pts = np.vstack([[(-xb, h)], arc, [(xb, h)]])
-    return cost, Polyline.from_points(_dedupe(pts))
+    cost = math.sqrt(3.0) + 0.5 * (phi_l - phi_r)
+    return cost, rim_wrap((-xb, h), (xb, h), 0.5, phi_l, phi_r, sign)
 
 
 def _heavy_disk_curve(w: RadialWeight, t: float, branch: str) -> Polyline:
@@ -453,17 +413,9 @@ def _heavy_disk_curve(w: RadialWeight, t: float, branch: str) -> Polyline:
         return _chord(t)
     m = math.sqrt(max(0.0, 0.25 - h * h))
     cost_chord = 2.0 * (xb - m) + 2.0 * w.alpha * m
-    cost_up, poly_up = _disk_wrap(xb, h, +1.0)
-    cost_dn, poly_dn = _disk_wrap(xb, h, -1.0)
-    options = [(cost_chord, _chord(t)), (cost_up, poly_up), (cost_dn, poly_dn)]
-    best = min(o[0] for o in options)
-    tied = [o for o in options if o[0] <= best + 1e-12]
-    if len(tied) > 1:
-        want = 1.0 if branch == "minimal" else -1.0
-        for cost, poly in tied:
-            if np.any(want * poly.as_array()[:, 1] > 1e-12):
-                return poly
-    return tied[0][1]
+    return _cheapest_by_branch([(cost_chord, _chord(t)),
+                                _disk_wrap(xb, h, +1.0),
+                                _disk_wrap(xb, h, -1.0)], branch)
 
 
 def _three_diamond_candidates(t: float) -> list[tuple[str, Polyline]]:
@@ -486,16 +438,12 @@ def _three_diamond_candidates(t: float) -> list[tuple[str, Polyline]]:
     return out
 
 
-def _euclid(poly: Polyline) -> float:
-    return poly.euclidean_length()
-
-
 def _three_diamond_curve(w: MultiDiamondWeight, t: float,
                          branch: str) -> Polyline:
     valid = []
     for name, poly in _three_diamond_candidates(t):
         cost = weighted_length(poly, w)
-        if name != "chord" and cost > _euclid(poly) + 1e-9:
+        if name != "chord" and cost > poly.euclidean_length() + 1e-9:
             continue  # a detour route crossing a diamond interior is never it
         valid.append((cost, name, poly))
     best = min(v[0] for v in valid)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (ConstantWeight, CustomWeight, LayeredWeight,
-                      MultiDiamondWeight, RadialWeight, WeightField)
+from .weights import ConstantWeight, RadialWeight, WeightField
 
 DEFAULT_QUAD_STEP = 1e-3
+RIM_STEP = 2e-3
+RIM_LIFT = 2e-6
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,10 @@ class Polyline:
 
     @classmethod
     def from_points(cls, points) -> "Polyline":
+        """Polyline through the points, dropping exact consecutive repeats."""
         arr = np.asarray(points, dtype=float)
-        keep = [0]
-        for i in range(1, len(arr)):
-            if np.hypot(*(arr[i] - arr[keep[-1]])) > 0:
-                keep.append(i)
+        keep = np.concatenate([[True], np.any(np.diff(arr, axis=0) != 0.0,
+                                              axis=1)])
         return cls(tuple(map(tuple, arr[keep])))
 
     def as_array(self) -> np.ndarray:
@@ -64,114 +64,29 @@ def segment(a, b) -> Polyline:
     return Polyline(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))
 
 
-def _axis_crossings(a, b, cx=0.0, cy=0.0):
-    """Params in (0,1) where the segment crosses x = cx or y = cy."""
-    out = []
-    for comp, c in ((0, cx), (1, cy)):
-        da = a[comp] - c
-        db = b[comp] - c
-        if da * db < 0:
-            out.append(da / (da - db))
-    return out
+def rim_wrap(a, b, rho, phi_a, phi_b, sign) -> Polyline:
+    """Tangent + rim arc + tangent from a to b around the disk of radius rho.
 
-
-def _l1_radius_hits(a, b, radii, cx=0.0, cy=0.0):
-    """Params where |x-cx| + |y-cy| equals one of the given radii."""
-    cuts = sorted(set([0.0, 1.0] + _axis_crossings(a, b, cx, cy)))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hits = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        pl = a + lo * (b - a)
-        ph = a + hi * (b - a)
-        rl = abs(pl[0] - cx) + abs(pl[1] - cy)
-        rh = abs(ph[0] - cx) + abs(ph[1] - cy)
-        for r0 in radii:
-            if rl < r0 < rh or rh < r0 < rl:
-                s = (r0 - rl) / (rh - rl)
-                hits.append(lo + s * (hi - lo))
-    return hits
-
-
-def _l2_radius_hits(a, b, radii, cx=0.0, cy=0.0):
-    """Params where the distance to (cx, cy) equals one of the given radii."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    f = a - np.array([cx, cy])
-    aa = float(d @ d)
-    bb = 2.0 * float(f @ d)
-    hits = []
-    for r0 in radii:
-        cc = float(f @ f) - r0 * r0
-        disc = bb * bb - 4 * aa * cc
-        if disc <= 0:
-            continue
-        sq = math.sqrt(disc)
-        for s in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
-            if 0.0 < s < 1.0:
-                hits.append(s)
-    return hits
-
-
-def _split_params(a, b, w: WeightField):
-    """All params in (0,1) where the integrand's slope may change."""
-    if isinstance(w, ConstantWeight):
-        return []
-    if isinstance(w, RadialWeight):
-        pts = _axis_crossings(a, b)
-        radii = [r for r in w.breakpoints() if math.isfinite(r)]
-        if w.norm == "l1":
-            pts += _l1_radius_hits(a, b, radii)
-        else:
-            pts += _l2_radius_hits(a, b, radii)
-        return pts
-    if isinstance(w, MultiDiamondWeight):
-        pts = []
-        for cx, cy, r, _ in w.CENTERS:
-            pts += _l1_radius_hits(a, b, [r], cx, cy)
-        return pts
-    if isinstance(w, LayeredWeight):
-        pts = []
-        for d in w.depths():
-            da = a[1] + d
-            db = b[1] + d
-            if da * db < 0:
-                pts.append(da / (da - db))
-        return pts
-    if isinstance(w, CustomWeight):
-        pts = []
-        for regions, _off, slope, ax, ay in w.pieces:
-            if slope != 0.0:
-                pts += _axis_crossings(a, b, ax, ay)
-            for reg in regions:
-                if reg.shape == "l1":
-                    pts += _l1_radius_hits(a, b, [reg.radius], reg.cx, reg.cy)
-                elif reg.shape == "l2":
-                    pts += _l2_radius_hits(a, b, [reg.radius], reg.cx, reg.cy)
-                else:
-                    da = reg.nx * a[0] + reg.ny * a[1] - reg.offset
-                    db = reg.nx * b[0] + reg.ny * b[1] - reg.offset
-                    if da * db < 0:
-                        pts.append(da / (da - db))
-        return pts
-    raise TypeError(f"unsupported weight type {type(w).__name__}")
-
-
-def _midpoint_exact(w: WeightField) -> bool:
-    """Whether midpoint quadrature is exact on interface-free sub-segments."""
-    if isinstance(w, RadialWeight) and w.norm == "l2":
-        return w.max_slope() == 0.0
-    return True
+    phi_a > phi_b are the polar angles of the two tangent points in the frame
+    mirrored by sign, so sign = +1 wraps clockwise (over the top for a left
+    of b) and sign = -1 counterclockwise.  The arc is sampled every RIM_STEP
+    radians on a circle lifted by the relative RIM_LIFT, more than the
+    5e-7 sagitta of one step, so that its chords stay outside the disk.
+    """
+    r = rho * (1.0 + RIM_LIFT)
+    n_arc = max(2, int(math.ceil((phi_a - phi_b) / RIM_STEP)) + 1)
+    phis = np.linspace(phi_a, phi_b, n_arc)
+    arc = np.column_stack([r * np.cos(phis), sign * r * np.sin(phis)])
+    return Polyline.from_points(np.vstack([[a], arc, [b]]))
 
 
 def _segment_integral(a, b, w, quad_step):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     seg_len = float(np.hypot(*(b - a)))
-    cuts = sorted(set([0.0, 1.0] + [s for s in _split_params(a, b, w)
+    cuts = sorted(set([0.0, 1.0] + [s for s in w.split_params(a, b)
                                     if 0.0 < s < 1.0]))
-    exact = _midpoint_exact(w)
+    exact = w.midpoint_exact()
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         piece_len = seg_len * (hi - lo)

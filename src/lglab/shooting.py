@@ -14,11 +14,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .paths import Polyline, weighted_length
+from .paths import Polyline, rim_wrap, weighted_length
 from .snell import TotalInternalReflection
 from .tracing import TraceError, trace_layered_ray
-from .weights import (ConstantWeight, LayeredWeight, MultiDiamondWeight,
-                      RadialWeight, WeightField)
+from .weights import ConstantWeight, LayeredWeight, RadialWeight, WeightField
 
 DEFAULT_SCAN_ANGLES = 2048
 
@@ -82,28 +81,15 @@ def _scan_candidates(w, a, b, tol, n_shells, scan_angles):
     return out
 
 
-def _corner_points(w) -> list[tuple[float, float]]:
-    pts = []
-    if isinstance(w, RadialWeight) and w.norm == "l1":
-        for r in w.breakpoints():
-            if math.isfinite(r) and r > 0:
-                pts += [(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)]
-    if isinstance(w, MultiDiamondWeight):
-        for cx, cy, r, _ in w.CENTERS:
-            pts += [(cx + r, cy), (cx - r, cy), (cx, cy + r), (cx, cy - r)]
-    return pts
-
-
 def _corner_routes(w, a, b) -> list[Polyline]:
-    corners = [p for p in _corner_points(w)
+    corners = [p for p in w.corner_points()
                if min(a[0], b[0]) - 1e-12 < p[0] < max(a[0], b[0]) + 1e-12]
     if not corners or abs(b[0] - a[0]) < 1e-12:
         return []
     lo, hi = (a, b) if a[0] <= b[0] else (b, a)
     corners.sort()
     routes = []
-    max_k = 4 if isinstance(w, MultiDiamondWeight) else 2
-    for k in range(1, min(max_k, len(corners)) + 1):
+    for k in range(1, min(w.max_corners, len(corners)) + 1):
         for combo in combinations(corners, k):
             xs = [p[0] for p in combo]
             if any(x2 - x1 < -1e-12 for x1, x2 in zip(xs, xs[1:])):
@@ -117,36 +103,20 @@ def _corner_routes(w, a, b) -> list[Polyline]:
 
 
 def _rim_wraps(w, a, b) -> list[Polyline]:
-    """Tangent-arc-tangent candidates around a slow circular region."""
-    if not (isinstance(w, RadialWeight) and w.norm == "l2"):
-        return []
-    rims = [r for r in w.breakpoints() if math.isfinite(r) and 0 < r < 1]
-    out = []
-    for rho in rims:
-        for sign in (+1.0, -1.0):
-            wrap = _one_wrap(a, b, rho, sign)
-            if wrap is not None:
-                out.append(wrap)
-    return out
-
-
-def _one_wrap(a, b, rho, sign):
+    """Tangent-arc-tangent candidates both ways around each slow disk."""
     ra, rb = math.hypot(*a), math.hypot(*b)
-    if ra <= rho or rb <= rho:
-        return None
-    lift = rho * (1.0 + 2e-6)
-    pa, pb = math.atan2(a[1], a[0]), math.atan2(b[1], b[0])
-    ta = pa - sign * math.acos(rho / ra)
-    tb = pb + sign * math.acos(rho / rb)
-    arc = (ta - tb) * sign
-    arc = arc % (2.0 * math.pi)
-    if arc <= 1e-9 or arc >= math.pi * 1.5:
-        return None
-    n = max(2, int(math.ceil(arc / 2e-3)) + 1)
-    phis = ta - sign * np.linspace(0.0, arc, n) if sign > 0 else \
-        ta + np.linspace(0.0, arc, n)
-    pts = np.column_stack([lift * np.cos(phis), lift * np.sin(phis)])
-    return Polyline.from_points(np.vstack([[a], pts, [b]]))
+    out = []
+    for rho in w.rim_radii():
+        if ra <= rho or rb <= rho:
+            continue
+        for sign in (+1.0, -1.0):
+            # tangent-point angles in the frame mirrored by sign
+            phi_a = math.atan2(sign * a[1], a[0]) - math.acos(rho / ra)
+            phi_b = math.atan2(sign * b[1], b[0]) + math.acos(rho / rb)
+            arc = (phi_a - phi_b) % (2.0 * math.pi)
+            if 1e-9 < arc < math.pi * 1.5:
+                out.append(rim_wrap(a, b, rho, phi_a, phi_a - arc, sign))
+    return out
 
 
 def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,

@@ -11,6 +11,10 @@ import math
 _SNELL_TOL = 1e-12
 
 
+class SolverError(RuntimeError):
+    """A numerical construction failed one of its own consistency checks."""
+
+
 class TotalInternalReflection(Exception):
     """Raised when sin(theta_out) would exceed 1 at an interface.
 
@@ -65,9 +69,9 @@ def snell_chain(weights, theta_1: float) -> float:
     if s > 1.0:
         raise TotalInternalReflection(ws[0], ws[-1], theta_1)
     direct = math.asin(s)
-    assert abs(direct - theta) <= _SNELL_TOL, \
-        f"chain composition drifted from the two-endpoint formula: " \
-        f"{direct} vs {theta}"
+    if not abs(direct - theta) <= _SNELL_TOL:
+        raise SolverError(f"chain composition drifted from the two-endpoint "
+                          f"formula: {direct} vs {theta}")
     return direct
 
 
@@ -112,7 +116,8 @@ def H_of(t0: float, eps: float = 1e-8) -> float:
         return 0.5 * (1.0 - c / math.sqrt(2.0 * (1.0 + t) ** 2 - c * c))
 
     val = _adaptive_simpson(f, t0, 1.0, eps)
-    assert val > 0.0
+    if not val > 0.0:
+        raise SolverError(f"glide height {val} is not positive")
     return val
 
 

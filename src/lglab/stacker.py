@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import LevelCurve, boundary_points, level_curve
+from .curves import LevelCurve, level_curve
 from .paths import weighted_length
 from .weights import WeightField
 

@@ -17,29 +17,17 @@ the positive x-axis is treated as the limit from the upper quadrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import Polyline
 from .snell import TotalInternalReflection, snell_refract
-from .weights import ConstantWeight, LayeredWeight, RadialWeight, WeightField
+from .weights import (ConstantWeight, LayeredWeight, RadialWeight, WeightField,
+                      circle_hits)
 
 DEFAULT_SHELLS = 4096
 _EPS = 1e-12
 _MAX_SEGMENTS = 200000
-
-
-@dataclass(frozen=True)
-class RayState:
-    position: tuple[float, float]
-    direction: tuple[float, float]
-    layer_index: int = 0
-
-    def __post_init__(self):
-        n = math.hypot(*self.direction)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
 
 
 class TraceError(Exception):
@@ -95,14 +83,10 @@ def _stop_crossing(stop, p, v, t_max):
                         best = t if best is None else min(best, t)
         return best
     if stop == "circle":
-        aa = vx * vx + vy * vy
-        bb = 2.0 * (px * vx + py * vy)
-        cc = px * px + py * py - 1.0
-        disc = bb * bb - 4 * aa * cc
+        disc, t_near, t_far = circle_hits(p, v, 1.0)
         if disc < 0:
             return None
-        sq = math.sqrt(disc)
-        for t in sorted(((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa))):
+        for t in (t_near, t_far):
             if _EPS < t <= t_max + _EPS:
                 return t
         return None
@@ -165,21 +149,6 @@ def _trace_layered(w: LayeredWeight, start, theta_0, stop, max_segments):
     raise TraceError("segment budget exhausted in layered trace")
 
 
-def _shell_radii(w: RadialWeight, n_shells: int):
-    """Interface radii: exact piece breakpoints, sloped pieces subdivided."""
-    radii = set()
-    span = sum(p.hi - p.lo for p in w.pieces if p.slope != 0.0
-               and math.isfinite(p.hi))
-    for p in w.pieces:
-        if math.isfinite(p.hi):
-            radii.add(p.hi)
-        if p.slope != 0.0 and math.isfinite(p.hi):
-            m = max(1, int(round(n_shells * (p.hi - p.lo) / span)))
-            for j in range(1, m):
-                radii.add(p.lo + (p.hi - p.lo) * j / m)
-    return np.array(sorted(radii))
-
-
 def _quadrant(p, v):
     sx = 1.0 if p[0] > _EPS else -1.0 if p[0] < -_EPS else \
         (1.0 if v[0] >= 0 else -1.0)
@@ -188,16 +157,11 @@ def _quadrant(p, v):
     return sx, sy
 
 
-def _shell_weight(w: RadialWeight, radii, j):
-    """Weight of the open shell between radii[j-1] and radii[j] (outer value)."""
-    if j < len(radii):
-        return w.profile_inner(radii[j])
-    return float(w.pieces[-1].offset)
-
-
 def _trace_radial_l1(w: RadialWeight, start, theta_0, stop, n_shells,
                      max_segments):
-    radii = _shell_radii(w, n_shells)
+    # shell j lies between interfaces radii[j-1] and radii[j]
+    grid, shell_w = w.shell_grid(n_shells)
+    radii = grid[1:]
     p = (float(start[0]), float(start[1]))
     rho = abs(p[0]) + abs(p[1])
     sx, sy = _quadrant(p, (1.0, 1.0))
@@ -210,13 +174,13 @@ def _trace_radial_l1(w: RadialWeight, start, theta_0, stop, n_shells,
     on_boundary = bool(np.any(np.abs(radii - rho) < 1e-11))
     j = int(np.searchsorted(radii, rho + (1e-11 if on_boundary else 0.0),
                             side="right"))
-    w_here = _shell_weight(w, radii, j)
+    w_here = float(shell_w[j])
     if on_boundary:
         # a boundary launch refracts into whichever shell it proceeds to
         w_from = float(w.profile(np.array([rho]))[0])
         if sx * v[0] + sy * v[1] < -_EPS:
             j -= 1
-            w_here = _shell_weight(w, radii, j)
+            w_here = float(shell_w[j])
         if w_here != w_from:
             v = _refract_direction(v, (sx / math.sqrt(2.0), sy / math.sqrt(2.0)),
                                    w_from, w_here, f"launch r={rho:.6g}")
@@ -261,22 +225,21 @@ def _trace_radial_l1(w: RadialWeight, start, theta_0, stop, n_shells,
             continue
         n = (sx / math.sqrt(2.0), sy / math.sqrt(2.0))
         r_iface = radii[j] if shell_out else radii[j - 1]
-        if shell_out:
-            w_next = _shell_weight(w, radii, j + 1)
-            j += 1
-        else:
-            w_next = _shell_weight(w, radii, j - 1)
-            j -= 1
+        j += 1 if shell_out else -1
+        w_next = float(shell_w[j])
         v = _refract_direction(v, n, w_here, w_next,
                                f"l1 shell r={r_iface:.6g}")
         w_here = w_next
     raise TraceError("segment budget exhausted in radial trace")
 
 
-def _trace_radial_l2(w: RadialWeight, start, theta_0, stop, max_segments):
+def _trace_radial_l2(w: RadialWeight, start, theta_0, stop, n_shells,
+                     max_segments):
     if w.max_slope() != 0.0:
         raise TraceError("sloped l2 profiles are not traceable; use the oracle")
-    radii = np.array([p.hi for p in w.pieces if math.isfinite(p.hi)])
+    # no sloped piece, so the shells are exactly the profile pieces
+    grid, shell_w = w.shell_grid(n_shells)
+    radii = grid[1:]
     p = (float(start[0]), float(start[1]))
     r = math.hypot(*p)
     if r < _EPS:
@@ -288,28 +251,22 @@ def _trace_radial_l2(w: RadialWeight, start, theta_0, stop, max_segments):
     on_boundary = bool(np.any(np.abs(radii - r) < 1e-11))
     j = int(np.searchsorted(radii, r + (1e-11 if on_boundary else 0.0),
                             side="right"))
-    w_here = _shell_weight(w, radii, j)
+    w_here = float(shell_w[j])
     if on_boundary:
         w_from = float(w.profile(np.array([r]))[0])
         if v[0] * n0[0] + v[1] * n0[1] < -_EPS:
             j -= 1
-            w_here = _shell_weight(w, radii, j)
+            w_here = float(shell_w[j])
         if w_here != w_from:
             v = _refract_direction(v, n0, w_from, w_here, f"launch r={r:.6g}")
     verts = [p]
     for _ in range(max_segments):
         hits = []
-        aa = 1.0
-        bb = 2.0 * (p[0] * v[0] + p[1] * v[1])
         for idx in (j - 1, j):
             if 0 <= idx < len(radii):
-                cc = p[0] ** 2 + p[1] ** 2 - radii[idx] ** 2
-                disc = bb * bb - 4 * aa * cc
+                disc, t_near, t_far = circle_hits(p, v, radii[idx])
                 if disc > 0:
-                    sq = math.sqrt(disc)
-                    for t in ((-bb - sq) / 2, (-bb + sq) / 2):
-                        if t > 1e-10:
-                            hits.append((t, idx))
+                    hits += [(t, idx) for t in (t_near, t_far) if t > 1e-10]
         t_next, idx = min(hits) if hits else (math.inf, None)
         t_stop = _stop_crossing(stop, p, v,
                                 t_next if math.isfinite(t_next) else 1e6)
@@ -323,8 +280,8 @@ def _trace_radial_l2(w: RadialWeight, start, theta_0, stop, max_segments):
         rr = math.hypot(*p)
         n = (p[0] / rr, p[1] / rr)
         going_out = (v[0] * n[0] + v[1] * n[1]) > 0
-        w_next = _shell_weight(w, radii, idx + 1 if going_out else idx)
         j = idx + 1 if going_out else idx
+        w_next = float(shell_w[j])
         v = _refract_direction(v, n, w_here, w_next,
                                f"circle r={radii[idx]:.6g}")
         w_here = w_next
@@ -355,6 +312,7 @@ def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
         if w.norm == "l1":
             return _trace_radial_l1(w, start, theta_0, stop, n_shells,
                                     max_segments)
-        return _trace_radial_l2(w, start, theta_0, stop, max_segments)
+        return _trace_radial_l2(w, start, theta_0, stop, n_shells,
+                                max_segments)
     raise TraceError(f"{type(w).__name__} has no layered structure; "
                      "use the grid oracle")

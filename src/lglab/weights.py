@@ -13,15 +13,12 @@ boundary-hugging geodesic sees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
-
-# Above this speed ratio the corner route beats every straight chord through
-# a half-width heavy diamond, at every chord height.
-HEAVY_DIAMOND_CHORD_THRESHOLD = 3.0 / math.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -58,12 +55,76 @@ def _piece_values(pieces, r, side):
     return out
 
 
+def circle_hits(p, v, radius, cx=0.0, cy=0.0):
+    """Where the line p + t v meets the circle of given radius about (cx, cy).
+
+    Returns (disc, t_near, t_far): the quadratic's discriminant and its
+    roots (-bb - sqrt(disc)) / (2 aa) and (-bb + sqrt(disc)) / (2 aa), with
+    disc clamped at 0 inside the root.  disc < 0 means the line misses the
+    circle and disc == 0 that it touches it; each caller decides which of
+    those count as a hit.
+    """
+    fx, fy = p[0] - cx, p[1] - cy
+    aa = v[0] * v[0] + v[1] * v[1]
+    bb = 2.0 * (fx * v[0] + fy * v[1])
+    cc = fx * fx + fy * fy - radius * radius
+    disc = bb * bb - 4 * aa * cc
+    sq = math.sqrt(max(0.0, disc))
+    return disc, (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)
+
+
+def _line_crossing(da, db):
+    """The param in (0,1), as a one-item list, where a segment whose ends
+    lie at signed distances da and db from a line crosses it; else []."""
+    return [da / (da - db)] if da * db < 0 else []
+
+
+def _axis_crossings(a, b, cx=0.0, cy=0.0):
+    """Params in (0,1) where the segment crosses x = cx or y = cy."""
+    return (_line_crossing(a[0] - cx, b[0] - cx)
+            + _line_crossing(a[1] - cy, b[1] - cy))
+
+
+def _l1_radius_hits(a, b, radii, cx=0.0, cy=0.0):
+    """Params where |x-cx| + |y-cy| equals one of the given radii."""
+    cuts = sorted(set([0.0, 1.0] + _axis_crossings(a, b, cx, cy)))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    hits = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        pl = a + lo * (b - a)
+        ph = a + hi * (b - a)
+        rl = abs(pl[0] - cx) + abs(pl[1] - cy)
+        rh = abs(ph[0] - cx) + abs(ph[1] - cy)
+        for r0 in radii:
+            if rl < r0 < rh or rh < r0 < rl:
+                s = (r0 - rl) / (rh - rl)
+                hits.append(lo + s * (hi - lo))
+    return hits
+
+
+def _l2_radius_hits(a, b, radii, cx=0.0, cy=0.0):
+    """Params where the distance to (cx, cy) equals one of the given radii."""
+    d = (b[0] - a[0], b[1] - a[1])
+    hits = []
+    for r0 in radii:
+        disc, s_near, s_far = circle_hits(a, d, r0, cx, cy)
+        if disc > 0:
+            hits += [s for s in (s_near, s_far) if 0.0 < s < 1.0]
+    return hits
+
+
+def _diamond_tips(cx, cy, r):
+    return [(cx + r, cy), (cx - r, cy), (cx, cy + r), (cx, cy - r)]
+
+
 class WeightField:
-    """Shared surface for all weights: pointwise values, regions, breakpoints."""
+    """Shared surface for all weights: pointwise values and the interface
+    geometry that path integration and shooting need."""
 
     name: str = "weight"
-    symmetric_x: bool = True
-    symmetric_y: bool = True
+    # most corner points one explicit corner route may pass through
+    max_corners = 2
 
     def values(self, x, y):
         raise NotImplementedError
@@ -72,15 +133,25 @@ class WeightField:
         x, y = float(p[0]), float(p[1])
         return float(self.values(np.array([x]), np.array([y]))[0])
 
-    def region_of(self, p) -> str:
-        raise NotImplementedError
-
-    def params(self) -> dict:
-        return {}
-
     def max_slope(self) -> float:
         """Lipschitz bound of w where it is continuous (0 for piecewise constant)."""
         return 0.0
+
+    def split_params(self, a, b) -> list[float]:
+        """Params in (0,1) where the integrand on a -> b may change slope."""
+        raise TypeError(f"unsupported weight type {type(self).__name__}")
+
+    def midpoint_exact(self) -> bool:
+        """Whether midpoint quadrature is exact between split params."""
+        return True
+
+    def corner_points(self) -> list[tuple[float, float]]:
+        """Obstacle corners a cheapest route may kink at."""
+        return []
+
+    def rim_radii(self) -> list[float]:
+        """Radii of the slow disks about the origin a route may wrap around."""
+        return []
 
 
 @dataclass(frozen=True)
@@ -96,11 +167,8 @@ class ConstantWeight(WeightField):
         x = np.asarray(x, dtype=float)
         return np.full(x.shape, self.c, dtype=float)
 
-    def region_of(self, p):
-        return "everywhere"
-
-    def params(self):
-        return {"c": self.c}
+    def split_params(self, a, b):
+        return []
 
 
 @dataclass(frozen=True)
@@ -150,32 +218,59 @@ class RadialWeight(WeightField):
     def values(self, x, y):
         return self.profile(self.radius(x, y))
 
-    def region_of(self, p):
-        r = float(self.radius(np.array([p[0]]), np.array([p[1]]))[0])
-        for piece in self.pieces:
-            if piece.lo <= r < piece.hi:
-                return piece.tag
-        return self.pieces[-1].tag
-
     def breakpoints(self):
         return tuple(p.hi for p in self.pieces[:-1])
-
-    def params(self):
-        d = {"norm": self.norm}
-        if not math.isnan(self.alpha):
-            d["alpha"] = self.alpha
-        return d
 
     def max_slope(self):
         return max(abs(p.slope) for p in self.pieces)
 
-    def is_continuous(self) -> bool:
-        for a, b in zip(self.pieces, self.pieces[1:]):
-            va = a.offset + a.slope * a.hi
-            vb = b.offset + b.slope * b.lo
-            if not math.isclose(va, vb, rel_tol=0, abs_tol=1e-12):
-                return False
-        return True
+    @lru_cache(maxsize=32)
+    def shell_grid(self, n_shells: int):
+        """Concentric constant-weight shells that discretize the profile.
+
+        Returns (r, ws): radii 0 = r[0] < r[1] < ... < r[M] and the weight
+        ws[k] of shell k between r[k] and r[k+1] (r[M+1] = inf).  Piece
+        breakpoints are kept exactly; sloped pieces share about n_shells
+        shells in proportion to their width.  Each shell carries the
+        one-sided value at its outer radius, the unbounded last shell the
+        outer piece's value.  The arrays are shared, so they are read-only.
+        """
+        radii = [0.0]
+        span = sum(p.hi - p.lo for p in self.pieces
+                   if math.isfinite(p.hi) and p.slope != 0.0)
+        for p in self.pieces:
+            if not math.isfinite(p.hi):
+                break
+            m = 1
+            if p.slope != 0.0 and span > 0.0:
+                m = max(1, int(round(n_shells * (p.hi - p.lo) / span)))
+            for j in range(1, m + 1):
+                radii.append(p.lo + (p.hi - p.lo) * j / m)
+        r = np.array(radii)
+        ws = np.array([self.profile_inner(x) for x in r[1:]]
+                      + [float(self.pieces[-1].offset)])
+        r.setflags(write=False)
+        ws.setflags(write=False)
+        return r, ws
+
+    def split_params(self, a, b):
+        hits = _l1_radius_hits if self.norm == "l1" else _l2_radius_hits
+        return _axis_crossings(a, b) + hits(a, b, self.breakpoints())
+
+    def midpoint_exact(self):
+        # the l2 radius is not affine along a chord
+        return self.norm == "l1" or self.max_slope() == 0.0
+
+    def corner_points(self):
+        if self.norm != "l1":
+            return []
+        return [q for r in self.breakpoints() if r > 0
+                for q in _diamond_tips(0.0, 0.0, r)]
+
+    def rim_radii(self):
+        if self.norm != "l2":
+            return []
+        return [r for r in self.breakpoints() if 0 < r < 1]
 
 
 @dataclass(frozen=True)
@@ -187,7 +282,7 @@ class MultiDiamondWeight(WeightField):
     """
 
     alpha: float = SQRT2
-    symmetric_y: bool = field(default=False, init=False)
+    max_corners = 4
 
     CENTERS = ((-0.5, 0.0, 0.25, "large_left"),
                (0.5, 0.0, 0.25, "large_right"),
@@ -206,15 +301,13 @@ class MultiDiamondWeight(WeightField):
             inside |= (np.abs(x - cx) + np.abs(y - cy)) < r
         return np.where(inside, self.alpha, 1.0)
 
-    def region_of(self, p):
-        x, y = float(p[0]), float(p[1])
-        for cx, cy, r, tag in self.CENTERS:
-            if abs(x - cx) + abs(y - cy) < r:
-                return tag
-        return "outside"
+    def split_params(self, a, b):
+        return [s for cx, cy, r, _ in self.CENTERS
+                for s in _l1_radius_hits(a, b, [r], cx, cy)]
 
-    def params(self):
-        return {"alpha": self.alpha}
+    def corner_points(self):
+        return [q for cx, cy, r, _ in self.CENTERS
+                for q in _diamond_tips(cx, cy, r)]
 
 
 @dataclass(frozen=True)
@@ -247,18 +340,12 @@ class LayeredWeight(WeightField):
         idx_hi = np.clip(idx_hi, 0, len(ws) - 1)
         return np.minimum(ws[idx], ws[idx_hi])
 
-    def region_of(self, p):
-        y = float(p[1])
-        for k, (d, _) in enumerate(self.layers):
-            if y > -d:
-                return f"layer_{k}"
-        return f"layer_{len(self.layers) - 1}"
-
     def depths(self):
         return tuple(d for d, _ in self.layers)
 
-    def params(self):
-        return {"layers": self.layers}
+    def split_params(self, a, b):
+        return [s for d in self.depths()
+                for s in _line_crossing(a[1] + d, b[1] + d)]
 
 
 @dataclass(frozen=True)
@@ -286,6 +373,15 @@ class Region:
         else:
             raise ValueError(f"unknown region shape {self.shape!r}")
         return ~m if self.negate else m
+
+    def split_params(self, a, b):
+        """Params in (0,1) where the segment a -> b crosses the boundary."""
+        if self.shape == "l1":
+            return _l1_radius_hits(a, b, [self.radius], self.cx, self.cy)
+        if self.shape == "l2":
+            return _l2_radius_hits(a, b, [self.radius], self.cx, self.cy)
+        return _line_crossing(self.nx * a[0] + self.ny * a[1] - self.offset,
+                              self.nx * b[0] + self.ny * b[1] - self.offset)
 
 
 @dataclass(frozen=True)
@@ -317,15 +413,17 @@ class CustomWeight(WeightField):
             unset &= ~m
         return out
 
-    def region_of(self, p):
-        x, y = float(p[0]), float(p[1])
-        for k, (regions, *_rest) in enumerate(self.pieces):
-            if all(r.contains(np.array([x]), np.array([y]))[0] for r in regions):
-                return f"piece_{k}"
-        return "default"
-
     def max_slope(self):
         return max((abs(s) for _, _, s, _, _ in self.pieces), default=0.0)
+
+    def split_params(self, a, b):
+        pts = []
+        for regions, _off, slope, ax, ay in self.pieces:
+            if slope != 0.0:
+                pts += _axis_crossings(a, b, ax, ay)
+            for reg in regions:
+                pts += reg.split_params(a, b)
+        return pts
 
 
 def heavy_diamond(alpha: float = math.sqrt(1.5)) -> RadialWeight:

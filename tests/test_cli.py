@@ -1,7 +1,12 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
+import numpy as np
 import pytest
 
 import lglab.cli as cli
+from lglab import curves
+from lglab.curves import level_curve
+from lglab.snell import SolverError
+from lglab.weights import make_weight
 
 
 def run(argv, capsys):
@@ -111,3 +116,24 @@ def test_figure_writes_named_subdir(tmp_path, capsys):
                       "--levels", "33", "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "heavy_diamond" / "contours.svg").exists()
+
+
+@pytest.fixture
+def sagging_glide(monkeypatch):
+    """Every inward glide sags, so the core's inner-arc bracket fails."""
+    curves._core_geometry.cache_clear()
+    monkeypatch.setattr(curves, "_glide_in",
+                        lambda w, a, n_shells=curves.SWEEP_SHELLS:
+                        ("sag", None, np.empty((0, 2))))
+    yield
+    curves._core_geometry.cache_clear()
+
+
+def test_core_bracket_failure_exits_3(sagging_glide, tmp_path, capsys):
+    # a typed error, not an assert, so it also holds under python -O
+    with pytest.raises(SolverError, match="inner-arc bracket"):
+        level_curve(make_weight("lite_dmd_heavy_core"), 0.5)
+    code, _, err = run(["solve", "--weight", "lite_dmd_heavy_core",
+                        "--resolution", "32", "--levels", "16",
+                        "--outdir", str(tmp_path)], capsys)
+    assert code == 3 and "inner-arc bracket" in err

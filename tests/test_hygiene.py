@@ -1,0 +1,102 @@
+"""Static checks over the package source: no dead imports or helpers.
+
+Uses only the stdlib ast module.  The package __init__ is left out because
+its imports are re-exports.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import lglab
+
+SRC = Path(lglab.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree):
+    """Every bare name and attribute name read anywhere in the tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _called_names(tree):
+    """Names that appear as the target of a call."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            out.add(f.id if isinstance(f, ast.Name)
+                    else getattr(f, "attr", ""))
+    return out
+
+
+def _module_imports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def _private_defs(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name.startswith("_") \
+                and not node.name.startswith("__"):
+            yield node
+
+
+def _is_pass_through(fn):
+    """A def whose whole body returns one call on its own parameters."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) \
+            or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    params = [a.arg for a in fn.args.args]
+    parts = list(call.args) + [k.value for k in call.keywords]
+    if isinstance(call.func, ast.Attribute):
+        parts.append(call.func.value)
+    names = [p.id for p in parts if isinstance(p, ast.Name)]
+    return len(names) == len(parts) and sorted(names) == sorted(params)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [name for name in _module_imports(tree) if name not in used]
+    assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_private_helpers_are_referenced_and_do_work():
+    trees = {p.name: _tree(p) for p in [SRC / "__init__.py", *MODULES]}
+    used = set().union(*(_used_names(t) for t in trees.values()))
+    called = set().union(*(_called_names(t) for t in trees.values()))
+    dead, wrappers = [], []
+    for name, tree in trees.items():
+        for node in _private_defs(tree):
+            if node.name not in used:
+                dead.append(f"{name}:{node.name}")
+            elif node.name in called and isinstance(node, ast.FunctionDef) \
+                    and _is_pass_through(node):
+                # a wrapper only stored as a value (a suite table entry)
+                # binds its target late, which a direct reference would not
+                wrappers.append(f"{name}:{node.name}")
+    assert not dead, f"private helpers nothing references: {dead}"
+    assert not wrappers, f"private one-call wrappers, call the target: " \
+                         f"{wrappers}"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lglab.paths import Polyline, segment, weighted_length
-from lglab.weights import make_weight
+from lglab.weights import Region, catalog_names, make_weight
 
 COORD = st.floats(-0.95, 0.95)
 
@@ -73,3 +73,42 @@ def test_length_is_reversal_invariant(ax, ay, bx, by):
     p = segment((ax, ay), (bx, by))
     assert weighted_length(p, w) == pytest.approx(
         weighted_length(p.reversed(), w), rel=1e-12, abs=1e-12)
+
+
+def _custom_weight():
+    ring = Region("l2", radius=0.5, negate=True)
+    inner = Region("l2", radius=0.5)
+    return make_weight("custom_piecewise", pieces=(
+        ((inner,), 3.0, 0.0, 0.0, 0.0),
+        ((ring,), 1.0, 1.0, 0.0, 0.0),
+    ), default=9.0)
+
+
+def _catalog_weight(name):
+    if name == "layered_horizontal":
+        return make_weight(name, layers=((0.2, 1.0), (0.6, 2.0)))
+    if name == "custom_piecewise":
+        return _custom_weight()
+    return make_weight(name)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_interface_splitting_matches_dense_midpoint_sum(name):
+    # a panel straddling an interface is off by at most half its length
+    # times the jump, and a segment crosses few interfaces
+    w = _catalog_weight(name)
+    rng = np.random.default_rng(7)
+    n = 20000
+    for _ in range(20):
+        r = 0.95 * np.sqrt(rng.uniform(size=2))
+        th = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        a = np.array([r[0] * math.cos(th[0]), r[0] * math.sin(th[0])])
+        b = np.array([r[1] * math.cos(th[1]), r[1] * math.sin(th[1])])
+        seg_len = float(np.hypot(*(b - a)))
+        s = (np.arange(n) + 0.5) / n
+        mids = a[None, :] + s[:, None] * (b - a)[None, :]
+        vals = w.values(mids[:, 0], mids[:, 1])
+        dense = float(vals.sum()) * seg_len / n
+        tol = 2.0 * seg_len * float(vals.max() - vals.min()) / n + 1e-12
+        assert weighted_length(segment(a, b), w) == pytest.approx(
+            dense, rel=0.0, abs=tol)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from lglab.curves import boundary_points, level_curve
 from lglab.paths import segment, weighted_length
 from lglab.shooting import shoot_two_point
 from lglab.weights import make_weight
@@ -61,3 +62,15 @@ def test_shot_endpoints_land_on_targets():
     assert np.allclose(arr[-1], b, atol=1e-6)
     assert cost <= weighted_length(path, w) + 1e-9
     assert cost <= weighted_length(segment(a, b), w) + 1e-9
+
+
+@pytest.mark.parametrize("t", [0.7, 1.0, 1.2, 1.45])
+@pytest.mark.parametrize("branch", ["minimal", "maximal"])
+def test_heavy_disk_shot_matches_level_curve(t, branch):
+    # the shot's rim wrap and the level curve's wrap are the same route
+    w = make_weight("heavy_disk", 2.0)
+    _, cost = shoot_two_point(w, *boundary_points(t), scan_angles=64,
+                              n_shells=64)
+    curve = level_curve(w, t, branch)
+    assert cost == pytest.approx(weighted_length(curve.path, w), rel=0.0,
+                                 abs=1e-12)

@@ -4,7 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from lglab.snell import H_of, heavy_disk_arc_test, snell_chain, snell_refract
+import lglab.snell as snell
+from lglab.snell import (H_of, SolverError, heavy_disk_arc_test, snell_chain,
+                         snell_refract)
 from lglab.tracing import TotalInternalReflection
 
 # frozen adaptive-Simpson values of the sag integral (eps 1e-8)
@@ -90,3 +92,16 @@ def test_arc_criterion_domain():
         heavy_disk_arc_test(2.0, 3.5)
     with pytest.raises(ValueError):
         heavy_disk_arc_test(-1.0, 1.0)
+
+
+def test_chain_drift_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(snell, "snell_refract",
+                        lambda w_in, w_out, theta: theta + 1e-6)
+    with pytest.raises(SolverError, match="drifted"):
+        snell_chain([1.0, 1.0, 1.0], 0.3)
+
+
+def test_nonpositive_glide_height_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(snell, "_adaptive_simpson", lambda f, a, b, eps: 0.0)
+    with pytest.raises(SolverError, match="not positive"):
+        H_of(0.5)
