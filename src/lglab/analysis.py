@@ -7,6 +7,7 @@ whose pass flags can be recomputed from the stored values.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,13 @@ def _edge_costs(w: WeightField, res: int):
     return ch, cv
 
 
-def _mask_perimeter(mask: np.ndarray, ch: np.ndarray, cv: np.ndarray) -> float:
-    m = np.pad(mask, 1, mode="constant")
-    bh = m[1:-1, 1:] != m[1:-1, :-1]
-    bv = m[1:, 1:-1] != m[:-1, 1:-1]
-    return float((ch * bh).sum() + (cv * bv).sum())
+def _mask_perimeter(mask: np.ndarray, ch: np.ndarray, cv: np.ndarray):
+    """Weighted perimeter of a mask, or of each mask in a stack of them."""
+    m = np.zeros(np.add(mask.shape, [0] * (mask.ndim - 2) + [2, 2]), bool)
+    m[..., 1:-1, 1:-1] = mask
+    bh = m[..., 1:-1, 1:] != m[..., 1:-1, :-1]
+    bv = m[..., 1:, 1:-1] != m[..., :-1, 1:-1]
+    return (ch * bh).sum(axis=(-2, -1)) + (cv * bv).sum(axis=(-2, -1))
 
 
 def _ball_union(X, Y, rng) -> np.ndarray:
@@ -176,6 +179,94 @@ def submodularity_check(res: int = 256, trials: int = 1000,
     return passed
 
 
+_BLOCK = 1 << 15  # elements in each temporary of the rectangle sweep
+
+# Rectangle-kernel tables over interval codes: code c < lo.size is [lo[c],
+# hi[c]], code[c, d] that of [c, d] or the empty lo.size.  Rectangle (x, y)
+# has x-line sides rs[x, y], y-line sides cs[x, y], perimeter pr[x, y];
+# dh[line, y], dv[x, line] are single sides; line res + 1 and empty read 0.
+_Tables = namedtuple("_Tables", "lo hi code rs cs pr dh dv")
+# One axis of rectangle pairs A, B: codes a, b, shared s, the codes c1, c2
+# whose lines bound the union across s, and the line where A and B abut.
+_Pairs = namedtuple("_Pairs", "a b s c1 c2 line")
+
+
+def _rect_tables(ch: np.ndarray, cv: np.ndarray) -> _Tables:
+    res = ch.shape[0]
+    lo, hi = np.triu_indices(res)
+    empty = lo.size
+    code = np.full((res, res), empty)
+    code[lo, hi] = np.arange(empty)
+
+    def sides(cost):
+        # side over each interval of each grid line: a prefix-sum difference
+        S = np.zeros((res + 1, res + 1))
+        S[:, 1:] = np.cumsum(cost, axis=1)
+        return np.pad(S[:, hi + 1] - S[:, lo], ((0, 1), (0, 1)))
+
+    dh, dv = sides(ch.T), sides(cv)  # x-lines over rows, y-lines over columns
+    rs = np.pad(dh[lo] + dh[hi + 1], ((0, 1), (0, 0)))
+    cs = np.pad((dv[lo] + dv[hi + 1]).T, ((0, 0), (0, 1)))
+    pr = np.pad((rs[:-1, :-1] + dv[lo, :-1].T) + dv[hi + 1, :-1].T, (0, 1))
+    return _Tables(lo, hi, code, rs, cs, pr, dh, dv.T)
+
+
+def _interval_pairs(T: _Tables, ca, cb) -> _Pairs:
+    a1, a2, b1, b2 = T.lo[ca], T.hi[ca], T.lo[cb], T.hi[cb]
+    s1, s2 = np.maximum(a1, b1), np.minimum(a2, b2)
+    cont = s1 <= s2 + 1
+    merged = T.code[np.minimum(a1, b1), np.maximum(a2, b2)]
+    line = np.select([a2 + 1 == b1, b2 + 1 == a1], [b1, a1], len(T.dh) - 1)
+    return _Pairs(ca, cb, T.code[s1, s2], np.where(cont, merged, ca),
+                  np.where(cont, T.lo.size, cb), line)
+
+
+def _rect_pair_terms(T: _Tables, xp: _Pairs, yp: _Pairs, get):
+    """P(A), P(B), P(A u B), P(A n B) and w(edges joining A\\B and B\\A).
+
+    ``get(table, x_codes, y_codes)`` reads the tables, outer or pairwise.
+    The sums are grouped as written, which fixes each pair's rounding.
+    """
+    rs, cs, pr = T.rs, T.cs, T.pr
+    ch_part = (get(rs, xp.a, yp.a) - get(rs, xp.a, yp.s)
+               + get(rs, xp.b, yp.b) - get(rs, xp.b, yp.s)
+               + (get(rs, xp.c1, yp.s) + get(rs, xp.c2, yp.s)))
+    cv_part = (get(cs, xp.a, yp.a) - get(cs, xp.s, yp.a)
+               + get(cs, xp.b, yp.b) - get(cs, xp.s, yp.b)
+               + (get(cs, xp.s, yp.c1) + get(cs, xp.s, yp.c2)))
+    cut = get(T.dh, xp.line, yp.s) + get(T.dv, xp.s, yp.line)
+    return (get(pr, xp.a, yp.a), get(pr, xp.b, yp.b), ch_part + cv_part,
+            get(pr, xp.s, yp.s), cut)
+
+
+def _outer(table, x, y):
+    return np.take(table[x], y, axis=1)
+
+
+def _sweep(T: _Tables, *parts):
+    """Least deficit, violations and worst cut residual over xp x yp parts."""
+    worst, fails, resid = math.inf, 0, 0.0
+    for xp, yp in parts:
+        step = max(1, _BLOCK // yp.s.size)
+        for r in range(0, xp.a.size, step):
+            rows = _Pairs(*(v[r:r + step] for v in xp))
+            pa, pb, p_union, p_inter, cut = _rect_pair_terms(T, rows, yp,
+                                                             _outer)
+            deficit = pa + pb - p_union - p_inter
+            worst = min(worst, float(deficit.min()))
+            fails += int(np.count_nonzero(deficit < -1e-9))
+            r_cut = deficit - 2.0 * cut
+            resid = max(resid, float(r_cut.max()), -float(r_cut.min()))
+    return worst, fails, resid
+
+
+def _rect_masks(T: _Tables, cx, cy, res: int) -> np.ndarray:
+    idx = np.arange(res)
+    inx = (T.lo[cx, None] <= idx) & (idx <= T.hi[cx, None])
+    iny = (T.lo[cy, None] <= idx) & (idx <= T.hi[cy, None])
+    return iny[:, :, None] & inx[:, None, :]
+
+
 def rectangle_submodularity_exhaustive(res: int = 16,
                                        w: WeightField | None = None,
                                        spot_checks: int = 1000,
@@ -183,96 +274,38 @@ def rectangle_submodularity_exhaustive(res: int = 16,
     """Perimeter submodularity over every pair of axis rectangles.
 
     All res(res+1)/2 squared index rectangles are compared pairwise through
-    closed-form prefix-sum perimeters of union and intersection; a random
-    sample of pairs is re-verified against direct rasterization.
+    closed-form perimeters of union and intersection, whose deficit must
+    equal twice the weight of the edges joining A\\B and B\\A (the cut
+    identity); a random sample of pairs is re-verified by rasterization.
     """
-    if w is None:
-        w = heavy_diamond(2.0)
-    ch, cv = _edge_costs(w, res)
-    CH = ch.T  # [x-line, row]
-    CV = cv    # [y-line, column]
-    SH = np.zeros((res + 1, res + 1))
-    SH[:, 1:] = np.cumsum(CH, axis=1)
-    SV = np.zeros((res + 1, res + 1))
-    SV[:, 1:] = np.cumsum(CV, axis=1)
+    if res < 2:
+        raise ValueError("res must be at least 2")
+    if spot_checks < 0:
+        raise ValueError("spot_checks must be non-negative")
+    ch, cv = _edge_costs(heavy_diamond(2.0) if w is None else w, res)
+    T = _rect_tables(ch, cv)
+    k_iv = T.lo.size
 
-    def side(S, line, c, d):
-        # sum of S's costs on the given grid line over index range [c, d]
-        return S[line, d + 1] - S[line, c]
+    # every pair A <= B: x-intervals a < b with any y-intervals (a grid, so
+    # terms of one y-interval broadcast), then a == b with y-intervals a <= b
+    iv = np.arange(k_iv)
+    worst, fails, resid = _sweep(
+        T, (_interval_pairs(T, *np.triu_indices(k_iv, 1)),
+            _interval_pairs(T, iv[:, None], iv[None])),
+        (_interval_pairs(T, iv, iv),
+         _interval_pairs(T, *np.triu_indices(k_iv))))
 
-    def rect_p(a1, a2, b1, b2):
-        return (side(SH, a1, b1, b2) + side(SH, a2 + 1, b1, b2)
-                + side(SV, b1, a1, a2) + side(SV, b2 + 1, a1, a2))
-
-    lo, hi = np.triu_indices(res)
-    k_iv = lo.size
-    ix = np.repeat(np.arange(k_iv), k_iv)
-    iy = np.tile(np.arange(k_iv), k_iv)
-    x1, x2 = lo[ix], hi[ix]
-    y1, y2 = lo[iy], hi[iy]
-    n = x1.size
-    P = rect_p(x1, x2, y1, y2)
-
-    worst = math.inf
-    fails = 0
-    for k in range(n):
-        ax1, ax2, ay1, ay2 = int(x1[k]), int(x2[k]), int(y1[k]), int(y2[k])
-        bx1, bx2 = x1[k:], x2[k:]
-        by1, by2 = y1[k:], y2[k:]
-        sx1, sx2 = np.maximum(ax1, bx1), np.minimum(ax2, bx2)
-        sy1, sy2 = np.maximum(ay1, by1), np.minimum(ay2, by2)
-        sharedx, sharedy = sx1 <= sx2, sy1 <= sy2
-        # empty ranges clamp to (0, -1), which side() sums to zero
-        sy1c, sy2c = np.where(sharedy, sy1, 0), np.where(sharedy, sy2, -1)
-        sx1c, sx2c = np.where(sharedx, sx1, 0), np.where(sharedx, sx2, -1)
-
-        row_a_full = side(SH, ax1, ay1, ay2) + side(SH, ax2 + 1, ay1, ay2)
-        row_a_sh = side(SH, ax1, sy1c, sy2c) + side(SH, ax2 + 1, sy1c, sy2c)
-        row_b_full = side(SH, bx1, by1, by2) + side(SH, bx2 + 1, by1, by2)
-        row_b_sh = side(SH, bx1, sy1c, sy2c) + side(SH, bx2 + 1, sy1c, sy2c)
-        xcont = sx1 <= sx2 + 1
-        xl, xr = np.minimum(ax1, bx1), np.maximum(ax2, bx2)
-        row_merged = side(SH, xl, sy1c, sy2c) + side(SH, xr + 1, sy1c, sy2c)
-        ch_part = (row_a_full - row_a_sh + row_b_full - row_b_sh
-                   + np.where(xcont, row_merged, row_a_sh + row_b_sh))
-
-        col_a_full = side(SV, ay1, ax1, ax2) + side(SV, ay2 + 1, ax1, ax2)
-        col_a_sh = side(SV, ay1, sx1c, sx2c) + side(SV, ay2 + 1, sx1c, sx2c)
-        col_b_full = side(SV, by1, bx1, bx2) + side(SV, by2 + 1, bx1, bx2)
-        col_b_sh = side(SV, by1, sx1c, sx2c) + side(SV, by2 + 1, sx1c, sx2c)
-        ycont = sy1 <= sy2 + 1
-        yl, yu = np.minimum(ay1, by1), np.maximum(ay2, by2)
-        col_merged = side(SV, yl, sx1c, sx2c) + side(SV, yu + 1, sx1c, sx2c)
-        cv_part = (col_a_full - col_a_sh + col_b_full - col_b_sh
-                   + np.where(ycont, col_merged, col_a_sh + col_b_sh))
-
-        p_union = ch_part + cv_part
-        p_inter = np.where(sharedx & sharedy,
-                           rect_p(sx1c, sx2c, sy1c, sy2c), 0.0)
-        deficit = P[k] + P[k:] - p_union - p_inter
-        m = float(deficit.min())
-        worst = min(worst, m)
-        fails += int(np.count_nonzero(deficit < -1e-9))
-
+    # rectangle i has x-interval i // k_iv and y-interval i % k_iv
     rng = np.random.default_rng(seed)
-    spot_err = 0.0
-    for _ in range(spot_checks):
-        i, j = rng.integers(0, n, 2)
-        ma = np.zeros((res, res), dtype=bool)
-        mb = np.zeros((res, res), dtype=bool)
-        ma[y1[i]:y2[i] + 1, x1[i]:x2[i] + 1] = True
-        mb[y1[j]:y2[j] + 1, x1[j]:x2[j] + 1] = True
-        sx1, sx2 = max(x1[i], x1[j]), min(x2[i], x2[j])
-        sy1, sy2 = max(y1[i], y1[j]), min(y2[i], y2[j])
-        pi = rect_p(sx1, sx2, sy1, sy2) if sx1 <= sx2 and sy1 <= sy2 else 0.0
-        pu = _union_perimeter_direct(
-            (x1[i], x2[i], y1[i], y2[i]), (x1[j], x2[j], y1[j], y2[j]),
-            SH, SV)
-        spot_err = max(
-            spot_err,
-            abs(float(P[i]) - _mask_perimeter(ma, ch, cv)),
-            abs(pu - _mask_perimeter(ma | mb, ch, cv)),
-            abs(float(pi) - _mask_perimeter(ma & mb, ch, cv)))
+    i, j = rng.integers(0, k_iv * k_iv, (spot_checks, 2)).T
+    (ax, ay), (bx, by) = np.divmod(i, k_iv), np.divmod(j, k_iv)
+    pa, _, p_union, p_inter, _ = _rect_pair_terms(
+        T, _interval_pairs(T, ax, bx), _interval_pairs(T, ay, by),
+        lambda table, x, y: table[x, y])
+    ma, mb = _rect_masks(T, ax, ay, res), _rect_masks(T, bx, by, res)
+    spot_err = max(np.abs(v - _mask_perimeter(m, ch, cv)).max(initial=0.0)
+                   for v, m in ((pa, ma), (p_union, ma | mb),
+                                (p_inter, ma & mb)))
 
     return ExperimentReport(
         name="rectangle_submodularity",
@@ -281,43 +314,10 @@ def rectangle_submodularity_exhaustive(res: int = 16,
                      float(fails), 0.0, 0.0),
             Quantity("worst submodularity violation",
                      max(0.0, -worst), 0.0, 1e-9),
-            Quantity("closed-form vs raster mismatch", spot_err, 0.0, 1e-9),
+            Quantity("cut identity residual", resid, 0.0, 1e-9),
+            Quantity("closed-form vs raster mismatch", float(spot_err),
+                     0.0, 1e-9),
         ))
-
-
-def _union_perimeter_direct(ra, rb, SH, SV) -> float:
-    """Scalar union perimeter, same row/column classification as the sweep."""
-    ax1, ax2, ay1, ay2 = (int(v) for v in ra)
-    bx1, bx2, by1, by2 = (int(v) for v in rb)
-
-    def side(S, line, c, d):
-        return float(S[line, d + 1] - S[line, c]) if c <= d else 0.0
-
-    sy1, sy2 = max(ay1, by1), min(ay2, by2)
-    sx1, sx2 = max(ax1, bx1), min(ax2, bx2)
-    total = (side(SH, ax1, ay1, ay2) + side(SH, ax2 + 1, ay1, ay2)
-             - side(SH, ax1, sy1, sy2) - side(SH, ax2 + 1, sy1, sy2)
-             + side(SH, bx1, by1, by2) + side(SH, bx2 + 1, by1, by2)
-             - side(SH, bx1, sy1, sy2) - side(SH, bx2 + 1, sy1, sy2))
-    if sy1 <= sy2:
-        if sx1 <= sx2 + 1:
-            total += (side(SH, min(ax1, bx1), sy1, sy2)
-                      + side(SH, max(ax2, bx2) + 1, sy1, sy2))
-        else:
-            total += (side(SH, ax1, sy1, sy2) + side(SH, ax2 + 1, sy1, sy2)
-                      + side(SH, bx1, sy1, sy2) + side(SH, bx2 + 1, sy1, sy2))
-    total += (side(SV, ay1, ax1, ax2) + side(SV, ay2 + 1, ax1, ax2)
-              - side(SV, ay1, sx1, sx2) - side(SV, ay2 + 1, sx1, sx2)
-              + side(SV, by1, bx1, bx2) + side(SV, by2 + 1, bx1, bx2)
-              - side(SV, by1, sx1, sx2) - side(SV, by2 + 1, sx1, sx2))
-    if sx1 <= sx2:
-        if sy1 <= sy2 + 1:
-            total += (side(SV, min(ay1, by1), sx1, sx2)
-                      + side(SV, max(ay2, by2) + 1, sx1, sx2))
-        else:
-            total += (side(SV, ay1, sx1, sx2) + side(SV, ay2 + 1, sx1, sx2)
-                      + side(SV, by1, sx1, sx2) + side(SV, by2 + 1, sx1, sx2))
-    return total
 
 
 def three_diamonds_thresholds(alpha: float = SQRT2) -> tuple[float, float]:

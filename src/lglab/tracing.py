@@ -111,9 +111,8 @@ def _refract_direction(v, n, w_in, w_out, where):
         theta_out = snell_refract(w_in, w_out, theta_in)
     except TotalInternalReflection:
         raise TotalInternalReflection(w_in, w_out, theta_in, where) from None
-    if tlen < _EPS:
-        return (math.copysign(n[0], vn), math.copysign(n[1], vn))
-    s = math.sin(theta_out) / tlen
+    # at normal incidence (no tangential part) the ray goes straight on
+    s = math.sin(theta_out) / tlen if tlen >= _EPS else 0.0
     c = math.copysign(math.cos(theta_out), vn)
     return (c * n[0] + s * tx, c * n[1] + s * ty)
 

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lglab import analysis
 from lglab.analysis import (ExperimentReport, Quantity, SUITES,
+                            _edge_costs, _interval_pairs, _mask_perimeter,
+                            _rect_masks, _rect_pair_terms, _rect_tables,
                             curvature_clearance, disagreement_area,
                             litedmdheavycore_checks, nonuniqueness_gap,
                             rectangle_submodularity_exhaustive, run_suite,
                             submodularity_check, three_diamonds_thresholds)
 from lglab.stacker import ALL_MAXIMAL, ALL_MINIMAL, midpoint_levels, stack
-from lglab.weights import make_weight
+from lglab.weights import heavy_diamond, make_weight, three_heavy_diamonds
 
 
 def test_quantity_pass_logic():
@@ -88,6 +91,123 @@ def test_rectangle_submodularity_exhaustive_small():
     assert rep.passed
     labels = [q.label for q in rep.quantities]
     assert any("violating" in s for s in labels)
+
+
+@pytest.mark.parametrize("res, seed, worst", [
+    (8, 0, 0.0),
+    (10, 0, 4.440892098500626e-15),
+    (10, 1, 4.440892098500626e-15),
+])
+def test_rectangle_submodularity_outputs_pinned(res, seed, worst):
+    # values of the per-row loop this sweep replaced, bit for bit
+    q = {q.label: q for q in
+         rectangle_submodularity_exhaustive(res=res, seed=seed).quantities}
+    assert q["pairs violating the perimeter inequality"].value == 0.0
+    assert q["worst submodularity violation"].value == worst
+    assert q["cut identity residual"].passed
+    assert q["closed-form vs raster mismatch"].value <= 1e-9
+
+
+def _reference_deficits(w, res):
+    """Per-pair loop over rectangles A <= B with the sweep's arithmetic."""
+    ch, cv = _edge_costs(w, res)
+    SH = np.pad(np.cumsum(ch.T, axis=1), ((0, 0), (1, 0)))
+    SV = np.pad(np.cumsum(cv, axis=1), ((0, 0), (1, 0)))
+
+    def side(S, line, c, d):
+        return S[line, d + 1] - S[line, c] if c <= d else 0.0
+
+    def two(S, l1, l2, c, d):
+        return side(S, l1, c, d) + side(S, l2 + 1, c, d)
+
+    def rect_p(x1, x2, y1, y2):
+        return two(SH, x1, x2, y1, y2) + side(SV, y1, x1, x2) \
+            + side(SV, y2 + 1, x1, x2)
+
+    lo, hi = np.triu_indices(res)
+    rects = [(lo[i], hi[i], lo[j], hi[j])
+             for i in range(lo.size) for j in range(lo.size)]
+    out = []
+    for k, (ax1, ax2, ay1, ay2) in enumerate(rects):
+        for bx1, bx2, by1, by2 in rects[k:]:
+            sx1, sx2 = max(ax1, bx1), min(ax2, bx2)
+            sy1, sy2 = max(ay1, by1), min(ay2, by2)
+            ra, rb = two(SH, ax1, ax2, sy1, sy2), two(SH, bx1, bx2, sy1, sy2)
+            ca, cb = two(SV, ay1, ay2, sx1, sx2), two(SV, by1, by2, sx1, sx2)
+            ch_part = (two(SH, ax1, ax2, ay1, ay2) - ra
+                       + two(SH, bx1, bx2, by1, by2) - rb
+                       + (two(SH, min(ax1, bx1), max(ax2, bx2), sy1, sy2)
+                          if sx1 <= sx2 + 1 else ra + rb))
+            cv_part = (two(SV, ay1, ay2, ax1, ax2) - ca
+                       + two(SV, by1, by2, bx1, bx2) - cb
+                       + (two(SV, min(ay1, by1), max(ay2, by2), sx1, sx2)
+                          if sy1 <= sy2 + 1 else ca + cb))
+            p_inter = rect_p(sx1, sx2, sy1, sy2) \
+                if sx1 <= sx2 and sy1 <= sy2 else 0.0
+            out.append(rect_p(ax1, ax2, ay1, ay2) + rect_p(bx1, bx2, by1, by2)
+                       - (ch_part + cv_part) - p_inter)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("w", [heavy_diamond(2.0), three_heavy_diamonds(2.0)],
+                         ids=["heavy_diamond", "three_heavy_diamonds"])
+def test_rectangle_sweep_matches_reference_loop_bit_for_bit(w, monkeypatch):
+    res = 5
+    ref = _reference_deficits(w, res)
+    ch, cv = _edge_costs(w, res)
+    T = _rect_tables(ch, cv)
+    k = T.lo.size
+    i, j = np.triu_indices(k * k)  # A <= B in the loop's order
+    (ax, ay), (bx, by) = np.divmod(i, k), np.divmod(j, k)
+    pa, pb, p_union, p_inter, _ = _rect_pair_terms(
+        T, _interval_pairs(T, ax, bx), _interval_pairs(T, ay, by),
+        lambda table, x, y: table[x, y])
+    assert np.array_equal(pa + pb - p_union - p_inter, ref)
+    # the blocked sweep sees the same pairs, however it is cut up
+    expected = (float(np.count_nonzero(ref < -1e-9)),
+                max(0.0, -float(ref.min())))
+    for block in (1, 97, analysis._BLOCK):
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        q = rectangle_submodularity_exhaustive(res=res, w=w,
+                                               spot_checks=0).quantities
+        assert (q[0].value, q[1].value) == expected
+
+
+@pytest.mark.parametrize("kwargs", [{"res": 0}, {"res": 1},
+                                    {"res": 4, "spot_checks": -1}])
+def test_rectangle_submodularity_rejects_sizes_that_check_nothing(kwargs):
+    with pytest.raises(ValueError):
+        rectangle_submodularity_exhaustive(**kwargs)
+
+
+@pytest.mark.parametrize("w", [heavy_diamond(2.0), three_heavy_diamonds(2.0)],
+                         ids=["heavy_diamond", "three_heavy_diamonds"])
+def test_rectangle_kernel_matches_raster_on_every_pair(w):
+    res = 4
+    ch, cv = _edge_costs(w, res)
+    T = _rect_tables(ch, cv)
+    k = T.lo.size
+    i, j = np.divmod(np.arange(k ** 4), k * k)
+    (ax, ay), (bx, by) = np.divmod(i, k), np.divmod(j, k)
+    pa, pb, p_union, p_inter, cut = _rect_pair_terms(
+        T, _interval_pairs(T, ax, bx), _interval_pairs(T, ay, by),
+        lambda table, x, y: table[x, y])
+    ma, mb = _rect_masks(T, ax, ay, res), _rect_masks(T, bx, by, res)
+    assert np.abs(pa - _mask_perimeter(ma, ch, cv)).max() <= 1e-12
+    assert np.abs(pb - _mask_perimeter(mb, ch, cv)).max() <= 1e-12
+    assert np.abs(p_union - _mask_perimeter(ma | mb, ch, cv)).max() <= 1e-12
+    assert np.abs(p_inter - _mask_perimeter(ma & mb, ch, cv)).max() <= 1e-12
+    # the cut identity, with the joining edges counted on the raster
+    a_only, b_only = ma & ~mb, mb & ~ma
+    joined = (ch[:, 1:-1] * ((a_only[..., :-1] & b_only[..., 1:])
+                             | (b_only[..., :-1] & a_only[..., 1:]))
+              ).sum(axis=(-2, -1)) \
+        + (cv[1:-1] * ((a_only[..., :-1, :] & b_only[..., 1:, :])
+                       | (b_only[..., :-1, :] & a_only[..., 1:, :]))
+           ).sum(axis=(-2, -1))
+    assert np.abs(cut - joined).max() <= 1e-12
+    assert np.abs(pa + pb - p_union - p_inter - 2.0 * cut).max() <= 1e-12
+    assert np.count_nonzero(cut) > 0
 
 
 def test_disagreement_area_zero_for_identical():

@@ -74,3 +74,12 @@ def test_heavy_disk_shot_matches_level_curve(t, branch):
     curve = level_curve(w, t, branch)
     assert cost == pytest.approx(weighted_length(curve.path, w), rel=0.0,
                                  abs=1e-12)
+
+
+def test_l1_shot_with_a_normal_incidence_ray():
+    # the theta = -pi scan ray leaves along the inward l1 normal of
+    # quadrant 3; it must cross the shells, not bounce on the first one
+    w = make_weight("light_diamond_tight", 0.5)
+    _, cost = shoot_two_point(w, *boundary_points(0.5), scan_angles=16,
+                              n_shells=128)
+    assert cost == 1.5672908491850612

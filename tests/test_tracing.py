@@ -6,7 +6,7 @@ import pytest
 
 from lglab.paths import weighted_length
 from lglab.tracing import (TotalInternalReflection, TraceError,
-                           trace_layered_ray)
+                           _refract_direction, trace_layered_ray)
 from lglab.weights import make_weight
 
 
@@ -63,3 +63,14 @@ def test_radial_ray_conserves_snell_invariant():
     cost = weighted_length(ray, w)
     e = ray.euclidean_length()
     assert 0.5 * e <= cost <= 1.0 * e + 1e-9
+
+
+@pytest.mark.parametrize("n", [(-math.sqrt(0.5), -math.sqrt(0.5)),
+                               (0.6, -0.8), (-0.8, 0.6)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_normal_incidence_passes_straight_through(n, sign):
+    # an l1 shell normal in quadrant 3 and l2 normals with a negative
+    # component: a ray along the normal, either way, keeps its direction
+    v = (sign * n[0], sign * n[1])
+    out = _refract_direction(v, n, 1.0, 0.5, "interface")
+    assert out == pytest.approx(v, abs=1e-15)
