@@ -26,9 +26,7 @@ from .render import (curves_csv, geodesic_csv, pgm_text, report_csv, svg_text,
                      write_text)
 from .shooting import shoot_two_point
 from .snell import SolverError
-from .stacker import (SolutionStack, StackNestingError, SwitchPolicy,
-                      midpoint_levels, stack)
-from .tracing import TotalInternalReflection, TraceError
+from .stacker import SwitchPolicy, midpoint_levels, stack
 from .weights import catalog_describe, catalog_names, make_weight
 
 EXIT_OK = 0
@@ -36,8 +34,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
-_SOLVER_ERRORS = (StackNestingError, TraceError, TotalInternalReflection,
-                  SolverError, NotImplementedError)
+_SOLVER_ERRORS = (SolverError, NotImplementedError)
 
 _FIGURES = {
     "constant": RunConfig(weight="constant"),
@@ -89,7 +86,10 @@ def _merge_config(args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _emit_stack(cfg: RunConfig, s: SolutionStack, outdir: Path) -> None:
+def _solve(cfg: RunConfig, outdir: Path) -> int:
+    """Stack cfg's level curves and write the four artifacts to outdir."""
+    s = stack(_build_weight(cfg), levels=midpoint_levels(cfg.levels),
+              policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
     stride = max(1, (len(s.levels) - 1) // 40)
     write_text(outdir / "solution.pgm", pgm_text(s.field))
     write_text(outdir / "contours.svg", svg_text(s))
@@ -97,6 +97,7 @@ def _emit_stack(cfg: RunConfig, s: SolutionStack, outdir: Path) -> None:
     write_text(outdir / "run.cfg", serialize_config(cfg))
     for name in ("solution.pgm", "contours.svg", "curves.csv", "run.cfg"):
         print(outdir / name)
+    return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
@@ -125,11 +126,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
-    w = _build_weight(cfg)
-    s = stack(w, levels=midpoint_levels(cfg.levels),
-              policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
-    _emit_stack(cfg, s, _resolve_outdir(cfg.outdir))
-    return EXIT_OK
+    return _solve(cfg, _resolve_outdir(cfg.outdir))
 
 
 def cmd_verify(args) -> int:
@@ -167,11 +164,7 @@ def cmd_figure(args) -> int:
                            else preset.outdir)
     outdir = base / args.name
     outdir.mkdir(parents=True, exist_ok=True)
-    w = _build_weight(preset)
-    s = stack(w, levels=midpoint_levels(preset.levels),
-              policy=SwitchPolicy(preset.switch_level), res=preset.resolution)
-    _emit_stack(preset, s, outdir)
-    return EXIT_OK
+    return _solve(preset, outdir)
 
 
 def build_parser() -> argparse.ArgumentParser:

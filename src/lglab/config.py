@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-_SUITE_KEYS = ("all", "snell", "thresholds", "submodularity", "clearance",
-               "corelite", "rectangles")
+from .analysis import SUITES
+
+_SUITE_KEYS = ("all", *SUITES)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Level curves of the stacked solution for boundary data f(x, y) = y + 1.
 
 The level-t curve connects the two boundary points at height t - 1 by a
-weighted-shortest path.  Each catalog weight admits an explicit construction:
+weighted-shortest path.  Each catalog weight proposes explicit (cost, path)
+candidates, and one rule picks among them for every weight:
 
 * constant: the straight chord.
 * heavy diamond: chord, or a route kinked at an edge entry point or at the
@@ -11,8 +12,11 @@ weighted-shortest path.  Each catalog weight admits an explicit construction:
   band where the route over the small diamond ties the route under it.
 * continuous l1-radial weights (light diamond, tight interpolation, heavy
   core with light ring): curves assembled from refracted quadrant sweeps,
-  solved per level from three candidate families (chord, axis-touching band
-  curve, apex curve) by exit-height bisection and least weighted length.
+  from three candidate families (chord, axis-touching band curve, apex
+  curve) solved per level by exit-height bisection.
+
+The pick keeps the cheapest candidates; among tied ones the branch decides
+(see _pick).
 
 Sweeps work in the first quadrant on a shell grid: crossing a shell of
 thickness dr with angle theta from the edge normal advances by
@@ -38,13 +42,21 @@ SWEEP_SHELLS = 4096
 
 BRANCHES = ("minimal", "maximal")
 
+# Candidates whose costs differ by at most this much are tied.
+_TIE_TOL = 1e-12
+
+
+def _half_chord(h: float) -> float:
+    """Half-width of the unit disk at height h."""
+    return math.sqrt(max(0.0, 1.0 - h * h))
+
 
 def boundary_points(t: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """The two unit-circle points where y + 1 = t."""
     if not 0.0 < t < 2.0:
         raise ValueError("level must lie in (0, 2)")
     h = t - 1.0
-    xb = math.sqrt(max(0.0, 1.0 - h * h))
+    xb = _half_chord(h)
     return (-xb, h), (xb, h)
 
 
@@ -62,8 +74,7 @@ class LevelCurve:
             raise ValueError(f"level-{self.level:g} curve is not a graph in x")
 
     def x_bound(self) -> float:
-        h = self.level - 1.0
-        return math.sqrt(max(0.0, 1.0 - h * h))
+        return _half_chord(self.level - 1.0)
 
     def y_at(self, x) -> np.ndarray:
         """Piecewise-linear graph value; constant beyond the endpoints."""
@@ -76,15 +87,24 @@ class LevelCurve:
         return xs, self.y_at(xs)
 
 
-def _chord(t: float) -> Polyline:
-    (xa, h), (xc, _) = boundary_points(t)
-    return Polyline(((xa, h), (xc, h)))
+def _chord(h: float, xb: float) -> Polyline:
+    return Polyline(((-xb, h), (xb, h)))
 
 
-def _mirror_y(pts: np.ndarray) -> np.ndarray:
-    out = pts.copy()
-    out[:, 1] = -out[:, 1]
-    return out
+def _pick(options, branch: str) -> Polyline:
+    """The path of the cheapest (cost, path) option.
+
+    Options within _TIE_TOL of the cheapest are tied.  Among them the
+    minimal branch takes the path highest at x = 0 (the smaller superlevel
+    set), the maximal branch the lowest; list order breaks any remaining tie.
+    """
+    best = min(cost for cost, _ in options)
+    tied = [path for cost, path in options if cost <= best + _TIE_TOL]
+    if len(tied) == 1:
+        return tied[0]
+    sign = 1.0 if branch == "minimal" else -1.0
+    return max(tied, key=lambda path: sign * np.interp(
+        0.0, *path.as_array().T))
 
 
 def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
@@ -135,6 +155,16 @@ def _climb(w: RadialWeight, start, kappa: float,
     return np.vstack([pts, (p[0] + t * v[0], p[1] + t * v[1])])
 
 
+def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
+    """Outward sweep leaving start, a point on an axis, horizontally.
+
+    At 45 degrees to the edge normal the conserved kappa is w(rho)/sqrt(2)
+    for the l1 radius rho of start.
+    """
+    kappa = _w_at(w, start[0] + start[1]) / math.sqrt(2.0)
+    return _climb(w, start, kappa, n_shells)
+
+
 def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     """Inward quadrant-1 sweep from (a, 0), horizontal launch, drifting up.
 
@@ -175,25 +205,14 @@ def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     return "ycross", float(yc), pts
 
 
-def _exit_height(w: RadialWeight, c: float, n_shells: int = SWEEP_SHELLS) -> float:
-    """Exit height on the unit circle of the horizontal departure from (c, 0)."""
-    kappa = _w_at(w, c) / math.sqrt(2.0)
-    return float(_climb(w, (c, 0.0), kappa, n_shells)[-1, 1])
-
-
-def _apex_exit(w: RadialWeight, y0: float, n_shells: int = SWEEP_SHELLS) -> float:
-    kappa = _w_at(w, y0) / math.sqrt(2.0)
-    return float(_climb(w, (0.0, y0), kappa, n_shells)[-1, 1])
-
-
-def _bisect(f, lo, hi, flo, fhi, iters=60):
+def _bisect(f, lo, hi, flo, iters=60):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -220,7 +239,7 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
     flo, fhi = g(lo), g(hi)
     if not flo < 0 < fhi:
         raise SolverError("inner-arc bracket failed")
-    a_star = _bisect(g, lo, hi, flo, fhi)
+    a_star = _bisect(g, lo, hi, flo)
     h_star = 2.0 * (0.75 - a_star)
     _, yc, pts = _glide_in(w, a_star, n_shells)
     # the discrete sweep overshoots the crossing height first-order in the
@@ -234,7 +253,7 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
 def _apex_grid(w: RadialWeight, lo: float, hi: float,
                n_shells: int = SWEEP_SHELLS, n: int = 1024):
     y0s = np.linspace(lo, hi, n)
-    exits = np.array([_apex_exit(w, y0, n_shells) for y0 in y0s])
+    exits = np.array([_depart(w, (0.0, y0), n_shells)[-1, 1] for y0 in y0s])
     return y0s, exits
 
 
@@ -243,110 +262,89 @@ def _apex_candidates(w: RadialWeight, h: float, lo: float, hi: float,
     """All apex curves whose exit height equals h (dense grid + bisection)."""
     y0s, exits = _apex_grid(w, lo, hi, n_shells)
     diff = exits - h
-    out = []
-    sign_change = np.nonzero(np.diff(np.signbit(diff)))[0]
-    for i in sign_change:
-        y0 = _bisect(lambda y: _apex_exit(w, y, n_shells) - h,
-                     y0s[i], y0s[i + 1], diff[i], diff[i + 1], iters=45)
-        kappa = _w_at(w, y0) / math.sqrt(2.0)
-        out.append(_climb(w, (0.0, y0), kappa, n_shells))
-    if not out and np.min(np.abs(diff)) < 1e-5:
+    starts = [_bisect(lambda y: _depart(w, (0.0, y), n_shells)[-1, 1] - h,
+                      y0s[i], y0s[i + 1], diff[i], iters=45)
+              for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
+    if not starts and np.min(np.abs(diff)) < 1e-5:
         # h sits in the hairline crack at a family seam: endpoint witness
-        y0 = float(y0s[int(np.argmin(np.abs(diff)))])
-        kappa = _w_at(w, y0) / math.sqrt(2.0)
-        out.append(_climb(w, (0.0, y0), kappa, n_shells))
-    return out
+        starts.append(float(y0s[int(np.argmin(np.abs(diff)))]))
+    return [_depart(w, (0.0, y0), n_shells) for y0 in starts]
 
 
-def _band_curve_pts(w: RadialWeight, c: float,
-                    n_shells: int) -> np.ndarray:
-    """Right half of an axis-touching curve: (c, 0) up to the circle."""
-    kappa = _w_at(w, c) / math.sqrt(2.0)
-    return _climb(w, (c, 0.0), kappa, n_shells)
+def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
+                        inner: np.ndarray = np.empty((0, 2))) -> Polyline:
+    """Full graph curve from a first-quadrant right half.
 
-
-def _assemble_symmetric(right: np.ndarray, h: float, xb: float) -> Polyline:
-    """Mirror a right-half quadrant path into the full graph curve."""
-    right = _decimate(right).copy()
+    The half is flipped below the axis when h < 0, pinned to (xb, h) at its
+    end and mirrored in x; inner, running left to right, joins the halves.
+    """
+    right = _decimate(right) * (1.0, -1.0 if h < 0 else 1.0)
     right[-1] = (xb, h)
-    left = right[::-1].copy()
-    left[:, 0] = -left[:, 0]
-    return Polyline.from_points(np.vstack([left, right]))
+    left = right[::-1] * (-1.0, 1.0)
+    return Polyline.from_points(np.vstack([left, inner, right]))
 
 
-def _radial_level_curve(w: RadialWeight, t: float, branch: str,
-                        n_shells: int) -> Polyline:
-    """Level curve for the continuous l1-radial weights."""
-    h = t - 1.0
-    xb = math.sqrt(max(0.0, 1.0 - h * h))
+# Sweep bounds per radial kind: band curves depart the x-axis at c in
+# (c_lo, c_hi], apex curves the y-axis at y0 in [y_lo, y_hi].  The core's
+# lower bounds are offsets from its inner-arc tangency point (a*, H*).
+_SWEEP_BOUNDS = {
+    "light_diamond": (0.5, 0.55 - 1e-12, 1e-6, 0.55 - 1e-9),
+    "light_diamond_tight": (1e-9, 1.0 - 1e-9, 1e-6, 1.0 - 1e-9),
+    "lite_dmd_heavy_core": (0.0, 1.0 - 1e-9, 1e-9, 1.0 - 1e-9),
+}
+
+
+def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
+                    n_shells: int) -> list[tuple[float, Polyline]]:
+    """Candidates for the continuous l1-radial weights."""
+    c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.kind]
     is_core = w.kind == "lite_dmd_heavy_core"
-    candidates: list[Polyline] = [_chord(t)]
-
-    hstar = 0.0
+    inner = np.empty((0, 2))
     if is_core:
-        a_star, hstar, arc = _core_geometry(w, n_shells)
+        a_star, h_star, arc = _core_geometry(w, n_shells)
+        c_lo, y_lo = a_star + c_lo, h_star + y_lo
+        # band curves run through the shared inner arc, lifted by the branch
+        sign = 1.0 if branch == "minimal" else -1.0
+        arc_thin = _decimate(arc)
+        inner = np.vstack([arc_thin * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
+                           arc_thin[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
+    paths = [_chord(h, xb)]
+
+    def band_exit(c):
+        return _depart(w, (c, 0.0), n_shells)[-1, 1]
 
     # axis-touching band curve
-    c_lo = a_star if is_core else (0.5 if w.kind == "light_diamond" else 1e-9)
-    c_hi = 1.0 - 1e-9 if w.kind != "light_diamond" else 0.55 - 1e-12
-    band_top = _exit_height(w, c_lo + 1e-12, n_shells)
+    band_top = band_exit(c_lo + 1e-12)
     in_band = 1e-12 < abs(h) < band_top
     at_seam = band_top <= abs(h) < band_top + 1e-5
     if in_band or at_seam:
+        c = c_lo + 1e-12
         if in_band:
-            e_lo = band_top - abs(h)
-            e_hi = _exit_height(w, c_hi, n_shells) - abs(h)
-            c = _bisect(lambda cc: _exit_height(w, cc, n_shells) - abs(h),
-                        c_lo + 1e-12, c_hi, e_lo, e_hi, iters=45)
-        else:
-            c = c_lo + 1e-12
-        right = _band_curve_pts(w, c, n_shells)
-        if h < 0:
-            right = _mirror_y(right)
-        if is_core:
-            # outer pieces at height h, shared inner arc lifted by the branch
-            sign = 1.0 if branch == "minimal" else -1.0
-            arc_thin = _decimate(arc)
-            arc_l = arc_thin * (-1.0, sign)       # (-a*, 0) .. (0, sign H*)
-            arc_r = arc_thin[::-1] * (1.0, sign)  # (0, sign H*) .. (a*, 0)
-            right = _decimate(right).copy()
-            right[-1] = (xb, h)
-            left = right[::-1].copy()
-            left[:, 0] = -left[:, 0]
-            pts = np.vstack([left, arc_l, arc_r, right])
-            candidates.append(Polyline.from_points(pts))
-        else:
-            candidates.append(_assemble_symmetric(right, h, xb))
+            c = _bisect(lambda cc: band_exit(cc) - abs(h), c, c_hi,
+                        band_top - abs(h), iters=45)
+        paths.append(_assemble_symmetric(_depart(w, (c, 0.0), n_shells),
+                                         h, xb, inner))
 
     # apex curves above/below the band
-    lo = (hstar + 1e-9) if is_core else 1e-6
-    hi = 0.55 - 1e-9 if w.kind == "light_diamond" else 1.0 - 1e-9
-    for right in _apex_candidates(w, abs(h), lo, hi, n_shells):
-        if h < 0:
-            right = _mirror_y(right)
-        candidates.append(_assemble_symmetric(right, h, xb))
+    for right in _apex_candidates(w, abs(h), y_lo, y_hi, n_shells):
+        paths.append(_assemble_symmetric(right, h, xb))
     if is_core and 1e-12 >= abs(h):
         # exactly level 1: the band curve degenerates to glides plus the arc
-        sign = 1.0 if branch == "minimal" else -1.0
-        arc_thin = _decimate(arc)
-        arc_l = arc_thin * (-1.0, sign)
-        arc_r = arc_thin[::-1] * (1.0, sign)
-        pts = np.vstack([[(-1.0, 0.0)], arc_l, arc_r, [(1.0, 0.0)]])
-        candidates.append(Polyline.from_points(pts))
-
-    lengths = [weighted_length(c, w) for c in candidates]
-    return candidates[int(np.argmin(lengths))]
+        paths.append(_assemble_symmetric(np.array([(xb, h)]), h, xb, inner))
+    return [(weighted_length(p, w), p) for p in paths]
 
 
 # ------------------------------------------------------- heavy obstacles ----
 
-def _heavy_diamond_route(alpha: float, xb: float, hh: float):
-    """Best upper route for endpoint height hh: cost and entry parameter s.
+def _diamond_detour(alpha: float, h: float, xb: float,
+                    sign: float) -> tuple[float, Polyline]:
+    """Cheapest route kinked at the diamond's upper (sign = 1) or lower edge.
 
-    The route enters the diamond's upper-left edge at (-(1/2 - s), s),
-    crosses horizontally, and exits symmetrically; s = max(hh, 0) is the
-    straight chord's entry, s = 1/2 the tip route.
+    The route enters the edge at (-(1/2 - s), sign s), crosses horizontally,
+    and exits symmetrically; s = max(sign h, 0) is the straight chord's
+    entry, s = 1/2 the tip route.
     """
+    hh = sign * h
 
     def cost(s):
         return 2.0 * math.hypot(xb - (0.5 - s), s - hh) + alpha * (1.0 - 2.0 * s)
@@ -358,46 +356,14 @@ def _heavy_diamond_route(alpha: float, xb: float, hh: float):
     for s in (s_lo, 0.5):
         if cost(s) < best:
             best_s, best = s, cost(s)
-    return best, best_s
+    if hh > 0 and abs(best_s - hh) < 1e-9:
+        return best, _chord(h, xb)
+    pts = [(-xb, h), (-(0.5 - best_s), sign * best_s),
+           ((0.5 - best_s), sign * best_s), (xb, h)]
+    return best, Polyline.from_points(np.array(pts))
 
 
-def _heavy_diamond_curve(w: RadialWeight, t: float, branch: str) -> Polyline:
-    alpha = w.alpha
-    h = t - 1.0
-    xb = math.sqrt(max(0.0, 1.0 - h * h))
-    if abs(h) >= 0.5:
-        return _chord(t)
-    cost_top, s_top = _heavy_diamond_route(alpha, xb, h)
-    cost_bot, s_bot = _heavy_diamond_route(alpha, xb, -h)
-    m = math.sqrt(max(0.0, 0.25 - h * h))
-    cost_chord = 2.0 * (xb - m) + 2.0 * alpha * m
-
-    def build(s, sign):
-        if sign * h > 0 and abs(s - sign * h) < 1e-9:
-            return _chord(t)
-        pts = [(-xb, h), (-(0.5 - s), sign * s), ((0.5 - s), sign * s), (xb, h)]
-        return Polyline.from_points(np.array(pts))
-
-    return _cheapest_by_branch([(cost_chord, _chord(t)),
-                                (cost_top, build(s_top, 1.0)),
-                                (cost_bot, build(s_bot, -1.0))], branch)
-
-
-def _cheapest_by_branch(options, branch: str) -> Polyline:
-    """Cheapest (cost, path) option.  Upper and lower routes tie exactly at
-    h = 0; the minimal branch then takes the first tied path rising above
-    the axis, the maximal branch the first one dipping below it."""
-    best = min(o[0] for o in options)
-    tied = [o for o in options if o[0] <= best + 1e-12]
-    if len(tied) > 1:
-        want = 1.0 if branch == "minimal" else -1.0
-        for cost, poly in tied:
-            if np.any(want * poly.as_array()[:, 1] > 1e-12):
-                return poly
-    return tied[0][1]
-
-
-def _disk_wrap(xb: float, h: float, sign: float) -> tuple[float, Polyline]:
+def _disk_wrap(h: float, xb: float, sign: float) -> tuple[float, Polyline]:
     """Tangent + rim arc + tangent around the half-radius disk."""
     psi = math.pi - math.asin(sign * h)
     phi_l = psi - math.pi / 3.0
@@ -406,83 +372,69 @@ def _disk_wrap(xb: float, h: float, sign: float) -> tuple[float, Polyline]:
     return cost, rim_wrap((-xb, h), (xb, h), 0.5, phi_l, phi_r, sign)
 
 
-def _heavy_disk_curve(w: RadialWeight, t: float, branch: str) -> Polyline:
-    h = t - 1.0
-    xb = math.sqrt(max(0.0, 1.0 - h * h))
-    if abs(h) >= 0.5:
-        return _chord(t)
+def _heavy_obstacle_options(w: RadialWeight, h: float,
+                            xb: float) -> list[tuple[float, Polyline]]:
+    """Heavy diamond or disk: the chord, and detours above and below the
+    obstacle when the chord meets it (|h| < 1/2)."""
     m = math.sqrt(max(0.0, 0.25 - h * h))
-    cost_chord = 2.0 * (xb - m) + 2.0 * w.alpha * m
-    return _cheapest_by_branch([(cost_chord, _chord(t)),
-                                _disk_wrap(xb, h, +1.0),
-                                _disk_wrap(xb, h, -1.0)], branch)
+    chord = [(2.0 * (xb - m) + 2.0 * w.alpha * m, _chord(h, xb))]
+    if abs(h) >= 0.5:
+        return chord
+    if w.kind == "heavy_diamond":
+        return chord + [_diamond_detour(w.alpha, h, xb, sign)
+                        for sign in (1.0, -1.0)]
+    return chord + [_disk_wrap(h, xb, sign) for sign in (1.0, -1.0)]
 
 
-def _three_diamond_candidates(t: float) -> list[tuple[str, Polyline]]:
-    h = t - 1.0
-    xb = math.sqrt(max(0.0, 1.0 - h * h))
-    routes = {
-        "chord": [(-xb, h), (xb, h)],
-        "bottom": [(-xb, h), (-0.5, -0.25), (0.5, -0.25), (xb, h)],
-        "top_over": [(-xb, h), (-0.5, 0.25), (0.0, 0.375), (0.5, 0.25), (xb, h)],
-        "top_under": [(-xb, h), (-0.5, 0.25), (0.0, 0.125), (0.5, 0.25), (xb, h)],
-        "apex_over": [(-xb, h), (0.0, 0.375), (xb, h)],
-        "apex_under": [(-xb, h), (0.0, 0.125), (xb, h)],
-    }
+# Piecewise-affine three-diamond routes between the boundary points, in
+# order: chord, under everything, over the large tips and then over or
+# under the small diamond, and straight to its top or bottom tip.
+_THREE_DIAMOND_VIAS = (
+    (),
+    ((-0.5, -0.25), (0.5, -0.25)),
+    ((-0.5, 0.25), (0.0, 0.375), (0.5, 0.25)),
+    ((-0.5, 0.25), (0.0, 0.125), (0.5, 0.25)),
+    ((0.0, 0.375),),
+    ((0.0, 0.125),),
+)
+
+
+def _three_diamond_options(w: MultiDiamondWeight, h: float,
+                           xb: float) -> list[tuple[float, Polyline]]:
     out = []
-    for name, pts in routes.items():
+    for via in _THREE_DIAMOND_VIAS:
         try:
-            out.append((name, Polyline.from_points(np.array(pts))))
+            poly = Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
         except ValueError:
-            pass
-    return out
-
-
-def _three_diamond_curve(w: MultiDiamondWeight, t: float,
-                         branch: str) -> Polyline:
-    valid = []
-    for name, poly in _three_diamond_candidates(t):
+            continue
         cost = weighted_length(poly, w)
-        if name != "chord" and cost > poly.euclidean_length() + 1e-9:
+        if via and cost > poly.euclidean_length() + 1e-9:
             continue  # a detour route crossing a diamond interior is never it
-        valid.append((cost, name, poly))
-    best = min(v[0] for v in valid)
-    tied = [v for v in valid if v[0] <= best + 1e-12]
-    if len(tied) > 1:
-        over = [v for v in tied if "over" in v[1] or v[1] == "chord"]
-        pick = over if branch == "minimal" else \
-            [v for v in tied if v not in over] or tied
-        # minimal wants the upper curve: highest midpoint wins
-        pick.sort(key=lambda v: -float(np.max(v[2].as_array()[:, 1])))
-        if branch == "maximal":
-            pick.sort(key=lambda v: float(np.min(v[2].as_array()[:, 1])))
-        return pick[0][2]
-    return tied[0][2]
+        out.append((cost, poly))
+    return out
 
 
 def level_curve(w: WeightField, t: float, branch: str = "minimal",
                 n_shells: int = SWEEP_SHELLS) -> LevelCurve:
     """Weighted-shortest level curve between boundary_points(t).
 
-    branch resolves ties between equally short upper and lower routes:
-    'minimal' takes the upper curve (smaller superlevel set), 'maximal' the
-    lower one.
+    branch resolves ties between equally short routes: 'minimal' takes the
+    upper curve (smaller superlevel set), 'maximal' the lower one.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
-    if not 0.0 < t < 2.0:
-        raise ValueError("level must lie in (0, 2)")
+    _, (xb, h) = boundary_points(t)
     if isinstance(w, ConstantWeight):
-        return LevelCurve(t, branch, _chord(t))
+        return LevelCurve(t, branch, _chord(h, xb))
     if isinstance(w, MultiDiamondWeight):
-        return LevelCurve(t, branch, _three_diamond_curve(w, t, branch))
-    if isinstance(w, RadialWeight):
-        if w.kind == "heavy_diamond":
-            return LevelCurve(t, branch, _heavy_diamond_curve(w, t, branch))
-        if w.kind == "heavy_disk":
-            return LevelCurve(t, branch, _heavy_disk_curve(w, t, branch))
-        return LevelCurve(t, branch, _radial_level_curve(w, t, branch,
-                                                         n_shells))
-    raise NotImplementedError(
-        f"no level-curve construction for {type(w).__name__}; "
-        "use the grid oracle")
+        options = _three_diamond_options(w, h, xb)
+    elif isinstance(w, RadialWeight) and w.kind in ("heavy_diamond",
+                                                    "heavy_disk"):
+        options = _heavy_obstacle_options(w, h, xb)
+    elif isinstance(w, RadialWeight) and w.kind in _SWEEP_BOUNDS:
+        options = _radial_options(w, h, xb, branch, n_shells)
+    else:
+        raise NotImplementedError(
+            f"no level-curve construction for {type(w).__name__}; "
+            "use the grid oracle")
+    return LevelCurve(t, branch, _pick(options, branch))

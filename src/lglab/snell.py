@@ -15,7 +15,7 @@ class SolverError(RuntimeError):
     """A numerical construction failed one of its own consistency checks."""
 
 
-class TotalInternalReflection(Exception):
+class TotalInternalReflection(SolverError):
     """Raised when sin(theta_out) would exceed 1 at an interface.
 
     Carries the offending interface data so tracing callers can report where

@@ -18,6 +18,7 @@ import numpy as np
 
 from .curves import LevelCurve, level_curve
 from .paths import weighted_length
+from .snell import SolverError
 from .weights import WeightField
 
 DEFAULT_LEVELS = 401
@@ -75,8 +76,8 @@ class SolutionStack:
     field: GridField = field(repr=False, default=None)
 
 
-class StackNestingError(AssertionError):
-    pass
+class StackNestingError(SolverError):
+    """Consecutive level curves cross by more than the grid tolerance."""
 
 
 def _check_nesting(curves, xs, res):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .paths import Polyline
-from .snell import TotalInternalReflection, snell_refract
+from .snell import SolverError, TotalInternalReflection, snell_refract
 from .weights import (ConstantWeight, LayeredWeight, RadialWeight, WeightField,
                       circle_hits)
 
@@ -30,7 +30,7 @@ _EPS = 1e-12
 _MAX_SEGMENTS = 200000
 
 
-class TraceError(Exception):
+class TraceError(SolverError):
     """Ray failed to reach the stop condition within the segment budget."""
 
 
@@ -148,6 +148,26 @@ def _trace_layered(w: LayeredWeight, start, theta_0, stop, max_segments):
     raise TraceError("segment budget exhausted in layered trace")
 
 
+def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):
+    """Shell index, shell weight and direction of a ray launched at radius rho.
+
+    radii are the shell interfaces, n the outward interface normal at the
+    start and outward the ray's rate of radius change along v.  A launch
+    on an interface refracts into whichever shell it proceeds to.
+    """
+    on_boundary = bool(np.any(np.abs(radii - rho) < 1e-11))
+    j = int(np.searchsorted(radii, rho + (1e-11 if on_boundary else 0.0),
+                            side="right"))
+    if on_boundary:
+        w_from = float(w.profile(np.array([rho]))[0])
+        if outward < -_EPS:
+            j -= 1
+        if float(shell_w[j]) != w_from:
+            v = _refract_direction(v, n, w_from, float(shell_w[j]),
+                                   f"launch r={rho:.6g}")
+    return j, float(shell_w[j]), v
+
+
 def _quadrant(p, v):
     sx = 1.0 if p[0] > _EPS else -1.0 if p[0] < -_EPS else \
         (1.0 if v[0] >= 0 else -1.0)
@@ -169,20 +189,9 @@ def _trace_radial_l1(w: RadialWeight, start, theta_0, stop, n_shells,
     v = (math.cos(theta_0) * n0[0] + math.sin(theta_0) * t0[0],
          math.cos(theta_0) * n0[1] + math.sin(theta_0) * t0[1])
     sx, sy = _quadrant(p, v)
-
-    on_boundary = bool(np.any(np.abs(radii - rho) < 1e-11))
-    j = int(np.searchsorted(radii, rho + (1e-11 if on_boundary else 0.0),
-                            side="right"))
-    w_here = float(shell_w[j])
-    if on_boundary:
-        # a boundary launch refracts into whichever shell it proceeds to
-        w_from = float(w.profile(np.array([rho]))[0])
-        if sx * v[0] + sy * v[1] < -_EPS:
-            j -= 1
-            w_here = float(shell_w[j])
-        if w_here != w_from:
-            v = _refract_direction(v, (sx / math.sqrt(2.0), sy / math.sqrt(2.0)),
-                                   w_from, w_here, f"launch r={rho:.6g}")
+    j, w_here, v = _launch(w, radii, shell_w, rho, v,
+                           (sx / math.sqrt(2.0), sy / math.sqrt(2.0)),
+                           sx * v[0] + sy * v[1])
 
     verts = [p]
     for _ in range(max_segments):
@@ -247,17 +256,8 @@ def _trace_radial_l2(w: RadialWeight, start, theta_0, stop, n_shells,
     t0 = (-n0[1], n0[0])
     v = (math.cos(theta_0) * n0[0] + math.sin(theta_0) * t0[0],
          math.cos(theta_0) * n0[1] + math.sin(theta_0) * t0[1])
-    on_boundary = bool(np.any(np.abs(radii - r) < 1e-11))
-    j = int(np.searchsorted(radii, r + (1e-11 if on_boundary else 0.0),
-                            side="right"))
-    w_here = float(shell_w[j])
-    if on_boundary:
-        w_from = float(w.profile(np.array([r]))[0])
-        if v[0] * n0[0] + v[1] * n0[1] < -_EPS:
-            j -= 1
-            w_here = float(shell_w[j])
-        if w_here != w_from:
-            v = _refract_direction(v, n0, w_from, w_here, f"launch r={r:.6g}")
+    j, w_here, v = _launch(w, radii, shell_w, r, v, n0,
+                           v[0] * n0[0] + v[1] * n0[1])
     verts = [p]
     for _ in range(max_segments):
         hits = []

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import lglab.cli as cli
-from lglab import curves
-from lglab.curves import level_curve
+from lglab import curves, stacker
+from lglab.curves import LevelCurve, level_curve
 from lglab.snell import SolverError
 from lglab.weights import make_weight
 
@@ -137,3 +137,16 @@ def test_core_bracket_failure_exits_3(sagging_glide, tmp_path, capsys):
                         "--resolution", "32", "--levels", "16",
                         "--outdir", str(tmp_path)], capsys)
     assert code == 3 and "inner-arc bracket" in err
+
+
+def test_nesting_violation_exits_3(monkeypatch, tmp_path, capsys):
+    # each level curve mirrored in y falls as the level rises, so
+    # neighbouring curves cross; a typed error, not an assert
+    def falling(w, t, branch, **kwargs):
+        lc = level_curve(w, t, branch, **kwargs)
+        return LevelCurve(t, branch, lc.path.mirrored_y())
+
+    monkeypatch.setattr(stacker, "level_curve", falling)
+    code, _, err = run(["solve", "--weight", "constant", "--resolution", "32",
+                        "--levels", "16", "--outdir", str(tmp_path)], capsys)
+    assert code == 3 and "cross by" in err

@@ -6,6 +6,7 @@ import pytest
 
 from lglab.curves import LevelCurve, boundary_points, level_curve
 from lglab.paths import Polyline, weighted_length
+from lglab.stacker import midpoint_levels
 from lglab.weights import make_weight
 
 SQ3 = math.sqrt(3.0)
@@ -90,6 +91,22 @@ def test_three_diamonds_route_switching():
     high = level_curve(w, 1.2, "minimal").path.as_array()
     apex = high[np.argmax(high[:, 1])]
     assert apex[0] == pytest.approx(0.0, abs=1e-9)  # two-segment route
+
+
+@pytest.mark.parametrize("name,alpha", [
+    ("constant", None), ("heavy_diamond", 2.0), ("heavy_disk", 2.0),
+    ("light_diamond", 0.5), ("light_diamond_tight", 0.5),
+    ("lite_dmd_heavy_core", None), ("three_heavy_diamonds", 2.0)])
+def test_tied_routes_split_minimal_up_maximal_down(name, alpha):
+    # branches may only differ by a tie: then minimal takes the upper curve
+    w = make_weight(name, alpha)
+    for t in midpoint_levels(41):
+        lo = level_curve(w, float(t), "maximal")
+        hi = level_curve(w, float(t), "minimal")
+        assert float(hi.y_at(0.0)) >= float(lo.y_at(0.0))
+        if lo.path != hi.path:
+            assert weighted_length(hi.path, w) == pytest.approx(
+                weighted_length(lo.path, w), abs=1e-12)
 
 
 def test_corelite_center_level_apex():
