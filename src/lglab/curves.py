@@ -337,7 +337,7 @@ def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
 # ------------------------------------------------------- heavy obstacles ----
 
 def _diamond_detour(alpha: float, h: float, xb: float,
-                    sign: float) -> tuple[float, Polyline]:
+                    sign: float) -> Polyline:
     """Cheapest route kinked at the diamond's upper (sign = 1) or lower edge.
 
     The route enters the edge at (-(1/2 - s), sign s), crosses horizontally,
@@ -357,33 +357,37 @@ def _diamond_detour(alpha: float, h: float, xb: float,
         if cost(s) < best:
             best_s, best = s, cost(s)
     if hh > 0 and abs(best_s - hh) < 1e-9:
-        return best, _chord(h, xb)
+        return _chord(h, xb)
     pts = [(-xb, h), (-(0.5 - best_s), sign * best_s),
            ((0.5 - best_s), sign * best_s), (xb, h)]
-    return best, Polyline.from_points(np.array(pts))
+    return Polyline.from_points(np.array(pts))
 
 
-def _disk_wrap(h: float, xb: float, sign: float) -> tuple[float, Polyline]:
+def _disk_wrap(h: float, xb: float, sign: float) -> Polyline:
     """Tangent + rim arc + tangent around the half-radius disk."""
     psi = math.pi - math.asin(sign * h)
     phi_l = psi - math.pi / 3.0
     phi_r = math.pi - phi_l
-    cost = math.sqrt(3.0) + 0.5 * (phi_l - phi_r)
-    return cost, rim_wrap((-xb, h), (xb, h), 0.5, phi_l, phi_r, sign)
+    return rim_wrap((-xb, h), (xb, h), 0.5, phi_l, phi_r, sign)
 
 
 def _heavy_obstacle_options(w: RadialWeight, h: float,
                             xb: float) -> list[tuple[float, Polyline]]:
     """Heavy diamond or disk: the chord, and detours above and below the
-    obstacle when the chord meets it (|h| < 1/2)."""
-    m = math.sqrt(max(0.0, 0.25 - h * h))
-    chord = [(2.0 * (xb - m) + 2.0 * w.alpha * m, _chord(h, xb))]
-    if abs(h) >= 0.5:
-        return chord
-    if w.kind == "heavy_diamond":
-        return chord + [_diamond_detour(w.alpha, h, xb, sign)
-                        for sign in (1.0, -1.0)]
-    return chord + [_disk_wrap(h, xb, sign) for sign in (1.0, -1.0)]
+    obstacle when the chord meets it (|h| < 1/2).
+
+    Each route is charged its weighted length: the detour away from h
+    crosses the diamond once |h| > xb - 1/2, and the rim wrap is lifted
+    off the disk, so their closed-form costs would not price the path.
+    """
+    paths = [_chord(h, xb)]
+    if abs(h) < 0.5:
+        if w.kind == "heavy_diamond":
+            paths += [_diamond_detour(w.alpha, h, xb, sign)
+                      for sign in (1.0, -1.0)]
+        else:
+            paths += [_disk_wrap(h, xb, sign) for sign in (1.0, -1.0)]
+    return [(weighted_length(p, w), p) for p in paths]
 
 
 # Piecewise-affine three-diamond routes between the boundary points, in
@@ -403,6 +407,8 @@ def _three_diamond_options(w: MultiDiamondWeight, h: float,
                            xb: float) -> list[tuple[float, Polyline]]:
     out = []
     for via in _THREE_DIAMOND_VIAS:
+        if via and all(y == h for _, y in via):
+            continue  # the chord itself, with collinear vertices on it
         try:
             poly = Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
         except ValueError:

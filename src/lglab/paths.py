@@ -43,7 +43,7 @@ class Polyline:
         arr = np.asarray(points, dtype=float)
         keep = np.concatenate([[True], np.any(np.diff(arr, axis=0) != 0.0,
                                               axis=1)])
-        return cls(tuple(map(tuple, arr[keep])))
+        return cls(tuple(map(tuple, arr[keep].tolist())))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)

@@ -15,22 +15,47 @@ from .stacker import GridField, SolutionStack
 SVG_VIEWBOX = "-1.05 -1.05 2.1 2.1"
 
 
+# Cells per encoded block of rows; keeps the uint8 temporaries small.
+_BLOCK = 1 << 15
+# Digit k of a code, counting from the left, is written when the code is at
+# least _LEAD[k]; the units digit always is.
+_LEAD = (10000, 1000, 100, 10)
+
+
 def pgm_text(field: GridField) -> str:
     """Plain (P2) PGM of a solution field, values [0,2] mapped to 0..65535.
 
-    One grid row per output line, top row (y = +1) first.
+    One grid row per output line, top row (y = +1) first.  Each cell is
+    written as five ASCII digits and a separator, a space or the row's
+    newline, and a mask drops the leading zeros.
     """
-    scaled = np.rint(np.clip(field.values, 0.0, 2.0) * (65535.0 / 2.0))
-    pixels = scaled.astype(np.int64)[::-1]
-    n = pixels.shape[1]
-    lines = ["P2", f"{n} {pixels.shape[0]}", "65535"]
-    lines.extend(" ".join(map(str, row)) for row in pixels)
-    return "\n".join(lines) + "\n"
+    values = field.values
+    nrows, n = values.shape
+    out = [f"P2\n{n} {nrows}\n65535\n"]
+    step = max(1, _BLOCK // n)
+    for top in range(nrows, 0, -step):
+        block = values[max(0, top - step):top][::-1]
+        if not np.isfinite(block).all():
+            raise ValueError("field values must be finite")
+        codes = np.rint(np.clip(block, 0.0, 2.0) * (65535.0 / 2.0)).astype(
+            np.int32)
+        cells = np.empty(codes.shape + (6,), np.uint8)
+        rest = codes
+        for k in range(4, -1, -1):
+            tens = rest // 10
+            cells[..., k] = rest - 10 * tens + ord("0")
+            rest = tens
+        cells[..., 5] = ord(" ")
+        cells[:, -1, 5] = ord("\n")
+        keep = np.ones(cells.shape, dtype=bool)
+        for k, lead in enumerate(_LEAD):
+            keep[..., k] = codes >= lead
+        out.append(cells[keep].tobytes().decode("ascii"))
+    return "".join(out)
 
 
-def _path_d(pts: np.ndarray) -> str:
-    coords = [f"{x:.6f} {y:.6f}" for x, y in pts]
-    return "M" + " L".join(coords)
+def _path_d(path: Polyline) -> str:
+    return "M" + " L".join(["%.6f %.6f" % v for v in path.vertices])
 
 
 def svg_text(stack: SolutionStack, max_curves: int = 41) -> str:
@@ -55,8 +80,8 @@ def svg_text(stack: SolutionStack, max_curves: int = 41) -> str:
         level = float(stack.levels[i])
         shade = int(round(level / 2.0 * 200.0))
         color = f"#{shade:02x}{shade:02x}{shade:02x}"
-        pts = stack.curves[i].path.as_array()
-        out.append(f'<path stroke="{color}" d="{_path_d(pts)}"/>')
+        d = _path_d(stack.curves[i].path)
+        out.append(f'<path stroke="{color}" d="{d}"/>')
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -67,9 +92,8 @@ def curves_csv(stack: SolutionStack, stride: int = 1) -> str:
         raise ValueError("stride must be positive")
     rows = ["level,x,y"]
     for i in range(0, len(stack.levels), stride):
-        level = float(stack.levels[i])
-        for x, y in stack.curves[i].path.as_array():
-            rows.append(f"{level:.9g},{x:.9g},{y:.9g}")
+        row = f"{float(stack.levels[i]):.9g},%.9g,%.9g"
+        rows.extend([row % v for v in stack.curves[i].path.vertices])
     return "\n".join(rows) + "\n"
 
 

@@ -126,25 +126,31 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
         col = np.full(n, pad)
         col[inside] = lc.y_at(xs[inside])
         gmat[k] = col
-    # searchsorted needs monotone columns; nesting bounds the fixup by a cell
+    # the count of curves below a node is its level only in monotone
+    # columns; nesting bounds the fixup by a cell
     gmat = np.maximum.accumulate(gmat, axis=0)
 
     # SwitchPolicy makes branches a maximal prefix then a minimal suffix
     is_min = np.array([lc.branch == "minimal" for lc in curves])
     first_min = int(np.argmax(is_min)) if is_min.any() else len(curves)
 
-    ys = xs
-    u = np.zeros((n, n))
-    for i in range(n):
-        col = gmat[:, i]
-        weak = np.searchsorted(col, ys, side="right") - 1
-        strict = np.searchsorted(col, ys, side="left") - 1
-        best = np.maximum(np.minimum(weak, first_min - 1),
-                          np.where(strict >= first_min, strict, -1))
-        u[:, i] = np.where(best >= 0, levels[np.maximum(best, 0)], 0.0)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    outside = X * X + Y * Y >= 1.0 - 1e-15
-    u[outside] = np.clip(Y[outside] + 1.0, 0.0, 2.0)
+    # curve k is below node (x_i, y_j) from a start row on: the first y_j >= g
+    # for a maximal curve (on it counts as inside), the first y_j > g for a
+    # minimal one
+    rows = np.concatenate([
+        np.searchsorted(xs, gmat[:first_min], side="left"),
+        np.searchsorted(xs, gmat[first_min:], side="right")])
+    starts = (rows * n + np.arange(n)).ravel()
+    count = np.bincount(starts, minlength=(n + 1) * n).reshape(n + 1, n)
+    # count[j, i] curves lie below the node.  Columns are monotone, so with
+    # weak/strict the last curve at g <= y_j / g < y_j this is
+    # max(min(weak, first_min - 1), strict if strict >= first_min else -1) + 1
+    np.cumsum(count, axis=0, out=count)
+    u = np.concatenate([[0.0], levels])[count[:n]]
+    sq = xs * xs
+    outside = sq[:, None] + sq[None, :] >= 1.0 - 1e-15
+    u[outside] = np.broadcast_to(np.clip(xs + 1.0, 0.0, 2.0)[:, None],
+                                 (n, n))[outside]
     return SolutionStack(w, levels, curves, policy, GridField(res, u))
 
 

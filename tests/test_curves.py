@@ -1,10 +1,13 @@
 """Level-curve construction for the catalog weights."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from lglab.curves import LevelCurve, boundary_points, level_curve
+from lglab.curves import (BRANCHES, LevelCurve, _heavy_obstacle_options,
+                          _three_diamond_options, boundary_points,
+                          level_curve)
 from lglab.paths import Polyline, weighted_length
 from lglab.stacker import midpoint_levels
 from lglab.weights import make_weight
@@ -91,6 +94,39 @@ def test_three_diamonds_route_switching():
     high = level_curve(w, 1.2, "minimal").path.as_array()
     apex = high[np.argmax(high[:, 1])]
     assert apex[0] == pytest.approx(0.0, abs=1e-9)  # two-segment route
+
+
+@pytest.mark.parametrize("name", ["heavy_diamond", "heavy_disk"])
+def test_heavy_options_cost_their_weighted_length(name):
+    for alpha in (1.6, 2.0, 3.0):
+        w = make_weight(name, alpha)
+        for t in midpoint_levels(41):
+            _, (xb, h) = boundary_points(float(t))
+            options = _heavy_obstacle_options(w, h, xb)
+            for cost, path in options:
+                assert cost == pytest.approx(weighted_length(path, w),
+                                             abs=1e-12)
+            if name == "heavy_diamond":
+                # the chord crosses the l1 ball over |x| < 1/2 - |h|
+                m = max(0.0, 0.5 - abs(h))
+                assert options[0][0] == pytest.approx(
+                    2.0 * (xb - m) + 2.0 * alpha * m, abs=1e-12)
+
+
+def test_three_diamond_routes_are_distinct():
+    w = make_weight("three_heavy_diamonds", 2.0)
+    for t in (0.75, 1.125, 1.375, *midpoint_levels(41)):
+        _, (xb, h) = boundary_points(float(t))
+        xs = np.linspace(-xb, xb, 101)
+        profiles = [np.interp(xs, *path.as_array().T)
+                    for _, path in _three_diamond_options(w, h, xb)]
+        for a, b in itertools.combinations(profiles, 2):
+            assert np.abs(a - b).max() > 1e-9, t
+    # h = -1/4: the route under everything is the chord itself
+    _, (xb, h) = boundary_points(0.75)
+    for branch in BRANCHES:
+        assert level_curve(w, 0.75, branch).path == Polyline(((-xb, h),
+                                                              (xb, h)))
 
 
 @pytest.mark.parametrize("name,alpha", [

@@ -160,3 +160,43 @@ def test_solution_bounds_and_column_monotonicity(stack_heavy, stack_tight):
         assert d[both_in].min() >= -1e-12
         spacing = float(s.levels[1] - s.levels[0])
         assert d.min() >= -(spacing + 1e-9)
+
+
+def _reference_fill(s) -> np.ndarray:
+    """The field of s filled with two searchsorted calls per grid column."""
+    levels, curves, res = s.levels, s.curves, s.field.res
+    n = 2 * res + 1
+    xs = np.linspace(-1.0, 1.0, n)
+    gmat = np.empty((len(levels), n))
+    for k, lc in enumerate(curves):
+        pad = -np.inf if levels[k] < 1.0 else np.inf
+        inside = np.abs(xs) <= lc.x_bound() + 1e-15
+        col = np.full(n, pad)
+        col[inside] = lc.y_at(xs[inside])
+        gmat[k] = col
+    gmat = np.maximum.accumulate(gmat, axis=0)
+    is_min = np.array([lc.branch == "minimal" for lc in curves])
+    first_min = int(np.argmax(is_min)) if is_min.any() else len(curves)
+    u = np.zeros((n, n))
+    for i in range(n):
+        col = gmat[:, i]
+        weak = np.searchsorted(col, xs, side="right") - 1
+        strict = np.searchsorted(col, xs, side="left") - 1
+        best = np.maximum(np.minimum(weak, first_min - 1),
+                          np.where(strict >= first_min, strict, -1))
+        u[:, i] = np.where(best >= 0, levels[np.maximum(best, 0)], 0.0)
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    outside = X * X + Y * Y >= 1.0 - 1e-15
+    u[outside] = np.clip(Y[outside] + 1.0, 0.0, 2.0)
+    return u
+
+
+@pytest.mark.parametrize("name,alpha", [
+    ("constant", None), ("heavy_diamond", 2.0), ("heavy_disk", 2.0),
+    ("light_diamond", 0.5), ("light_diamond_tight", 0.5),
+    ("lite_dmd_heavy_core", None), ("three_heavy_diamonds", 2.0)])
+def test_fill_matches_per_column_reference(name, alpha):
+    w = make_weight(name, alpha)
+    for policy in (ALL_MINIMAL, ALL_MAXIMAL, SwitchPolicy(1.1)):
+        s = stack(w, levels=midpoint_levels(21), res=40, policy=policy)
+        assert np.array_equal(s.field.values, _reference_fill(s)), policy
