@@ -13,7 +13,7 @@ candidates, and one rule picks among them for every weight:
 * continuous l1-radial weights (light diamond, tight interpolation, heavy
   core with light ring): curves assembled from refracted quadrant sweeps,
   from three candidate families (chord, axis-touching band curve, apex
-  curve) solved per level by exit-height bisection.
+  curve) solved per level by an exit-height root search.
 
 The pick keeps the cheapest candidates; among tied ones the branch decides
 (see _pick).
@@ -69,8 +69,7 @@ class LevelCurve:
     path: Polyline
 
     def __post_init__(self):
-        arr = self.path.as_array()
-        if np.any(np.diff(arr[:, 0]) < -1e-12):
+        if np.any(np.diff(self.path.as_array()[:, 0]) < -1e-12):
             raise ValueError(f"level-{self.level:g} curve is not a graph in x")
 
     def x_bound(self) -> float:
@@ -78,13 +77,7 @@ class LevelCurve:
 
     def y_at(self, x) -> np.ndarray:
         """Piecewise-linear graph value; constant beyond the endpoints."""
-        arr = self.path.as_array()
-        return np.interp(np.asarray(x, dtype=float), arr[:, 0], arr[:, 1])
-
-    def graph(self, n: int = 257):
-        xb = self.x_bound()
-        xs = np.linspace(-xb, xb, n)
-        return xs, self.y_at(xs)
+        return np.interp(np.asarray(x, dtype=float), *self.path.as_array().T)
 
 
 def _chord(h: float, xb: float) -> Polyline:
@@ -118,10 +111,6 @@ def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- sweeps ----
-
-def _w_at(w: RadialWeight, rho: float) -> float:
-    return float(w.profile(np.array([float(rho)]))[0])
-
 
 def _climb(w: RadialWeight, start, kappa: float,
            n_shells: int = SWEEP_SHELLS) -> np.ndarray:
@@ -161,7 +150,8 @@ def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
     At 45 degrees to the edge normal the conserved kappa is w(rho)/sqrt(2)
     for the l1 radius rho of start.
     """
-    kappa = _w_at(w, start[0] + start[1]) / math.sqrt(2.0)
+    rho = float(start[0] + start[1])
+    kappa = float(w.profile(np.array([rho]))[0]) / math.sqrt(2.0)
     return _climb(w, start, kappa, n_shells)
 
 
@@ -205,14 +195,38 @@ def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     return "ycross", float(yc), pts
 
 
-def _bisect(f, lo, hi, flo, iters=60):
-    for _ in range(iters):
+def _bisect(f, lo, hi, flo):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _refine(f, lo, hi, flo, fhi, tol=1e-15):
+    """Sign change of f in [lo, hi] to within tol; flo, fhi are f at the ends.
+
+    Illinois regula falsi: an end kept twice in a row has its value halved,
+    and each step stays tol inside the bracket, so a converged end is
+    confirmed in one step.  Ends of one sign give hi, as bisection would.
+    """
+    if (flo > 0) == (fhi > 0):
+        return hi
+    moved = 0  # the end the last step moved (-1 lo, +1 hi); the other was kept
+    while hi - lo > 2.0 * tol:
+        x = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + tol), hi - tol)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (flo > 0):
+            lo, flo, fhi = x, fx, fhi * (0.5 if moved < 0 else 1.0)
+            moved = -1
+        else:
+            hi, fhi, flo = x, fx, flo * (0.5 if moved > 0 else 1.0)
+            moved = 1
     return 0.5 * (lo + hi)
 
 
@@ -259,11 +273,11 @@ def _apex_grid(w: RadialWeight, lo: float, hi: float,
 
 def _apex_candidates(w: RadialWeight, h: float, lo: float, hi: float,
                      n_shells: int) -> list[np.ndarray]:
-    """All apex curves whose exit height equals h (dense grid + bisection)."""
+    """All apex curves whose exit height equals h (dense grid + refiner)."""
     y0s, exits = _apex_grid(w, lo, hi, n_shells)
     diff = exits - h
-    starts = [_bisect(lambda y: _depart(w, (0.0, y), n_shells)[-1, 1] - h,
-                      y0s[i], y0s[i + 1], diff[i], iters=45)
+    starts = [_refine(lambda y: _depart(w, (0.0, y), n_shells)[-1, 1] - h,
+                      y0s[i], y0s[i + 1], diff[i], diff[i + 1])
               for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
     if not starts and np.min(np.abs(diff)) < 1e-5:
         # h sits in the hairline crack at a family seam: endpoint witness
@@ -320,8 +334,8 @@ def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
     if in_band or at_seam:
         c = c_lo + 1e-12
         if in_band:
-            c = _bisect(lambda cc: band_exit(cc) - abs(h), c, c_hi,
-                        band_top - abs(h), iters=45)
+            c = _refine(lambda cc: band_exit(cc) - abs(h), c, c_hi,
+                        band_top - abs(h), band_exit(c_hi) - abs(h))
         paths.append(_assemble_symmetric(_depart(w, (c, 0.0), n_shells),
                                          h, xb, inner))
 
@@ -376,15 +390,16 @@ def _heavy_obstacle_options(w: RadialWeight, h: float,
     """Heavy diamond or disk: the chord, and detours above and below the
     obstacle when the chord meets it (|h| < 1/2).
 
-    Each route is charged its weighted length: the detour away from h
-    crosses the diamond once |h| > xb - 1/2, and the rim wrap is lifted
-    off the disk, so their closed-form costs would not price the path.
+    Each route is charged its weighted length, since the rim wrap is lifted
+    off the disk.  Once |h| > xb - 1/2 the diamond detour away from h
+    would cross the diamond to reach its edge, so it is not proposed.
     """
     paths = [_chord(h, xb)]
     if abs(h) < 0.5:
         if w.kind == "heavy_diamond":
             paths += [_diamond_detour(w.alpha, h, xb, sign)
-                      for sign in (1.0, -1.0)]
+                      for sign in (1.0, -1.0)
+                      if sign * h >= 0.0 or abs(h) <= xb - 0.5]
         else:
             paths += [_disk_wrap(h, xb, sign) for sign in (1.0, -1.0)]
     return [(weighted_length(p, w), p) for p in paths]

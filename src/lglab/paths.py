@@ -10,7 +10,6 @@ l2-radial profile) fall back to dense midpoint panels of width quad_step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +20,23 @@ RIM_STEP = 2e-3
 RIM_LIFT = 2e-6
 
 
-@dataclass(frozen=True)
 class Polyline:
-    """Ordered plane points; consecutive vertices must be distinct."""
+    """Ordered plane points; consecutive vertices must be distinct.
 
-    vertices: tuple[tuple[float, float], ...]
+    Held as one read-only (N, 2) float64 array, validated once.
+    """
 
-    def __post_init__(self):
-        if len(self.vertices) < 2:
+    def __init__(self, vertices):
+        arr = np.array(vertices, dtype=float)
+        if len(arr) < 2:
             raise ValueError("polyline needs at least 2 vertices")
-        arr = np.asarray(self.vertices, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
             raise ValueError("vertices must be finite plane points")
         steps = np.diff(arr, axis=0)
         if np.any(np.hypot(steps[:, 0], steps[:, 1]) == 0.0):
             raise ValueError("consecutive vertices must be distinct")
+        arr.flags.writeable = False
+        self._arr = arr
 
     @classmethod
     def from_points(cls, points) -> "Polyline":
@@ -43,21 +44,31 @@ class Polyline:
         arr = np.asarray(points, dtype=float)
         keep = np.concatenate([[True], np.any(np.diff(arr, axis=0) != 0.0,
                                               axis=1)])
-        return cls(tuple(map(tuple, arr[keep].tolist())))
+        return cls(arr[keep])
+
+    @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(*self._arr.T.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, Polyline) and np.array_equal(self._arr,
+                                                              other._arr)
+
+    def __repr__(self):
+        return f"Polyline({self.vertices!r})"
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
+        return self._arr
 
     def euclidean_length(self) -> float:
-        arr = self.as_array()
-        steps = np.diff(arr, axis=0)
+        steps = np.diff(self._arr, axis=0)
         return float(np.hypot(steps[:, 0], steps[:, 1]).sum())
 
     def reversed(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.vertices)))
+        return Polyline(self._arr[::-1])
 
     def mirrored_y(self) -> "Polyline":
-        return Polyline(tuple((x, -y) for x, y in self.vertices))
+        return Polyline(self._arr * (1.0, -1.0))
 
 
 def segment(a, b) -> Polyline:

@@ -32,7 +32,7 @@ def _perp_miss(w, a, b, theta, n_shells):
         path = trace_layered_ray(w, a, theta, stop, n_shells=n_shells)
     except (TraceError, TotalInternalReflection):
         return math.nan, None
-    e = path.vertices[-1]
+    e = path.as_array()[-1]
     along = (e[0] - a[0]) * u[0] + (e[1] - a[1]) * u[1]
     if along < 0.0:
         return math.nan, None
@@ -72,12 +72,11 @@ def _scan_candidates(w, a, b, tol, n_shells, scan_angles):
             else:
                 hi = mid
         if path is not None:
-            e = path.vertices[-1]
+            e = path.as_array()[-1]
             if math.hypot(e[0] - b[0], e[1] - b[1]) < max(tol * 10, 1e-6):
-                verts = list(path.vertices[:-1]) + [tuple(b)]
-                if swapped:
-                    verts.reverse()
-                out.append(Polyline.from_points(np.array(verts)))
+                verts = np.vstack([path.as_array()[:-1], [b]])
+                out.append(Polyline.from_points(
+                    verts[::-1] if swapped else verts))
     return out
 
 

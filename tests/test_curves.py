@@ -5,14 +5,29 @@ import math
 import numpy as np
 import pytest
 
+from lglab import curves
 from lglab.curves import (BRANCHES, LevelCurve, _heavy_obstacle_options,
-                          _three_diamond_options, boundary_points,
+                          _refine, _three_diamond_options, boundary_points,
                           level_curve)
 from lglab.paths import Polyline, weighted_length
-from lglab.stacker import midpoint_levels
+from lglab.stacker import midpoint_levels, stack
 from lglab.weights import make_weight
 
 SQ3 = math.sqrt(3.0)
+RADIAL = [("light_diamond", 0.5), ("light_diamond_tight", 0.5),
+          ("lite_dmd_heavy_core", None)]
+
+
+def _reference_root(f, lo, hi, flo, iters=45):
+    """The 45-step bisection that found the apex and band roots before."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_boundary_points():
@@ -164,3 +179,62 @@ def test_curves_are_deterministic():
 def test_unknown_branch_rejected():
     with pytest.raises(ValueError):
         level_curve(make_weight("constant"), 1.0, "median")
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_refiner_matches_reference_bisection(monkeypatch, name, alpha):
+    # every apex and band root is refined both ways; the level curves are
+    # then rebuilt on the reference roots and priced against today's
+    w = make_weight(name, alpha)
+    pairs = []
+
+    def reference(f, lo, hi, flo, fhi):
+        ref = _reference_root(f, lo, hi, flo)
+        pairs.append((_refine(f, lo, hi, flo, fhi), ref, hi - lo))
+        return ref
+
+    for t in midpoint_levels(41):
+        for branch in BRANCHES:
+            new = level_curve(w, float(t), branch)
+            with monkeypatch.context() as m:
+                m.setattr(curves, "_refine", reference)
+                old = level_curve(w, float(t), branch)
+            old_len = weighted_length(old.path, w)
+            assert weighted_length(new.path, w) == pytest.approx(
+                old_len, rel=1e-12, abs=0.0), (t, branch)
+    # apex brackets are one 1,024-point grid cell wide, band brackets wider
+    assert any(width < 1e-3 for *_, width in pairs)
+    assert any(width > 1e-2 for *_, width in pairs)
+    for got, ref, _ in pairs:
+        assert abs(got - ref) <= 1e-13
+
+
+def test_refiner_without_a_sign_change_returns_the_collapse_end():
+    # bisection keeps moving lo up when both ends share a sign, so it
+    # collapses onto hi; the refiner returns hi at once, without a call
+    def never(x):
+        raise AssertionError("no evaluation expected")
+
+    for flo, fhi in ((1.0, 2.0), (-1.0, -0.5), (0.0, -3.0)):
+        assert _refine(never, 0.25, 0.75, flo, fhi) == 0.75
+        ref = _reference_root(lambda x: flo + (fhi - flo) * (x - 0.25) / 0.5,
+                              0.25, 0.75, flo)
+        assert abs(ref - 0.75) <= 1e-13
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_radial_stack_sweep_count(monkeypatch, name, alpha):
+    # a warm 21-level stack made about 960 quadrant sweeps with 45-step
+    # bisection and makes about 150 with the refiner
+    w = make_weight(name, alpha)
+    stack(w, midpoint_levels(21))
+    calls = []
+    climb = curves._climb
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return climb(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "_climb", counting)
+    stack(w, midpoint_levels(21))
+    assert 0 < len(calls) <= 300

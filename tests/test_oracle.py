@@ -1,10 +1,12 @@
 """Grid shortest-path oracle: bounds and refinement behaviour."""
 import math
 
+import numpy as np
 import pytest
 
+from lglab.curves import BRANCHES, level_curve
 from lglab.oracle import grid_shortest_path, oracle_cost, refine_until
-from lglab.paths import segment, weighted_length
+from lglab.paths import Polyline, segment, weighted_length
 from lglab.weights import make_weight
 
 # worst-case metric stretch of the move stencils on a uniform grid
@@ -57,3 +59,24 @@ def test_path_endpoints_snap_to_requested_points():
     arr = path.as_array()
     assert abs(arr[0, 0] + 0.5) <= 1.0 / 64 + 1e-12
     assert abs(arr[-1, 1] - 0.52) <= 1.0 / 64 + 1e-12
+
+
+@pytest.mark.parametrize("name,alpha", [
+    ("constant", None), ("heavy_diamond", 2.0), ("heavy_disk", 2.0),
+    ("light_diamond", 0.5), ("light_diamond_tight", 0.5),
+    ("lite_dmd_heavy_core", None), ("three_heavy_diamonds", 2.0)])
+def test_grid_path_never_beats_the_level_curve(name, alpha):
+    # any path between a level curve's endpoints is an upper bound on their
+    # geodesic distance, so the grid path, re-scored exactly between the
+    # exact endpoints, may not be shorter than the constructed curve
+    w = make_weight(name, alpha)
+    for t in np.random.default_rng(20).uniform(0.05, 1.95, size=3):
+        for branch in BRANCHES:
+            path = level_curve(w, float(t), branch).path
+            a, b = path.as_array()[0], path.as_array()[-1]
+            grid, _ = grid_shortest_path(w, 96, 8, a, b)
+            rescored = Polyline.from_points(
+                np.vstack([[a], grid.as_array()[1:-1], [b]]))
+            curve = weighted_length(path, w)
+            assert weighted_length(rescored, w) >= curve * (1.0 - 1e-12), (
+                t, branch)

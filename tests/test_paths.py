@@ -25,6 +25,20 @@ def test_from_points_drops_repeats():
     assert len(p.vertices) == 3
 
 
+def test_polyline_holds_one_read_only_array():
+    pts = np.array([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
+    p = Polyline.from_points(pts)
+    pts[1] = (9.0, 9.0)  # the polyline keeps its own copy
+    arr = p.as_array()
+    assert arr is p.as_array() and arr.dtype == np.float64
+    assert arr[1].tolist() == [1.0, 0.5]
+    with pytest.raises(ValueError):
+        arr[0, 0] = 5.0
+    assert p.vertices == ((0.0, 0.0), (1.0, 0.5), (2.0, 0.0))
+    assert p == Polyline(p.vertices) and p != p.reversed()
+    assert p != Polyline(((0.0, 0.0), (1.0, 0.5)))
+
+
 def test_geometry_helpers():
     p = segment((0.0, 0.0), (3.0, 4.0))
     assert p.euclidean_length() == pytest.approx(5.0)
