@@ -45,6 +45,9 @@ BRANCHES = ("minimal", "maximal")
 # Candidates whose costs differ by at most this much are tied.
 _TIE_TOL = 1e-12
 
+# Bracket width to which _refine pins a sweep root.
+_ROOT_TOL = 1e-15
+
 
 def _half_chord(h: float) -> float:
     """Half-width of the unit disk at height h."""
@@ -69,7 +72,8 @@ class LevelCurve:
     path: Polyline
 
     def __post_init__(self):
-        if np.any(np.diff(self.path.as_array()[:, 0]) < -1e-12):
+        arr = self.path.as_array()
+        if np.any(np.diff(arr[:, 0]) < -1e-12):
             raise ValueError(f"level-{self.level:g} curve is not a graph in x")
 
     def x_bound(self) -> float:
@@ -77,7 +81,8 @@ class LevelCurve:
 
     def y_at(self, x) -> np.ndarray:
         """Piecewise-linear graph value; constant beyond the endpoints."""
-        return np.interp(np.asarray(x, dtype=float), *self.path.as_array().T)
+        arr = self.path.as_array()
+        return np.interp(np.asarray(x, dtype=float), arr[:, 0], arr[:, 1])
 
 
 def _chord(h: float, xb: float) -> Polyline:
@@ -111,6 +116,10 @@ def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- sweeps ----
+
+def _w_at(w: RadialWeight, rho: float) -> float:
+    return float(w.profile(np.array([float(rho)]))[0])
+
 
 def _climb(w: RadialWeight, start, kappa: float,
            n_shells: int = SWEEP_SHELLS) -> np.ndarray:
@@ -150,8 +159,7 @@ def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
     At 45 degrees to the edge normal the conserved kappa is w(rho)/sqrt(2)
     for the l1 radius rho of start.
     """
-    rho = float(start[0] + start[1])
-    kappa = float(w.profile(np.array([rho]))[0]) / math.sqrt(2.0)
+    kappa = _w_at(w, start[0] + start[1]) / math.sqrt(2.0)
     return _climb(w, start, kappa, n_shells)
 
 
@@ -195,29 +203,19 @@ def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     return "ycross", float(yc), pts
 
 
-def _bisect(f, lo, hi, flo):
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _refine(f, lo, hi, flo, fhi, tol=1e-15):
-    """Sign change of f in [lo, hi] to within tol; flo, fhi are f at the ends.
+def _refine(f, lo, hi, flo, fhi):
+    """Sign change of f in [lo, hi] to within _ROOT_TOL; flo, fhi are f there.
 
     Illinois regula falsi: an end kept twice in a row has its value halved,
-    and each step stays tol inside the bracket, so a converged end is
+    and each step stays _ROOT_TOL inside the bracket, so a converged end is
     confirmed in one step.  Ends of one sign give hi, as bisection would.
     """
     if (flo > 0) == (fhi > 0):
         return hi
     moved = 0  # the end the last step moved (-1 lo, +1 hi); the other was kept
-    while hi - lo > 2.0 * tol:
-        x = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + tol), hi - tol)
+    while hi - lo > 2.0 * _ROOT_TOL:
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        x = min(max(x, lo + _ROOT_TOL), hi - _ROOT_TOL)
         fx = f(x)
         if fx == 0.0:
             return x
@@ -253,7 +251,7 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
     flo, fhi = g(lo), g(hi)
     if not flo < 0 < fhi:
         raise SolverError("inner-arc bracket failed")
-    a_star = _bisect(g, lo, hi, flo)
+    a_star = _refine(g, lo, hi, flo, fhi)
     h_star = 2.0 * (0.75 - a_star)
     _, yc, pts = _glide_in(w, a_star, n_shells)
     # the discrete sweep overshoots the crossing height first-order in the
