@@ -31,11 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .paths import Polyline, rim_wrap, weighted_length
 from .snell import SolverError
-from .weights import (ConstantWeight, MultiDiamondWeight, RadialWeight,
+from .weights import (SQRT2, ConstantWeight, MultiDiamondWeight, RadialWeight,
                       WeightField, circle_hits)
 
 SWEEP_SHELLS = 4096
@@ -269,6 +268,13 @@ def _apex_grid(w: RadialWeight, lo: float, hi: float,
     return y0s, exits
 
 
+@lru_cache(maxsize=32)
+def _band_ends(w: RadialWeight, lo: float, hi: float,
+               n_shells: int = SWEEP_SHELLS):
+    """Exit heights of the band curves departing the x-axis at lo and hi."""
+    return tuple(_depart(w, (c, 0.0), n_shells)[-1, 1] for c in (lo, hi))
+
+
 def _apex_candidates(w: RadialWeight, h: float, lo: float, hi: float,
                      n_shells: int) -> list[np.ndarray]:
     """All apex curves whose exit height equals h (dense grid + refiner)."""
@@ -322,18 +328,16 @@ def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
                            arc_thin[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
     paths = [_chord(h, xb)]
 
-    def band_exit(c):
-        return _depart(w, (c, 0.0), n_shells)[-1, 1]
-
     # axis-touching band curve
-    band_top = band_exit(c_lo + 1e-12)
+    band_top, band_end = _band_ends(w, c_lo + 1e-12, c_hi, n_shells)
     in_band = 1e-12 < abs(h) < band_top
     at_seam = band_top <= abs(h) < band_top + 1e-5
     if in_band or at_seam:
         c = c_lo + 1e-12
         if in_band:
-            c = _refine(lambda cc: band_exit(cc) - abs(h), c, c_hi,
-                        band_top - abs(h), band_exit(c_hi) - abs(h))
+            ah = abs(h)
+            c = _refine(lambda cc: _depart(w, (cc, 0.0), n_shells)[-1, 1] - ah,
+                        c, c_hi, band_top - ah, band_end - ah)
         paths.append(_assemble_symmetric(_depart(w, (c, 0.0), n_shells),
                                          h, xb, inner))
 
@@ -354,20 +358,18 @@ def _diamond_detour(alpha: float, h: float, xb: float,
 
     The route enters the edge at (-(1/2 - s), sign s), crosses horizontally,
     and exits symmetrically; s = max(sign h, 0) is the straight chord's
-    entry, s = 1/2 the tip route.
+    entry, s = 1/2 the tip route.  The cost is convex in s, with slope
+    2 (cos p + sin p - alpha) for the entry segment's angle p from the
+    horizontal.  So for alpha < sqrt(2) the minimum is where Snell's law
+    holds at the edge, cos p + sin p = alpha, at the root below pi/4 since
+    the segment is flatter than the edge; for larger alpha it is the tip.
     """
     hh = sign * h
-
-    def cost(s):
-        return 2.0 * math.hypot(xb - (0.5 - s), s - hh) + alpha * (1.0 - 2.0 * s)
-
-    s_lo = max(hh, 0.0)
-    res = minimize_scalar(cost, bounds=(s_lo, 0.5), method="bounded",
-                          options={"xatol": 1e-12})
-    best_s, best = float(res.x), float(res.fun)
-    for s in (s_lo, 0.5):
-        if cost(s) < best:
-            best_s, best = s, cost(s)
+    best_s = 0.5
+    if alpha < SQRT2:
+        tan_p = math.tan(math.pi / 4 - math.acos(alpha / SQRT2))
+        s = (hh + tan_p * (xb - 0.5)) / (1.0 - tan_p)
+        best_s = min(max(s, hh, 0.0), 0.5)
     if hh > 0 and abs(best_s - hh) < 1e-9:
         return _chord(h, xb)
     pts = [(-xb, h), (-(0.5 - best_s), sign * best_s),

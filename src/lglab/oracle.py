@@ -36,7 +36,7 @@ class RefineResult:
     converged: bool
 
 
-def _build_graph(w: WeightField, res: int, stencil: int, region=None):
+def _build_graph(w: WeightField, res: int, stencil: int):
     """Sparse undirected cost matrix + node coordinates on the disk mask."""
     if stencil not in _STENCILS:
         raise ValueError("stencil must be 8 or 16")
@@ -45,8 +45,6 @@ def _build_graph(w: WeightField, res: int, stencil: int, region=None):
     ax = np.linspace(-1.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     mask = X * X + Y * Y <= 1.0 + 1e-12
-    if region is not None:
-        mask &= region(X, Y)
     Wv = w.values(X, Y)
 
     node_id = -np.ones((n, n), dtype=np.int64)
@@ -98,16 +96,12 @@ def _nearest_node(node_id, X, Y, mask, p):
     return best
 
 
-def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b,
-                       region=None) -> tuple[Polyline, float]:
-    """Minimum-cost grid path between the nodes nearest a and b.
-
-    :param region: optional extra mask, region(X, Y) -> bool array, used to
-        restrict the graph to a corridor.
-    """
+def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
+                       ) -> tuple[Polyline, float]:
+    """Minimum-cost grid path between the nodes nearest a and b."""
     if res < 32:
         raise ValueError("resolution below 32 is meaningless here")
-    graph, node_id, X, Y, mask = _build_graph(w, res, stencil, region)
+    graph, node_id, X, Y, mask = _build_graph(w, res, stencil)
     ia = _nearest_node(node_id, X, Y, mask, a)
     ib = _nearest_node(node_id, X, Y, mask, b)
     dist, pred = dijkstra(graph, directed=False, indices=ia,
@@ -124,9 +118,8 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b,
     return Polyline.from_points(np.column_stack([xs, ys])), cost
 
 
-def oracle_cost(w: WeightField, res: int, stencil: int, a, b,
-                region=None) -> float:
-    return grid_shortest_path(w, res, stencil, a, b, region)[1]
+def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:
+    return grid_shortest_path(w, res, stencil, a, b)[1]
 
 
 def refine_until(w: WeightField, a, b, rel_tol: float,

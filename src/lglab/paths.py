@@ -4,8 +4,7 @@ The central quantity is the line integral of a weight w along a polyline.
 For the weights in this package the integrand along any straight segment is
 piecewise affine in arc length once the segment is split at region interfaces
 and at coordinate-axis crossings, so midpoint quadrature on those pieces is
-exact up to floating point.  Segments where that reasoning fails (a sloped
-l2-radial profile) fall back to dense midpoint panels of width quad_step.
+exact up to floating point.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from .weights import ConstantWeight, RadialWeight, WeightField
 
-DEFAULT_QUAD_STEP = 1e-3
 RIM_STEP = 2e-3
 RIM_LIFT = 2e-6
 
@@ -91,26 +89,19 @@ def rim_wrap(a, b, rho, phi_a, phi_b, sign) -> Polyline:
     return Polyline.from_points(np.vstack([[a], arc, [b]]))
 
 
-def _segment_integral(a, b, w, quad_step):
+def _segment_integral(a, b, w):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     seg_len = float(np.hypot(*(b - a)))
     cuts = sorted(set([0.0, 1.0] + [s for s in w.split_params(a, b)
                                     if 0.0 < s < 1.0]))
-    exact = w.midpoint_exact()
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         piece_len = seg_len * (hi - lo)
         if piece_len == 0.0:
             continue
-        if exact:
-            mid = a + 0.5 * (lo + hi) * (b - a)
-            total += w.eval(mid) * piece_len
-        else:
-            n = max(1, int(math.ceil(piece_len / quad_step)))
-            s = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-            mids = a[None, :] + s[:, None] * (b - a)[None, :]
-            total += float(w.values(mids[:, 0], mids[:, 1]).sum()) * piece_len / n
+        mid = a + 0.5 * (lo + hi) * (b - a)
+        total += w.eval(mid) * piece_len
     return total
 
 
@@ -138,29 +129,15 @@ def _clean_segment_mask(arr: np.ndarray, w: RadialWeight) -> np.ndarray:
         no_cross &= ~((rlo < b) & (b < rhi))
         no_cross &= rlo != b
         no_cross &= rhi != b
-    mask = same_qx & same_qy & no_cross
-    if w.norm == "l2":
-        # radius is not affine along a chord; only constant pieces are exact
-        mid = 0.5 * (arr[:-1] + arr[1:])
-        rmid = w.radius(mid[:, 0], mid[:, 1])
-        piece_slopes = np.array([p.slope for p in w.pieces])
-        piece_hi = np.array([p.hi for p in w.pieces])
-        idx = np.searchsorted(piece_hi, rmid, side="right")
-        idx = np.clip(idx, 0, len(w.pieces) - 1)
-        mask &= piece_slopes[idx] == 0.0
-    return mask
+    return same_qx & same_qy & no_cross
 
 
-def weighted_length(path: Polyline, w: WeightField,
-                    quad_step: float = DEFAULT_QUAD_STEP) -> float:
+def weighted_length(path: Polyline, w: WeightField) -> float:
     """Line integral of w along the polyline.
 
     Exact (up to floating point) for every catalog weight because the
-    integrand is piecewise affine in arc length after interface splitting;
-    quad_step only matters for sloped l2-radial profiles.
+    integrand is piecewise affine in arc length after interface splitting.
     """
-    if quad_step <= 0:
-        raise ValueError("quad_step must be positive")
     arr = path.as_array()
     if isinstance(w, ConstantWeight):
         return w.c * path.euclidean_length()
@@ -175,10 +152,10 @@ def weighted_length(path: Polyline, w: WeightField,
         vals = w.values(mids[:, 0], mids[:, 1])
         total = float((vals[mask] * lens[mask]).sum())
         for i in np.nonzero(~mask)[0]:
-            total += _segment_integral(arr[i], arr[i + 1], w, quad_step)
+            total += _segment_integral(arr[i], arr[i + 1], w)
         return total
 
     total = 0.0
     for i in range(len(arr) - 1):
-        total += _segment_integral(arr[i], arr[i + 1], w, quad_step)
+        total += _segment_integral(arr[i], arr[i + 1], w)
     return total

@@ -133,17 +133,9 @@ class WeightField:
         x, y = float(p[0]), float(p[1])
         return float(self.values(np.array([x]), np.array([y]))[0])
 
-    def max_slope(self) -> float:
-        """Lipschitz bound of w where it is continuous (0 for piecewise constant)."""
-        return 0.0
-
     def split_params(self, a, b) -> list[float]:
         """Params in (0,1) where the integrand on a -> b may change slope."""
         raise TypeError(f"unsupported weight type {type(self).__name__}")
-
-    def midpoint_exact(self) -> bool:
-        """Whether midpoint quadrature is exact between split params."""
-        return True
 
     def corner_points(self) -> list[tuple[float, float]]:
         """Obstacle corners a cheapest route may kink at."""
@@ -176,7 +168,9 @@ class RadialWeight(WeightField):
     """Weight depending only on the l1 or l2 distance from the origin.
 
     pieces must tile [0, inf) in increasing order and the last piece must be
-    unbounded.  Values on piece boundaries follow the inf-of-limits rule.
+    unbounded.  An l2 profile must be piecewise constant: the l2 radius is
+    not affine along a chord, so a sloped piece would break exact midpoint
+    integration.  Values on piece boundaries follow the inf-of-limits rule.
     """
 
     kind: str
@@ -194,6 +188,8 @@ class RadialWeight(WeightField):
             lo = p.hi
         if not math.isinf(lo):
             raise ValueError("last profile piece must be unbounded")
+        if self.norm == "l2" and any(p.slope != 0.0 for p in self.pieces):
+            raise ValueError("l2 profiles must be piecewise constant")
         object.__setattr__(self, "name", self.kind)
 
     def radius(self, x, y):
@@ -220,9 +216,6 @@ class RadialWeight(WeightField):
 
     def breakpoints(self):
         return tuple(p.hi for p in self.pieces[:-1])
-
-    def max_slope(self):
-        return max(abs(p.slope) for p in self.pieces)
 
     @lru_cache(maxsize=32)
     def shell_grid(self, n_shells: int):
@@ -256,10 +249,6 @@ class RadialWeight(WeightField):
     def split_params(self, a, b):
         hits = _l1_radius_hits if self.norm == "l1" else _l2_radius_hits
         return _axis_crossings(a, b) + hits(a, b, self.breakpoints())
-
-    def midpoint_exact(self):
-        # the l2 radius is not affine along a chord
-        return self.norm == "l1" or self.max_slope() == 0.0
 
     def corner_points(self):
         if self.norm != "l1":
@@ -412,9 +401,6 @@ class CustomWeight(WeightField):
             out[m] = offset + slope * (np.abs(x - ax) + np.abs(y - ay))[m]
             unset &= ~m
         return out
-
-    def max_slope(self):
-        return max((abs(s) for _, _, s, _, _ in self.pieces), default=0.0)
 
     def split_params(self, a, b):
         pts = []

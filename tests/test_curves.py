@@ -71,6 +71,26 @@ def test_heavy_diamond_kink_and_miss():
     assert np.allclose(low.path.as_array()[:, 1], -0.8)
 
 
+@pytest.mark.parametrize("alpha", [1.05, math.sqrt(1.5), 1.4])
+def test_interior_diamond_detour_obeys_snell_at_the_edge(alpha):
+    # an interior minimizer of the convex detour cost is where the entry
+    # segment's angle p from the horizontal has cos p + sin p = alpha
+    interior = 0
+    for t in midpoint_levels(101):
+        (_, h), (xb, _) = boundary_points(t)
+        for sign in (1.0, -1.0):
+            if abs(h) >= 0.5 or (sign * h < 0.0 and abs(h) > xb - 0.5):
+                continue  # the detours _heavy_obstacle_options proposes
+            arr = curves._diamond_detour(alpha, h, xb, sign).as_array()
+            s = sign * arr[1, 1] if len(arr) == 4 else 0.5
+            if not max(sign * h, 0.0) < s < 0.5:
+                continue
+            interior += 1
+            dx, dy = arr[1, 0] - arr[0, 0], sign * (arr[1, 1] - arr[0, 1])
+            assert abs((dx + dy) / math.hypot(dx, dy) - alpha) <= 1e-12, t
+    assert interior > 0
+
+
 def test_heavy_disk_arc_route():
     w = make_weight("heavy_disk", 2.0)
     c = level_curve(w, 1.0, "minimal")

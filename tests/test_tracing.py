@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lglab.paths import weighted_length
-from lglab.tracing import (TotalInternalReflection, TraceError,
-                           _refract_direction, trace_layered_ray)
-from lglab.weights import make_weight
+from lglab.paths import Polyline, weighted_length
+from lglab.tracing import (DEFAULT_SHELLS, TotalInternalReflection,
+                           TraceError, _refract_direction, trace_layered_ray)
+from lglab.weights import (ConstantWeight, LayeredWeight, ProfilePiece,
+                           RadialWeight, circle_hits, make_weight)
 
 
 def test_constant_ray_is_straight():
@@ -74,3 +75,312 @@ def test_normal_incidence_passes_straight_through(n, sign):
     v = (sign * n[0], sign * n[1])
     out = _refract_direction(v, n, 1.0, 0.5, "interface")
     assert out == pytest.approx(v, abs=1e-15)
+
+
+# ------------------------------------------------------------- reference ----
+# The tracer as it was before one loop served every medium: a loop per
+# medium, each with its own stop test, step, refraction and budget.  The
+# single loop must reproduce its vertices bit for bit.
+
+_EPS = 1e-12
+
+
+def _ref_stop_crossing(stop, p, v, t_max):
+    px, py = p
+    vx, vy = v
+    if isinstance(stop, tuple) and stop[0] == "depth":
+        target = -stop[1]
+        if vy == 0:
+            return None
+        t = (target - py) / vy
+        return t if _EPS < t <= t_max + _EPS else None
+    if isinstance(stop, tuple) and stop[0] == "line":
+        _, nx, ny, c = stop
+        den = nx * vx + ny * vy
+        if den == 0:
+            return None
+        t = (c - nx * px - ny * py) / den
+        return t if _EPS < t <= t_max + _EPS else None
+    assert stop == "circle"
+    disc, t_near, t_far = circle_hits(p, v, 1.0)
+    if disc < 0:
+        return None
+    for t in (t_near, t_far):
+        if _EPS < t <= t_max + _EPS:
+            return t
+    return None
+
+
+def _ref_stops_first(t_stop, t_next):
+    if t_stop is None:
+        return False
+    return t_stop <= t_next + 1e-9 * max(1.0, abs(t_next))
+
+
+def _ref_layered(w, start, theta_0, stop, max_segments):
+    if not -math.pi / 2 < theta_0 < math.pi / 2:
+        raise ValueError("launch angle must be strictly subcritical")
+    depths = w.depths()
+    p = (float(start[0]), float(start[1]))
+    v = (math.sin(theta_0), -math.cos(theta_0))
+    verts = [p]
+    for _ in range(max_segments):
+        k = 0
+        while k < len(depths) and p[1] <= -depths[k] + _EPS:
+            k += 1
+        w_here = w.layers[k][1] if k < len(w.layers) else w.layers[-1][1]
+        if k < len(depths):
+            t_iface = (-depths[k] - p[1]) / v[1] if v[1] < 0 else math.inf
+        else:
+            t_iface = math.inf
+        t_stop = _ref_stop_crossing(stop, p, v, min(t_iface, 1e6))
+        if _ref_stops_first(t_stop, t_iface):
+            q = (p[0] + t_stop * v[0], p[1] + t_stop * v[1])
+            verts.append(q)
+            return Polyline.from_points(verts)
+        if not math.isfinite(t_iface):
+            raise TraceError("ray left the layered stack without stopping")
+        p = (p[0] + t_iface * v[0], -depths[k])
+        verts.append(p)
+        w_next = w.layers[k + 1][1] if k + 1 < len(w.layers) \
+            else w.layers[-1][1]
+        v = _refract_direction(v, (0.0, 1.0), w_here, w_next,
+                               f"depth {depths[k]:g}")
+    raise TraceError("segment budget exhausted in layered trace")
+
+
+def _ref_launch(w, radii, shell_w, rho, v, n, outward):
+    on_boundary = bool(np.any(np.abs(radii - rho) < 1e-11))
+    j = int(np.searchsorted(radii, rho + (1e-11 if on_boundary else 0.0),
+                            side="right"))
+    if on_boundary:
+        w_from = float(w.profile(np.array([rho]))[0])
+        if outward < -_EPS:
+            j -= 1
+        if float(shell_w[j]) != w_from:
+            v = _refract_direction(v, n, w_from, float(shell_w[j]),
+                                   f"launch r={rho:.6g}")
+    return j, float(shell_w[j]), v
+
+
+def _ref_quadrant(p, v):
+    sx = 1.0 if p[0] > _EPS else -1.0 if p[0] < -_EPS else \
+        (1.0 if v[0] >= 0 else -1.0)
+    sy = 1.0 if p[1] > _EPS else -1.0 if p[1] < -_EPS else \
+        (1.0 if v[1] >= 0 else -1.0)
+    return sx, sy
+
+
+def _ref_radial_l1(w, start, theta_0, stop, n_shells, max_segments):
+    grid, shell_w = w.shell_grid(n_shells)
+    radii = grid[1:]
+    p = (float(start[0]), float(start[1]))
+    rho = abs(p[0]) + abs(p[1])
+    sx, sy = _ref_quadrant(p, (1.0, 1.0))
+    n0 = (sx / math.sqrt(2.0), sy / math.sqrt(2.0))
+    t0 = (-n0[1], n0[0])
+    v = (math.cos(theta_0) * n0[0] + math.sin(theta_0) * t0[0],
+         math.cos(theta_0) * n0[1] + math.sin(theta_0) * t0[1])
+    sx, sy = _ref_quadrant(p, v)
+    j, w_here, v = _ref_launch(w, radii, shell_w, rho, v,
+                               (sx / math.sqrt(2.0), sy / math.sqrt(2.0)),
+                               sx * v[0] + sy * v[1])
+    verts = [p]
+    for _ in range(max_segments):
+        drho_dt = sx * v[0] + sy * v[1]
+        t_axis = math.inf
+        axis = None
+        if sx * v[0] < 0 and p[0] * sx > _EPS:
+            t_axis, axis = -p[0] / v[0], "x"
+        if sy * v[1] < 0 and p[1] * sy > _EPS:
+            t = -p[1] / v[1]
+            if t < t_axis:
+                t_axis, axis = t, "y"
+        t_shell = math.inf
+        shell_out = None
+        if drho_dt > _EPS and j < len(radii):
+            t_shell = (radii[j] - (sx * p[0] + sy * p[1])) / drho_dt
+            shell_out = True
+        elif drho_dt < -_EPS and j > 0:
+            t_shell = (radii[j - 1] - (sx * p[0] + sy * p[1])) / drho_dt
+            shell_out = False
+        t_next = min(t_axis, t_shell)
+        t_stop = _ref_stop_crossing(stop, p, v,
+                                    t_next if math.isfinite(t_next) else 1e6)
+        if _ref_stops_first(t_stop, t_next):
+            verts.append((p[0] + t_stop * v[0], p[1] + t_stop * v[1]))
+            return Polyline.from_points(verts)
+        if not math.isfinite(t_next):
+            raise TraceError("ray escaped the shell structure")
+        p = (p[0] + t_next * v[0], p[1] + t_next * v[1])
+        verts.append(p)
+        if t_axis < t_shell:
+            if axis == "x":
+                p = (0.0, p[1])
+                sx = 1.0 if v[0] >= 0 else -1.0
+            else:
+                p = (p[0], 0.0)
+                sy = 1.0 if v[1] >= 0 else -1.0
+            continue
+        n = (sx / math.sqrt(2.0), sy / math.sqrt(2.0))
+        r_iface = radii[j] if shell_out else radii[j - 1]
+        j += 1 if shell_out else -1
+        w_next = float(shell_w[j])
+        v = _refract_direction(v, n, w_here, w_next,
+                               f"l1 shell r={r_iface:.6g}")
+        w_here = w_next
+    raise TraceError("segment budget exhausted in radial trace")
+
+
+def _ref_radial_l2(w, start, theta_0, stop, n_shells, max_segments):
+    grid, shell_w = w.shell_grid(n_shells)
+    radii = grid[1:]
+    p = (float(start[0]), float(start[1]))
+    r = math.hypot(*p)
+    if r < _EPS:
+        raise ValueError("radial launch from the origin is ambiguous")
+    n0 = (p[0] / r, p[1] / r)
+    t0 = (-n0[1], n0[0])
+    v = (math.cos(theta_0) * n0[0] + math.sin(theta_0) * t0[0],
+         math.cos(theta_0) * n0[1] + math.sin(theta_0) * t0[1])
+    j, w_here, v = _ref_launch(w, radii, shell_w, r, v, n0,
+                               v[0] * n0[0] + v[1] * n0[1])
+    verts = [p]
+    for _ in range(max_segments):
+        hits = []
+        for idx in (j - 1, j):
+            if 0 <= idx < len(radii):
+                disc, t_near, t_far = circle_hits(p, v, radii[idx])
+                if disc > 0:
+                    hits += [(t, idx) for t in (t_near, t_far) if t > 1e-10]
+        t_next, idx = min(hits) if hits else (math.inf, None)
+        t_stop = _ref_stop_crossing(stop, p, v,
+                                    t_next if math.isfinite(t_next) else 1e6)
+        if _ref_stops_first(t_stop, t_next):
+            verts.append((p[0] + t_stop * v[0], p[1] + t_stop * v[1]))
+            return Polyline.from_points(verts)
+        if not math.isfinite(t_next):
+            raise TraceError("ray escaped the circles")
+        p = (p[0] + t_next * v[0], p[1] + t_next * v[1])
+        verts.append(p)
+        rr = math.hypot(*p)
+        n = (p[0] / rr, p[1] / rr)
+        going_out = (v[0] * n[0] + v[1] * n[1]) > 0
+        j = idx + 1 if going_out else idx
+        w_next = float(shell_w[j])
+        v = _refract_direction(v, n, w_here, w_next,
+                               f"circle r={radii[idx]:.6g}")
+        w_here = w_next
+    raise TraceError("segment budget exhausted in circular trace")
+
+
+def _reference_trace(w, start, theta_0, stop, n_shells=DEFAULT_SHELLS,
+                     max_segments=200000):
+    if isinstance(w, ConstantWeight):
+        p = (float(start[0]), float(start[1]))
+        v = (math.sin(theta_0), -math.cos(theta_0))
+        t = _ref_stop_crossing(stop, p, v, 1e6)
+        if t is None:
+            raise TraceError("straight ray never meets the stop condition")
+        return Polyline((p, (p[0] + t * v[0], p[1] + t * v[1])))
+    if isinstance(w, LayeredWeight):
+        return _ref_layered(w, start, theta_0, stop, max_segments)
+    if w.norm == "l1":
+        return _ref_radial_l1(w, start, theta_0, stop, n_shells,
+                              max_segments)
+    return _ref_radial_l2(w, start, theta_0, stop, n_shells, max_segments)
+
+
+_MEDIA = {
+    "constant": lambda: make_weight("constant", 1.3),
+    "layered": lambda: make_weight(
+        "layered_horizontal", layers=((0.2, 1.0), (0.5, 2.0), (0.9, 1.5))),
+    "light_diamond_tight": lambda: make_weight("light_diamond_tight", 0.5),
+    "light_diamond": lambda: make_weight("light_diamond", 0.5),
+    "lite_dmd_heavy_core": lambda: make_weight("lite_dmd_heavy_core"),
+    "heavy_diamond": lambda: make_weight("heavy_diamond", 2.0),
+    "heavy_disk": lambda: make_weight("heavy_disk", 2.0),
+}
+
+
+def _seeded_launches(w, rng, n):
+    """(start, theta_0, stop, n_shells, launch kind) for n seeded rays."""
+    for i in range(n):
+        kind = ("interior", "axis", "interface")[i % 3]
+        # a line through a point low in the disk, which downward rays reach
+        a = float(rng.uniform(0.0, 2.0 * math.pi))
+        c = math.cos(a) * rng.uniform(-1.0, 1.0) \
+            + math.sin(a) * rng.uniform(-1.0, -0.6)
+        stop = ("circle", ("depth", float(rng.uniform(0.1, 1.0))),
+                ("line", math.cos(a), math.sin(a), float(c)))[(i // 3) % 3]
+        n_shells = int(rng.choice([64, 512, 4096]))
+        r = float(rng.uniform(0.05, 0.95))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        if not isinstance(w, RadialWeight):
+            theta = float(rng.uniform(-1.7, 1.7))
+            x = float(rng.uniform(-1.0, 1.0))
+            y = {"interior": float(rng.uniform(-0.3, 0.3)), "axis": 0.0,
+                 "interface": -w.depths()[1]
+                 if isinstance(w, LayeredWeight) else -0.5}[kind]
+            yield (x, y), theta, stop, n_shells, kind
+            continue
+        theta = float(rng.uniform(-math.pi, math.pi))
+        if kind == "axis":
+            start = [(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)][i % 4]
+        elif kind == "interface":
+            grid = w.shell_grid(n_shells)[0]
+            rr = float(grid[int(rng.integers(1, len(grid) - 1))]) \
+                if len(grid) > 2 else float(grid[1])
+            if w.norm == "l1":
+                u = float(rng.uniform(0.0, 1.0))
+                sx, sy = ((1, 1), (-1, 1), (-1, -1), (1, -1))[i % 4]
+                start = (sx * u * rr, sy * (1.0 - u) * rr)
+            else:
+                start = (rr * math.cos(phi), rr * math.sin(phi))
+        else:
+            start = (r * math.cos(phi), r * math.sin(phi))
+        yield start, theta, stop, n_shells, kind
+
+
+def _outcome(trace, *args):
+    """The ray's vertices, or the type of the error it raised."""
+    try:
+        return trace(*args).as_array()
+    except (ValueError, TraceError, TotalInternalReflection) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(_MEDIA))
+def test_single_loop_matches_the_reference_trace(name):
+    w = _MEDIA[name]()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    traced = set()
+    for start, theta, stop, n_shells, kind in _seeded_launches(w, rng, 90):
+        args = (w, start, theta, stop, n_shells)
+        got = _outcome(trace_layered_ray, *args)
+        ref = _outcome(_reference_trace, *args)
+        if isinstance(ref, np.ndarray):
+            assert isinstance(got, np.ndarray), (args, got)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), \
+                args
+            traced.add((kind, stop if isinstance(stop, str) else stop[0]))
+        else:
+            assert got is ref, (args, got, ref)
+    # every launch kind and stop form produced rays, not only errors
+    assert traced == {(k, s) for k in ("interior", "axis", "interface")
+                      for s in ("circle", "depth", "line")}
+
+
+def test_sloped_l2_profile_is_rejected():
+    with pytest.raises(ValueError, match="piecewise constant"):
+        RadialWeight("ramp_disk", "l2", (
+            ProfilePiece(0.0, 0.5, 1.0, 1.0, "ramp"),
+            ProfilePiece(0.5, math.inf, 1.5, 0.0, "outside")))
+
+
+@pytest.mark.parametrize("stop", ["diamond_edge", "x_axis", "y_axis",
+                                  lambda p: p[1] < -0.5])
+def test_dropped_stop_forms_are_rejected(stop):
+    w = make_weight("light_diamond_tight", 0.5)
+    with pytest.raises(ValueError, match="unknown stop"):
+        trace_layered_ray(w, (0.2, 0.0), 0.3, stop)
