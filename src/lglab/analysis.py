@@ -11,9 +11,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .curves import boundary_points, level_curve
+from .curves import _refine, boundary_points, level_curve
 from .oracle import grid_shortest_path
 from .paths import Polyline, weighted_length
 from .shooting import shoot_two_point
@@ -344,9 +343,15 @@ def three_diamonds_thresholds(alpha: float = SQRT2) -> tuple[float, float]:
         return (cost(t, ((-0.5, 0.25), (0.0, 0.375), (0.5, 0.25)))
                 - cost(t, ((0.0, 0.375),)))
 
+    def root(f, lo, hi):
+        flo, fhi = f(lo), f(hi)
+        if (flo > 0) == (fhi > 0):
+            raise ValueError("f(lo) and f(hi) must have different signs")
+        return _refine(f, lo, hi, flo, fhi)
+
     try:
-        t0 = brentq(bottom_minus_top, 0.76, 1.12, xtol=1e-10)
-        t1 = brentq(top_minus_apex, t0 + 1e-6, 1.374, xtol=1e-10)
+        t0 = root(bottom_minus_top, 0.76, 1.12)
+        t1 = root(top_minus_apex, t0 + 1e-6, 1.374)
     except ValueError as exc:
         raise ValueError("no route-equality root in (3/4, 11/8)") from exc
     if not 0.75 < t0 < t1 < 1.375:
@@ -465,13 +470,17 @@ def _snell_suite(seed: int = 0) -> ExperimentReport:
     wl = layered_horizontal(((0.2, 1.0), (2.0, 2.0)))
     a, b = (-0.5, 0.3), (0.5, -0.7)
     _, shot = shoot_two_point(wl, a, b, n_shells=64, scan_angles=512)
-    ref = minimize_scalar(
-        lambda x: math.hypot(x + 0.5, 0.5) + 2.0 * math.hypot(0.5 - x, 0.5),
-        bracket=(-0.5, 0.4, 0.5), method="golden", options={"xtol": 1e-12})
+    # the exact two-segment minimum, where the cost's slope changes sign
+    def slope(x):
+        return ((x + 0.5) / math.hypot(x + 0.5, 0.5)
+                - 2.0 * (0.5 - x) / math.hypot(0.5 - x, 0.5))
+
+    x = _refine(slope, -0.5, 0.5, slope(-0.5), slope(0.5))
+    ref = math.hypot(x + 0.5, 0.5) + 2.0 * math.hypot(0.5 - x, 0.5)
     return ExperimentReport("snell", (
         Quantity("reciprocity worst error", worst_recip, 0.0, 1e-12),
         Quantity("chain collapse worst error", worst_chain, 0.0, 1e-12),
-        Quantity("two-layer kink vs golden section", shot, float(ref.fun),
+        Quantity("two-layer kink vs golden section", shot, ref,
                  1e-6),
     ))
 
@@ -483,7 +492,7 @@ def _thresholds_suite(seed: int = 0) -> ExperimentReport:
     spread1 = max(abs(three_diamonds_thresholds(a)[1] - t1)
                   for a in (2.0, 5.0))
     # t1's route-equality root is tangential (quadratic on one side), so its
-    # bisection conditioning is ~sqrt of t0's; hence the looser spread bar
+    # conditioning is ~sqrt of t0's; hence the looser spread bar
     return ExperimentReport("thresholds", (
         Quantity("lower tie level t0", t0, 1.017, 0.005),
         Quantity("upper tie level t1", t1, 1.127, 0.005),

@@ -38,6 +38,7 @@ from .weights import (SQRT2, ConstantWeight, MultiDiamondWeight, RadialWeight,
                       WeightField, circle_hits)
 
 SWEEP_SHELLS = 4096
+_BLOCK = 1 << 15  # elements in each temporary of the apex-table sweep
 
 BRANCHES = ("minimal", "maximal")
 
@@ -143,13 +144,16 @@ def _climb(w: RadialWeight, start, kappa: float,
     xs = start[0] + np.concatenate([[0.0], np.cumsum(dx)])
     ys = start[1] + np.concatenate([[0.0], np.cumsum(dy)])
     pts = np.column_stack([xs, ys])
-    w_out = float(w.pieces[-1].offset)
-    s_out = kappa / w_out
+    return np.vstack([pts, _rim_step(pts[-1], kappa, w)])
+
+
+def _rim_step(p, kappa: float, w: RadialWeight):
+    """Where a sweep's straight outer leg from p meets the unit circle."""
+    s_out = kappa / float(w.pieces[-1].offset)
     c_out = math.sqrt(1.0 - s_out * s_out)
     v = ((c_out + s_out) / math.sqrt(2.0), (c_out - s_out) / math.sqrt(2.0))
-    p = tuple(pts[-1])
     t = circle_hits(p, v, 1.0)[2]
-    return np.vstack([pts, (p[0] + t * v[0], p[1] + t * v[1])])
+    return p[0] + t * v[0], p[1] + t * v[1]
 
 
 def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
@@ -263,9 +267,33 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
 @lru_cache(maxsize=32)
 def _apex_grid(w: RadialWeight, lo: float, hi: float,
                n_shells: int = SWEEP_SHELLS, n: int = 1024):
+    """Exit heights of _depart(w, (0, y0), n_shells), bit for bit, for n
+    starts y0 evenly spaced over [lo, hi].  Blocks of about _BLOCK (start,
+    shell) elements sweep from their innermost launch shell, with zero width
+    and slope inside each row's own; a sequential cumsum sums as _climb does.
+    """
+    r, wk = w.shell_grid(n_shells)
     y0s = np.linspace(lo, hi, n)
-    exits = np.array([_depart(w, (0.0, y0), n_shells)[-1, 1] for y0 in y0s])
-    return y0s, exits
+    kappas = w.profile(y0s) / math.sqrt(2.0)
+    k0s = np.searchsorted(r, y0s + 1e-13, side="right") - 1
+    rows = max(1, _BLOCK // len(r))
+    exits = []
+    for i in range(0, n, rows):
+        y0, kappa, k0 = (a[i:i + rows, None] for a in (y0s, kappas, k0s))
+        kb = int(k0.min())
+        shells = np.arange(kb, len(r) - 1)
+        live = shells >= k0
+        inner = np.where(shells == k0, y0, r[kb:-1])
+        dr = np.where(live, r[kb + 1:] - inner, 0.0)
+        s = np.where(live, kappa / wk[kb:-1], 0.0)
+        if np.any(s >= 1.0 - 1e-13):
+            raise ValueError("sweep hit total internal reflection")
+        tan = s / np.sqrt(1.0 - s * s)
+        xs = np.cumsum(0.5 * dr * (1.0 + tan), axis=1)[:, -1]
+        ys = y0[:, 0] + np.cumsum(0.5 * dr * (1.0 - tan), axis=1)[:, -1]
+        exits += [_rim_step(p, kp, w)[1]
+                  for p, kp in zip(zip(xs, ys), kappa[:, 0])]
+    return y0s, np.array(exits)
 
 
 @lru_cache(maxsize=32)

@@ -31,9 +31,6 @@ class ProfilePiece:
     slope: float
     tag: str
 
-    def value(self, r):
-        return self.offset + self.slope * np.asarray(r, dtype=float)
-
 
 def _piece_values(pieces, r, side):
     """Vectorized one-sided limit of the profile at radii r.
@@ -206,11 +203,6 @@ class RadialWeight(WeightField):
         hi_side = _piece_values(self.pieces, r, side=+1)
         return np.minimum(lo_side, hi_side)
 
-    def profile_inner(self, r) -> float:
-        """One-sided limit from smaller radii; the value a shell just inside
-        radius r carries under the outer-radius discretization convention."""
-        return float(_piece_values(self.pieces, np.array([float(r)]), side=-1)[0])
-
     def values(self, x, y):
         return self.profile(self.radius(x, y))
 
@@ -240,8 +232,8 @@ class RadialWeight(WeightField):
             for j in range(1, m + 1):
                 radii.append(p.lo + (p.hi - p.lo) * j / m)
         r = np.array(radii)
-        ws = np.array([self.profile_inner(x) for x in r[1:]]
-                      + [float(self.pieces[-1].offset)])
+        ws = np.append(_piece_values(self.pieces, r[1:], side=-1),
+                       self.pieces[-1].offset)
         r.setflags(write=False)
         ws.setflags(write=False)
         return r, ws

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from lglab import analysis
 from lglab.analysis import (ExperimentReport, Quantity, SUITES,
@@ -57,6 +58,33 @@ def test_thresholds_do_not_depend_on_the_slowness():
         t0, t1 = three_diamonds_thresholds(alpha)
         assert t0 == pytest.approx(base[0], abs=1e-8)
         assert t1 == pytest.approx(base[1], abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [math.sqrt(2.0), 2.0, 5.0])
+def test_thresholds_match_brentq(alpha, monkeypatch):
+    got = three_diamonds_thresholds(alpha)
+    monkeypatch.setattr(analysis, "_refine", lambda f, lo, hi, flo, fhi:
+                        brentq(f, lo, hi, xtol=1e-10))
+    ref = three_diamonds_thresholds(alpha)
+    assert got[0] == pytest.approx(ref[0], abs=1e-10)
+    assert got[1] == pytest.approx(ref[1], abs=1e-6)
+
+
+def test_thresholds_without_a_sign_change_raise(monkeypatch):
+    # every route then costs its vertex count, so no pair of routes ties
+    monkeypatch.setattr(analysis, "weighted_length",
+                        lambda path, w: float(len(path.vertices)))
+    with pytest.raises(ValueError, match="no route-equality root"):
+        three_diamonds_thresholds()
+
+
+def test_snell_reference_matches_scipy_golden_section():
+    ref = minimize_scalar(
+        lambda x: math.hypot(x + 0.5, 0.5) + 2.0 * math.hypot(0.5 - x, 0.5),
+        bracket=(-0.5, 0.4, 0.5), method="golden", options={"xtol": 1e-12})
+    q, = (q for q in run_suite("snell").quantities
+          if q.label == "two-layer kink vs golden section")
+    assert q.expected == pytest.approx(float(ref.fun), abs=1e-12)
 
 
 def test_clearance_constant_quadratic():

@@ -1,14 +1,16 @@
 """Level-curve construction for the catalog weights."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lglab import curves
-from lglab.curves import (BRANCHES, LevelCurve, _heavy_obstacle_options,
-                          _refine, _three_diamond_options, boundary_points,
-                          level_curve)
+from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _core_geometry,
+                          _depart, _heavy_obstacle_options, _refine,
+                          _SWEEP_BOUNDS, _three_diamond_options,
+                          boundary_points, level_curve)
 from lglab.paths import Polyline, weighted_length
 from lglab.stacker import midpoint_levels, stack
 from lglab.weights import make_weight
@@ -258,3 +260,52 @@ def test_radial_stack_sweep_count(monkeypatch, name, alpha):
     monkeypatch.setattr(curves, "_climb", counting)
     stack(w, midpoint_levels(21))
     assert 0 < len(calls) <= 300
+
+
+def _apex_bounds(w):
+    _, _, lo, hi = _SWEEP_BOUNDS[w.kind]
+    if w.kind == "lite_dmd_heavy_core":
+        lo += _core_geometry(w)[1]
+    return lo, hi
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_apex_table_matches_one_departure_per_start_bit_for_bit(name, alpha):
+    w = make_weight(name, alpha)
+    y0s, exits = _apex_grid(w, *_apex_bounds(w))
+    ref = np.array([_depart(w, (0.0, y0), curves.SWEEP_SHELLS)[-1, 1]
+                    for y0 in y0s])
+    assert exits.tobytes() == ref.tobytes()
+
+
+def test_apex_table_ignores_the_shells_inside_each_start():
+    # one block holds starts in the light core and high on its ramp, where
+    # the core's shell would reflect the ramp start's horizontal kappa
+    w = make_weight("light_diamond", 0.5)
+    y0s, exits = _apex_grid.__wrapped__(w, 0.49, 0.549, n=7)
+    ref = np.array([_depart(w, (0.0, y0), curves.SWEEP_SHELLS)[-1, 1]
+                    for y0 in y0s])
+    assert exits.tobytes() == ref.tobytes()
+
+
+def test_apex_table_raises_on_total_internal_reflection():
+    # near the core's center the horizontal kappa exceeds the ring's weight
+    w = make_weight("lite_dmd_heavy_core")
+    with pytest.raises(ValueError, match="total internal reflection"):
+        _depart(w, (0.0, 0.05), curves.SWEEP_SHELLS)
+    with pytest.raises(ValueError, match="total internal reflection"):
+        _apex_grid.__wrapped__(w, 0.05, 0.7)
+
+
+def test_cold_apex_table_stays_small():
+    # (starts x shells) blocks of about 2**15 elements, not one 1024 x 4096
+    # array of 32 MB per temporary
+    w = make_weight("light_diamond", 0.5)
+    tracemalloc.start()
+    try:
+        w.shell_grid.__wrapped__(w, curves.SWEEP_SHELLS)
+        _apex_grid.__wrapped__(w, *_apex_bounds(w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20

@@ -1,9 +1,13 @@
-"""Static checks over the package source: no dead imports or helpers.
+"""Static checks over the package source: no dead imports or helpers, and
+no heavy import on the package's import path.
 
-Uses only the stdlib ast module.  The package __init__ is left out because
-its imports are re-exports.
+Uses only the stdlib ast module.  The package __init__ is left out of the
+unused-import check because its imports are re-exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,9 @@ import lglab
 
 SRC = Path(lglab.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+READERS = [*SRC.glob("*.py"), *TESTS.glob("*.py"),
+           *(TESTS.parent / "perfbench").glob("*.py")]
 
 
 def _tree(path):
@@ -100,3 +107,37 @@ def test_private_helpers_are_referenced_and_do_work():
     assert not dead, f"private helpers nothing references: {dead}"
     assert not wrappers, f"private one-call wrappers, call the target: " \
                          f"{wrappers}"
+
+
+def _public_functions(tree):
+    """Public module-level functions and public methods of module classes."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                yield fn
+
+
+def test_public_functions_are_read_somewhere():
+    """Every public function or method is read in src/, tests/ or perfbench/.
+
+    The check is name-based: a def counts as read when any name or attribute
+    with its name is read anywhere, so a dead method with a common name
+    (say, value) cannot be caught.  Dunders and lglab.__all__ are exempt.
+    """
+    used = set().union(*(_used_names(_tree(p)) for p in READERS))
+    unread = [f"{p.name}:{fn.name}" for p in [SRC / "__init__.py", *MODULES]
+              for fn in _public_functions(_tree(p))
+              if fn.name not in used and fn.name not in lglab.__all__]
+    assert not unread, f"public functions nothing reads: {unread}"
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about a third of `import lglab`, and only tests
+    # use it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH", "")) if p)
+    code = "import lglab, sys; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

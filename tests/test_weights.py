@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lglab.weights import (Region, catalog_describe, catalog_names,
-                           make_weight)
+from lglab.weights import (Region, _piece_values, catalog_describe,
+                           catalog_names, make_weight)
 
 DISK_XY = st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
 
@@ -128,6 +128,24 @@ def test_radial_weights_are_y_symmetric(name, alpha, p):
     x, y = p
     assert float(w.values(x, y)) == pytest.approx(float(w.values(x, -y)),
                                                   abs=1e-12)
+
+
+def _reference_shell_grid(w, r):
+    """The per-shell comprehension that built the shell weights before."""
+    inner = [float(_piece_values(w.pieces, np.array([float(x)]), side=-1)[0])
+             for x in r[1:]]
+    return np.array(inner + [float(w.pieces[-1].offset)])
+
+
+@pytest.mark.parametrize("name", ["heavy_diamond", "heavy_disk",
+                                  "light_diamond", "light_diamond_tight",
+                                  "lite_dmd_heavy_core"])
+@pytest.mark.parametrize("n_shells", [4096, 1024, 128, 64])
+def test_shell_grid_matches_the_per_shell_reference_bit_for_bit(name,
+                                                                n_shells):
+    r, ws = make_weight(name).shell_grid(n_shells)
+    ref = _reference_shell_grid(make_weight(name), r)
+    assert ws.dtype == ref.dtype and ws.tobytes() == ref.tobytes()
 
 
 def test_vectorized_shapes():
