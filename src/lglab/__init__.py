@@ -12,8 +12,8 @@ from .analysis import (ExperimentReport, Quantity, SUITES, curvature_clearance,
                        nonuniqueness_gap, rectangle_submodularity_exhaustive,
                        run_suite, submodularity_check,
                        three_diamonds_thresholds)
-from .config import RunConfig, load_config, parse_config, parse_layers, \
-    save_config, serialize_config
+from .config import (RunConfig, load_config, parse_config, parse_layers,
+                     serialize_config)
 from .curves import LevelCurve, boundary_points, level_curve
 from .oracle import RefineResult, grid_shortest_path, oracle_cost, refine_until
 from .paths import Polyline, segment, weighted_length
@@ -41,7 +41,7 @@ __all__ = [
     "litedmdheavycore_checks", "load_config", "local_oscillation",
     "make_weight", "midpoint_levels", "nonuniqueness_gap", "oracle_cost",
     "parse_config", "parse_layers", "rectangle_submodularity_exhaustive",
-    "refine_until", "run_suite", "save_config", "segment",
+    "refine_until", "run_suite", "segment",
     "serialize_config", "shoot_two_point", "snell_chain", "snell_refract",
     "stack", "submodularity_check", "three_diamonds_thresholds",
     "trace_error", "trace_layered_ray", "weighted_length",

@@ -97,8 +97,3 @@ def serialize_config(cfg: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_config(cfg))

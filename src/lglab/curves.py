@@ -19,10 +19,9 @@ The pick keeps the cheapest candidates; among tied ones the branch decides
 (see _pick).
 
 Sweeps work in the first quadrant on a shell grid: crossing a shell of
-thickness dr with angle theta from the edge normal advances by
-dx = (dr/2)(1 + tan), dy = (dr/2)(1 - tan) moving outward (drift toward +x),
-and dx = -(dr/2)(1 + tan), dy = (dr/2)(tan - 1) moving inward; sin(theta) in
-each shell is the conserved kappa over the shell weight.
+signed width dr (negative moving inward) at angle theta from the edge normal
+advances by (dr/2)(1 + tan, 1 - tan), and sin(theta) in each shell is the
+conserved kappa over the shell weight (see _run).
 """
 from __future__ import annotations
 
@@ -38,7 +37,10 @@ from .weights import (SQRT2, ConstantWeight, MultiDiamondWeight, RadialWeight,
                       WeightField, circle_hits)
 
 SWEEP_SHELLS = 4096
-_BLOCK = 1 << 15  # elements in each temporary of the apex-table sweep
+# (start, shell) pairs per apex-table block: its temporaries, under 1 MB, are
+# reused block to block; at 2^15 pairs the allocator handed them back after
+# each block, and every block page-faulted them in again
+_BLOCK = 12288
 
 BRANCHES = ("minimal", "maximal")
 
@@ -117,34 +119,61 @@ def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
 
 # ---------------------------------------------------------------- sweeps ----
 
-def _w_at(w: RadialWeight, rho: float) -> float:
-    return float(w.profile(np.array([float(rho)]))[0])
+def _run(radii, weights, kappa):
+    """Offsets from its start of a monotone run across l1 shells.
+
+    radii[..., k] are the shell radii in the order crossed, rising outward
+    and falling inward; weights[..., k] is the weight between radii k and
+    k + 1.  sin(theta) = kappa / weight, clipped below 1 on the shells that
+    reflect the run; a shell of signed width dr moves it (dr/2)(1 + tan,
+    1 - tan).  Returns (tir, offsets): the reflecting shells, and the x and
+    y offsets at each radius, each summed in shell order.
+    """
+    # in place, so that a block's temporaries stay few (see _BLOCK)
+    s = kappa / weights
+    tir = s >= 1.0 - 1e-13
+    np.minimum(s, 1.0 - 1e-13, out=s)
+    tan = np.multiply(s, s)
+    np.sqrt(np.subtract(1.0, tan, out=tan), out=tan)
+    np.divide(s, tan, out=tan)
+    half = np.subtract(radii[..., 1:], radii[..., :-1])
+    half *= 0.5
+    offsets = np.zeros((2, *radii.shape))
+    np.add(1.0, tan, out=s)
+    np.cumsum(np.multiply(half, s, out=s), axis=-1, out=offsets[0, ..., 1:])
+    np.subtract(1.0, tan, out=s)
+    np.cumsum(np.multiply(half, s, out=s), axis=-1, out=offsets[1, ..., 1:])
+    return tir, offsets
 
 
-def _climb(w: RadialWeight, start, kappa: float,
-           n_shells: int = SWEEP_SHELLS) -> np.ndarray:
+def _climb(w: RadialWeight, start, kappa, n_shells: int = SWEEP_SHELLS):
     """Outward quadrant-1 sweep from start to the unit circle, drifting +x.
 
-    start must satisfy x, y >= 0.  Raises on total internal reflection,
-    which none of the curve families here is allowed to reach.
+    start is a point with x, y >= 0 and kappa its conserved quantity, or a
+    block of points (m, 2) with m kappas.  A block crosses the shells from
+    its innermost start on; a shell inside a row's start has zero width and
+    infinite weight, so the row repeats its start, then matches its own
+    sweep bit for bit.  Raises on total internal reflection, which none of
+    the curve families here is allowed to reach.
     """
     r, wk = w.shell_grid(n_shells)
-    rho0 = start[0] + start[1]
-    k0 = int(np.searchsorted(r, rho0 + 1e-13, side="right")) - 1
+    rho0 = start[..., :1] + start[..., 1:]
+    k0 = np.searchsorted(r, rho0 + 1e-13, side="right") - 1
+    kb = int(k0.min())
     # clip the partial first shell; the sweep ends at the outermost radius
-    radii = np.concatenate([[rho0], r[k0 + 1:]])
-    weights = wk[k0:-1]
-    s = kappa / weights
-    if np.any(s >= 1.0 - 1e-13):
+    inside = np.arange(kb, len(r)) <= k0
+    radii = np.where(inside, rho0, r[kb:])
+    weights = np.where(inside[..., 1:], np.inf, wk[kb:-1])
+    tir, offsets = _run(radii, weights, kappa[..., None])
+    if np.any(tir):
         raise ValueError("sweep hit total internal reflection")
-    tan = s / np.sqrt(1.0 - s * s)
-    dr = np.diff(radii)
-    dx = 0.5 * dr * (1.0 + tan)
-    dy = 0.5 * dr * (1.0 - tan)
-    xs = start[0] + np.concatenate([[0.0], np.cumsum(dx)])
-    ys = start[1] + np.concatenate([[0.0], np.cumsum(dy)])
-    pts = np.column_stack([xs, ys])
-    return np.vstack([pts, _rim_step(pts[-1], kappa, w)])
+    pts = np.empty((*radii.shape[:-1], radii.shape[-1] + 1, 2))
+    for j in (0, 1):
+        np.add(start[..., j, None], offsets[j], out=pts[..., :-1, j])
+    rows = pts.reshape(-1, *pts.shape[-2:])
+    rows[:, -1] = [_rim_step(p, kp, w) for p, kp in
+                   zip(rows[:, -2].tolist(), kappa.ravel().tolist())]
+    return pts
 
 
 def _rim_step(p, kappa: float, w: RadialWeight):
@@ -157,12 +186,11 @@ def _rim_step(p, kappa: float, w: RadialWeight):
 
 
 def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
-    """Outward sweep leaving start, a point on an axis, horizontally.
-
-    At 45 degrees to the edge normal the conserved kappa is w(rho)/sqrt(2)
-    for the l1 radius rho of start.
+    """Outward sweep leaving start, a point (or block of points) on an axis,
+    horizontally: at 45 degrees to the edge normal kappa is w(start)/sqrt(2).
     """
-    kappa = _w_at(w, start[0] + start[1]) / math.sqrt(2.0)
+    start = np.asarray(start, dtype=float)
+    kappa = w.values(start[..., 0], start[..., 1]) / math.sqrt(2.0)
     return _climb(w, start, kappa, n_shells)
 
 
@@ -178,16 +206,8 @@ def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     radii = np.concatenate([[a], r[k0::-1] if k0 >= 0 else []])
     weights = wk[k0::-1] if k0 >= 0 else np.array([])
     # horizontal in the discrete launch shell, so the first step cannot sag
-    kappa = weights[0] / math.sqrt(2.0)
-    s = kappa / weights
-    tir = s >= 1.0 - 1e-13
-    s = np.clip(s, 0.0, 1.0 - 1e-13)
-    tan = s / np.sqrt(1.0 - s * s)
-    dr = -np.diff(radii)
-    dx = -0.5 * dr * (1.0 + tan)
-    dy = 0.5 * dr * (tan - 1.0)
-    xs = a + np.concatenate([[0.0], np.cumsum(dx)])
-    ys = np.concatenate([[0.0], np.cumsum(dy)])
+    tir, offsets = _run(radii, weights, weights[0] / math.sqrt(2.0))
+    xs, ys = offsets + [[a], [0.0]]
     n = len(xs)
     i_tir = int(np.argmax(tir)) + 1 if bool(np.any(tir)) else n
     hit_x = xs <= 0.0
@@ -267,33 +287,21 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
 @lru_cache(maxsize=32)
 def _apex_grid(w: RadialWeight, lo: float, hi: float,
                n_shells: int = SWEEP_SHELLS, n: int = 1024):
-    """Exit heights of _depart(w, (0, y0), n_shells), bit for bit, for n
-    starts y0 evenly spaced over [lo, hi].  Blocks of about _BLOCK (start,
-    shell) elements sweep from their innermost launch shell, with zero width
-    and slope inside each row's own; a sequential cumsum sums as _climb does.
-    """
-    r, wk = w.shell_grid(n_shells)
+    """Exit heights of _depart(w, (0, y0), n_shells) for n starts y0 evenly
+    spaced over [lo, hi], departing in blocks of at most about _BLOCK
+    (start, shell) pairs; outer starts cross fewer shells, so more fit."""
     y0s = np.linspace(lo, hi, n)
+    starts = np.column_stack([np.zeros(n), y0s])
     kappas = w.profile(y0s) / math.sqrt(2.0)
-    k0s = np.searchsorted(r, y0s + 1e-13, side="right") - 1
-    rows = max(1, _BLOCK // len(r))
-    exits = []
-    for i in range(0, n, rows):
-        y0, kappa, k0 = (a[i:i + rows, None] for a in (y0s, kappas, k0s))
-        kb = int(k0.min())
-        shells = np.arange(kb, len(r) - 1)
-        live = shells >= k0
-        inner = np.where(shells == k0, y0, r[kb:-1])
-        dr = np.where(live, r[kb + 1:] - inner, 0.0)
-        s = np.where(live, kappa / wk[kb:-1], 0.0)
-        if np.any(s >= 1.0 - 1e-13):
-            raise ValueError("sweep hit total internal reflection")
-        tan = s / np.sqrt(1.0 - s * s)
-        xs = np.cumsum(0.5 * dr * (1.0 + tan), axis=1)[:, -1]
-        ys = y0[:, 0] + np.cumsum(0.5 * dr * (1.0 - tan), axis=1)[:, -1]
-        exits += [_rim_step(p, kp, w)[1]
-                  for p, kp in zip(zip(xs, ys), kappa[:, 0])]
-    return y0s, np.array(exits)
+    r = w.shell_grid(n_shells)[0]
+    shells = len(r) - np.searchsorted(r, y0s)
+    exits = np.empty(n)
+    i = 0
+    while i < n:
+        b = slice(i, i + max(1, _BLOCK // int(shells[i])))
+        exits[b] = _climb(w, starts[b], kappas[b], n_shells)[:, -1, 1]
+        i = b.stop
+    return y0s, exits
 
 
 @lru_cache(maxsize=32)

@@ -81,23 +81,22 @@ class StackNestingError(SolverError):
 
 
 def _check_nesting(curves, xs, res):
-    """Consecutive level curves may not cross by more than a grid cell."""
+    """Consecutive level curves may not cross by more than a grid cell.
+    Returns ys, curve k sampled at xs in row k."""
+    ys = np.array([lc.y_at(xs) for lc in curves])
     tol = max(1e-6, 0.5 / res)
-    prev = None
-    prev_t = None
-    for lc in curves:
-        xb = lc.x_bound()
-        g = np.where(np.abs(xs) <= xb, lc.y_at(xs), np.nan)
-        if prev is not None:
-            both = ~(np.isnan(g) | np.isnan(prev))
-            if both.any():
-                worst = float(np.max(prev[both] - g[both]))
-                if worst > tol:
-                    raise StackNestingError(
-                        f"curves at levels {prev_t:.6g} and {lc.level:.6g} "
-                        f"cross by {worst:.3g} (tol {tol:.3g})")
-        prev, prev_t = g, lc.level
-    return
+    xb = np.array([lc.x_bound() for lc in curves])[:, None]
+    g = np.where(np.abs(xs) <= xb, ys, np.nan)
+    both = ~(np.isnan(g[:-1]) | np.isnan(g[1:]))
+    worst = np.where(both, g[:-1] - g[1:], -np.inf).max(axis=1)
+    crossed = np.flatnonzero(worst > tol)
+    if crossed.size:
+        k = crossed[0]
+        raise StackNestingError(
+            f"curves at levels {curves[k].level:.6g} and "
+            f"{curves[k + 1].level:.6g} cross by {worst[k]:.3g} "
+            f"(tol {tol:.3g})")
+    return ys
 
 
 def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
@@ -116,16 +115,11 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
 
     n = 2 * res + 1
     xs = np.linspace(-1.0, 1.0, n)
-    _check_nesting(curves, xs, res)
+    ys = _check_nesting(curves, xs, res)
 
-    gmat = np.empty((len(levels), n))
-    for k, lc in enumerate(curves):
-        xb = lc.x_bound()
-        pad = -np.inf if levels[k] < 1.0 else np.inf
-        inside = np.abs(xs) <= xb + 1e-15
-        col = np.full(n, pad)
-        col[inside] = lc.y_at(xs[inside])
-        gmat[k] = col
+    xb = np.array([lc.x_bound() for lc in curves])[:, None]
+    pad = np.where(levels < 1.0, -np.inf, np.inf)[:, None]
+    gmat = np.where(np.abs(xs) <= xb + 1e-15, ys, pad)
     # the count of curves below a node is its level only in monotone
     # columns; nesting bounds the fixup by a cell
     gmat = np.maximum.accumulate(gmat, axis=0)

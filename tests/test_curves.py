@@ -13,7 +13,7 @@ from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _core_geometry,
                           boundary_points, level_curve)
 from lglab.paths import Polyline, weighted_length
 from lglab.stacker import midpoint_levels, stack
-from lglab.weights import make_weight
+from lglab.weights import ProfilePiece, RadialWeight, make_weight
 
 SQ3 = math.sqrt(3.0)
 RADIAL = [("light_diamond", 0.5), ("light_diamond_tight", 0.5),
@@ -309,3 +309,145 @@ def test_cold_apex_table_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+# ----------------------------------------------- frozen shell-step sweeps ----
+# _reference_climb and _reference_glide are the outward and inward sweeps as
+# they were written before the one shell-run kernel; every sweep must still
+# match them bit for bit.
+
+def _reference_climb(w, start, kappa, n_shells):
+    r, wk = w.shell_grid(n_shells)
+    rho0 = start[0] + start[1]
+    k0 = int(np.searchsorted(r, rho0 + 1e-13, side="right")) - 1
+    radii = np.concatenate([[rho0], r[k0 + 1:]])
+    weights = wk[k0:-1]
+    s = kappa / weights
+    if np.any(s >= 1.0 - 1e-13):
+        raise ValueError("sweep hit total internal reflection")
+    tan = s / np.sqrt(1.0 - s * s)
+    dr = np.diff(radii)
+    dx = 0.5 * dr * (1.0 + tan)
+    dy = 0.5 * dr * (1.0 - tan)
+    xs = start[0] + np.concatenate([[0.0], np.cumsum(dx)])
+    ys = start[1] + np.concatenate([[0.0], np.cumsum(dy)])
+    pts = np.column_stack([xs, ys])
+    return np.vstack([pts, curves._rim_step(pts[-1], kappa, w)])
+
+
+def _reference_glide(w, a, n_shells):
+    r, wk = w.shell_grid(n_shells)
+    k0 = int(np.searchsorted(r, a - 1e-13, side="left")) - 1
+    radii = np.concatenate([[a], r[k0::-1] if k0 >= 0 else []])
+    weights = wk[k0::-1] if k0 >= 0 else np.array([])
+    kappa = weights[0] / math.sqrt(2.0)
+    s = kappa / weights
+    tir = s >= 1.0 - 1e-13
+    s = np.clip(s, 0.0, 1.0 - 1e-13)
+    tan = s / np.sqrt(1.0 - s * s)
+    dr = -np.diff(radii)
+    dx = -0.5 * dr * (1.0 + tan)
+    dy = 0.5 * dr * (tan - 1.0)
+    xs = a + np.concatenate([[0.0], np.cumsum(dx)])
+    ys = np.concatenate([[0.0], np.cumsum(dy)])
+    n = len(xs)
+    i_tir = int(np.argmax(tir)) + 1 if bool(np.any(tir)) else n
+    hit_x = xs <= 0.0
+    i_x = int(np.argmax(hit_x)) if bool(np.any(hit_x)) else n
+    sag = ys < -1e-15
+    i_sag = int(np.argmax(sag)) if bool(np.any(sag)) else n
+    i = min(i_tir, i_x, i_sag)
+    if i == n or (i == i_tir and i < min(i_x, i_sag)):
+        return "tir", None, np.column_stack([xs[:i], ys[:i]])
+    if i == i_sag and i_sag < i_x:
+        return "sag", None, np.column_stack([xs[:i], ys[:i]])
+    f = xs[i - 1] / (xs[i - 1] - xs[i])
+    yc = ys[i - 1] + f * (ys[i] - ys[i - 1])
+    pts = np.vstack([np.column_stack([xs[:i], ys[:i]]), [0.0, yc]])
+    return "ycross", float(yc), pts
+
+
+def _reference_depart(w, start, n_shells):
+    rho = start[0] + start[1]
+    kappa = float(w.profile(np.array([rho]))[0]) / math.sqrt(2.0)
+    return _reference_climb(w, start, kappa, n_shells)
+
+
+def _sweep_radii(r, rng, k=12):
+    """Seeded radii in (0, 1): random ones, shell radii themselves and
+    radii within 1e-13 of a shell radius, on both sides."""
+    grid = [float(x) for x in r[1:] if 0.0 < x < 1.0]
+    picks = [grid[int(i)] for i in rng.integers(0, len(grid), k)]
+    return (list(rng.uniform(0.02, 0.98, k)) + picks
+            + [x + d for x in picks for d in (-1e-13, -5e-14, 5e-14, 1e-13)])
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_shells", [4096, 1024, 128])
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_departures_match_the_frozen_sweep_bit_for_bit(name, alpha, n_shells):
+    w = make_weight(name, alpha)
+    r, _ = w.shell_grid(n_shells)
+    rng = np.random.default_rng(n_shells)
+    outcomes = set()
+    for rho in _sweep_radii(r, rng):
+        for start in ((0.0, rho), (rho, 0.0), (0.3 * rho, 0.7 * rho)):
+            try:
+                ref = _reference_depart(w, start, n_shells)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    curves._depart(w, start, n_shells)
+                outcomes.add("tir")
+                continue
+            assert _same(curves._depart(w, start, n_shells), ref), start
+            outcomes.add("exit")
+    assert "exit" in outcomes
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_block_departures_repeat_each_start_then_match_its_own(name, alpha):
+    w = make_weight(name, alpha)
+    n_shells = 1024
+    rng = np.random.default_rng(3)
+    ys = np.sort(rng.uniform(0.2, 0.9, 5))
+    starts = np.column_stack([np.zeros_like(ys), ys])
+    block = curves._depart(w, starts, n_shells)
+    for row, y0 in zip(block, ys):
+        own = _reference_depart(w, (0.0, y0), n_shells)
+        lead = len(row) - len(own)
+        assert lead >= 0
+        assert np.all(row[:lead + 1] == (0.0, y0))
+        assert _same(row[lead:], own)
+
+
+def _thin_light_shell():
+    """Weight 1 with a 1e-9 wide shell of weight 0.1 at l1 radius 0.3: an
+    inward glide reflects there after a clipped step too short to reach
+    the y-axis."""
+    return RadialWeight("thin_light_shell", "l1", (
+        ProfilePiece(0.0, 0.3, 1.0, 0.0, "inner"),
+        ProfilePiece(0.3, 0.3 + 1e-9, 0.1, 0.0, "thin"),
+        ProfilePiece(0.3 + 1e-9, math.inf, 1.0, 0.0, "outer"),
+    ))
+
+
+@pytest.mark.parametrize("n_shells", [4096, 1024, 128])
+@pytest.mark.parametrize("name,alpha", [*RADIAL, ("thin_light_shell", None)])
+def test_glides_match_the_frozen_sweep_bit_for_bit(name, alpha, n_shells):
+    w = _thin_light_shell() if name == "thin_light_shell" \
+        else make_weight(name, alpha)
+    r, _ = w.shell_grid(n_shells)
+    rng = np.random.default_rng(7 * n_shells)
+    events = set()
+    for a in [0.6, 0.95] + _sweep_radii(r, rng):
+        ref = _reference_glide(w, a, n_shells)
+        got = curves._glide_in(w, a, n_shells)
+        assert got[:2] == ref[:2], a
+        assert _same(got[2], ref[2]), a
+        events.add(ref[0])
+    expected = {"lite_dmd_heavy_core": {"ycross", "sag"},
+                "thin_light_shell": {"tir"}}.get(name, {"ycross"})
+    assert expected <= events

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lglab.curves import LevelCurve, level_curve
 from lglab.paths import Polyline
@@ -200,3 +201,34 @@ def test_fill_matches_per_column_reference(name, alpha):
     for policy in (ALL_MINIMAL, ALL_MAXIMAL, SwitchPolicy(1.1)):
         s = stack(w, levels=midpoint_levels(21), res=40, policy=policy)
         assert np.array_equal(s.field.values, _reference_fill(s)), policy
+
+
+# Each weight's documented alpha range.  Subnormal alphas are left out: at
+# the smallest one, 5e-324, the light diamond's horizontal departure kappa
+# alpha / sqrt(2) rounds back up to alpha, so the sweep reflects.
+ALPHA_RANGES = {
+    "light_diamond": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                               allow_subnormal=False),
+    "light_diamond_tight": st.floats(0.0, 1.0, exclude_min=True,
+                                     exclude_max=True, allow_subnormal=False),
+    "heavy_diamond": st.floats(1.0, exclude_min=True, allow_infinity=False),
+    "heavy_disk": st.floats(math.pi / 2, allow_infinity=False),
+    "three_heavy_diamonds": st.floats(math.sqrt(2.0), allow_infinity=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_RANGES))
+def test_fuzzed_stacks_nest_stay_bounded_and_agree_on_energy(name):
+    @settings(max_examples=5, deadline=None)
+    @given(ALPHA_RANGES[name])
+    def check(alpha):
+        w = make_weight(name, alpha)
+        # stack raises StackNestingError if two level curves cross
+        pair = [stack(w, midpoint_levels(16), policy, res=32)
+                for policy in (ALL_MINIMAL, ALL_MAXIMAL)]
+        for s in pair:
+            assert 0.0 <= s.field.values.min() <= s.field.values.max() <= 2.0
+        lo, hi = (bv_energy(s) for s in pair)
+        assert lo == pytest.approx(hi, rel=5e-3)
+
+    check()
