@@ -373,7 +373,7 @@ def disagreement_area(sa: SolutionStack, sb: SolutionStack) -> float:
 
 
 def nonuniqueness_gap(w: WeightField, policy_a, policy_b, res: int = 256,
-                      levels=None, n_shells: int | None = None) -> float:
+                      levels=None) -> float:
     """Weighted area of {|u_a - u_b| > 2 level spacings}; 0 means unique.
 
     Both stacks must spend the same BV energy (within 0.5% relative); a
@@ -381,8 +381,8 @@ def nonuniqueness_gap(w: WeightField, policy_a, policy_b, res: int = 256,
     """
     if policy_a == policy_b:
         raise ValueError("policies must differ")
-    sa = stack(w, levels=levels, policy=policy_a, res=res, n_shells=n_shells)
-    sb = stack(w, levels=levels, policy=policy_b, res=res, n_shells=n_shells)
+    sa = stack(w, levels=levels, policy=policy_a, res=res)
+    sb = stack(w, levels=levels, policy=policy_b, res=res)
     ea, eb = bv_energy(sa), bv_energy(sb)
     if abs(ea - eb) > 0.005 * max(ea, eb):
         raise ValueError(f"BV energies {ea:.6g} and {eb:.6g} differ by more "

@@ -124,10 +124,10 @@ def _run(radii, weights, kappa):
 
     radii[..., k] are the shell radii in the order crossed, rising outward
     and falling inward; weights[..., k] is the weight between radii k and
-    k + 1.  sin(theta) = kappa / weight, clipped below 1 on the shells that
-    reflect the run; a shell of signed width dr moves it (dr/2)(1 + tan,
-    1 - tan).  Returns (tir, offsets): the reflecting shells, and the x and
-    y offsets at each radius, each summed in shell order.
+    k + 1.  sin(theta) = kappa / weight for kappa >= 0, clipped below 1 on
+    the shells that reflect the run; a shell of signed width dr moves it
+    (dr/2)(1 + tan, 1 - tan).  Returns (tir, offsets): the reflecting
+    shells, and the x and y offsets at each radius, summed in shell order.
     """
     # in place, so that a block's temporaries stay few (see _BLOCK)
     s = kappa / weights

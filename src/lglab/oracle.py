@@ -122,17 +122,16 @@ def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:
     return grid_shortest_path(w, res, stencil, a, b)[1]
 
 
-def refine_until(w: WeightField, a, b, rel_tol: float,
-                 stencil: int = 16, start_res: int = 128,
+def refine_until(w: WeightField, a, b, rel_tol: float, start_res: int = 128,
                  max_res: int = 2048) -> RefineResult:
-    """Double the resolution until successive costs settle within rel_tol."""
+    """Double a 16-neighbor grid's resolution until costs settle to rel_tol."""
     if rel_tol < 0.002:
         raise ValueError("rel_tol below 0.002 exceeds what the grid delivers")
     res = start_res
-    prev = oracle_cost(w, res, stencil, a, b)
+    prev = oracle_cost(w, res, 16, a, b)
     while res * 2 <= max_res:
         res *= 2
-        cur = oracle_cost(w, res, stencil, a, b)
+        cur = oracle_cost(w, res, 16, a, b)
         rel = abs(cur - prev) / max(abs(cur), 1e-300)
         if rel < rel_tol:
             return RefineResult(cur, rel, res, True)

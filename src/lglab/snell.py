@@ -101,7 +101,7 @@ def _adaptive_simpson(f, a, b, eps):
     return recurse(a, b, fa, fm, fb, whole, eps, 48)
 
 
-def H_of(t0: float, eps: float = 1e-8) -> float:
+def H_of(t0: float) -> float:
     """Height gained by a ray gliding up through the graded diamond shell.
 
     Integrates (1/2) * [1 - (1+t0)/sqrt(2(1+t)^2 - (1+t0)^2)] for t in
@@ -115,7 +115,7 @@ def H_of(t0: float, eps: float = 1e-8) -> float:
     def f(t):
         return 0.5 * (1.0 - c / math.sqrt(2.0 * (1.0 + t) ** 2 - c * c))
 
-    val = _adaptive_simpson(f, t0, 1.0, eps)
+    val = _adaptive_simpson(f, t0, 1.0, 1e-8)
     if not val > 0.0:
         raise SolverError(f"glide height {val} is not positive")
     return val

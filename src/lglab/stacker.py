@@ -148,11 +148,10 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
     return SolutionStack(w, levels, curves, policy, GridField(res, u))
 
 
-def bv_energy(s: SolutionStack, w: WeightField | None = None) -> float:
+def bv_energy(s: SolutionStack) -> float:
     """Coarea sum: weighted curve length integrated over the level grid."""
-    w = s.weight if w is None else w
     dts = np.gradient(s.levels)
-    return float(sum(dt * weighted_length(lc.path, w)
+    return float(sum(dt * weighted_length(lc.path, s.weight)
                      for dt, lc in zip(dts, s.curves)))
 
 

@@ -7,7 +7,8 @@ l2-radial media refract at circles (radial normal).  Sloped l1-radial
 profiles are discretized into concentric constant-weight shells, the weight
 of each shell taken at its outer radius, so refined shells converge to the
 continuous bending ray.  One loop, _propagate, traces every medium; a
-medium supplies its launch and its next-interface and crossing steps.
+medium supplies its launch, its legs (the straight pieces up to its next
+event) and its turns; an l1 leg is one curves._run across a quadrant's shells.
 
 Angle convention: theta is measured from the interface normal.  For layered
 media the ray starts downward, tilted by theta_0 toward +x.  For radial media
@@ -22,6 +23,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .curves import _run
 from .paths import Polyline
 from .snell import SolverError, TotalInternalReflection, snell_refract
 from .weights import (SQRT2, ConstantWeight, LayeredWeight, RadialWeight,
@@ -29,11 +31,11 @@ from .weights import (SQRT2, ConstantWeight, LayeredWeight, RadialWeight,
 
 DEFAULT_SHELLS = 4096
 _EPS = 1e-12
-_MAX_SEGMENTS = 200000
+_MAX_LEGS = 200000
 
 
 class TraceError(SolverError):
-    """Ray failed to reach the stop condition within the segment budget."""
+    """Ray failed to reach the stop condition within the leg budget."""
 
 
 def _stop_crossing(stop, p, v, t_max):
@@ -75,9 +77,15 @@ def _refract_direction(v, n, w_in, w_out, where):
     return (c * n[0] + s * tx, c * n[1] + s * ty)
 
 
+def _straight(p, v, t):
+    """A leg of one straight piece of length t (inf: no end) from p along v."""
+    return [(t, v, (p[0] + t * v[0], p[1] + t * v[1]))]
+
+
 def _uniform(theta_0):
     """No interfaces: the ray is one straight piece, started downward."""
-    return (math.sin(theta_0), -math.cos(theta_0)), lambda p, v: math.inf, None
+    return ((math.sin(theta_0), -math.cos(theta_0)),
+            lambda p, v: _straight(p, v, math.inf), None)
 
 
 def _layers(w: LayeredWeight, theta_0):
@@ -87,27 +95,26 @@ def _layers(w: LayeredWeight, theta_0):
     depths, ws = w.depths(), [wk for _, wk in w.layers]
     k = 0
 
-    def next_interface(p, v):
+    def leg(p, v):
         nonlocal k
         k = 0
         while k < len(depths) and p[1] <= -depths[k] + _EPS:
             k += 1
         if k < len(depths) and v[1] < 0:
-            return (-depths[k] - p[1]) / v[1]
-        return math.inf
+            t = (-depths[k] - p[1]) / v[1]
+            return [(t, v, (p[0] + t * v[0], -depths[k]))]
+        return _straight(p, v, math.inf)
 
-    def cross(p, v, t):
-        q = (p[0] + t * v[0], -depths[k])
+    def turn(q, v):
         w_next = ws[min(k + 1, len(ws) - 1)]
-        v = _refract_direction(v, (0.0, 1.0), ws[k], w_next,
-                               f"depth {depths[k]:g}")
-        return q, q, v
+        return q, _refract_direction(v, (0.0, 1.0), ws[k], w_next,
+                                     f"depth {depths[k]:g}")
 
-    return _uniform(theta_0)[0], next_interface, cross
+    return _uniform(theta_0)[0], leg, turn
 
 
 def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):
-    """Shell index, shell weight and direction of a ray launched at radius rho.
+    """Shell index and direction of a ray launched at radius rho.
 
     radii are the shell interfaces, n the outward interface normal at the
     start and outward the ray's rate of radius change along v.  A launch
@@ -125,102 +132,104 @@ def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):
         if shell_w[j] != w_from:
             v = _refract_direction(v, n, w_from, shell_w[j],
                                    f"launch r={rho:.6g}")
-    return j, shell_w[j], v
-
-
-def _shells(w: RadialWeight, n_shells):
-    """Interface radii and shell weights as plain floats: shell j lies
-    between radii[j-1] and radii[j]."""
-    grid, shell_w = w.shell_grid(n_shells)
-    return grid[1:].tolist(), shell_w.tolist()
+    return j, v
 
 
 def _quadrant(p, v):
-    sx = 1.0 if p[0] > _EPS else -1.0 if p[0] < -_EPS else \
-        (1.0 if v[0] >= 0 else -1.0)
-    sy = 1.0 if p[1] > _EPS else -1.0 if p[1] < -_EPS else \
-        (1.0 if v[1] >= 0 else -1.0)
-    return sx, sy
+    return tuple(1.0 if c > _EPS else -1.0 if c < -_EPS else
+                 (1.0 if vc >= 0 else -1.0) for c, vc in zip(p, v))
 
 
 def _diamonds(w: RadialWeight, p, theta_0, n_shells):
     """l1 shells: diamond edges with the quadrant's normal.
 
-    The weight is continuous across an axis, so there the ray goes straight
-    on and only the quadrant frame (sx, sy) flips.
+    A leg is one _run in the quadrant frame (sx, sy), at kappa = w sin(theta)
+    against the edge normal.  It ends where the ray crosses an axis (the
+    weight is continuous there, so only the frame flips) or at the shell
+    the turn refracts into once: the outer or innermost one, or one _run
+    finds reflecting, which raises.  _run reflects from sin(theta) >=
+    1 - 1e-13, snell_refract only beyond 1; a ray closer to grazing keeps
+    the clipped sine.  In the outer shell outward, the innermost inward or
+    tangent to the shells, a leg is straight to the axis ahead.
     """
-    radii, shell_w = _shells(w, n_shells)
+    grid, ws = w.shell_grid(n_shells)
+    radii, shell_w = grid[1:].tolist(), ws.tolist()
     sx, sy = _quadrant(p, (1.0, 1.0))
     n0 = (sx / SQRT2, sy / SQRT2)
-    t0 = (-n0[1], n0[0])
-    v = (math.cos(theta_0) * n0[0] + math.sin(theta_0) * t0[0],
-         math.cos(theta_0) * n0[1] + math.sin(theta_0) * t0[1])
+    v = (math.cos(theta_0) * n0[0] - math.sin(theta_0) * n0[1],
+         math.cos(theta_0) * n0[1] + math.sin(theta_0) * n0[0])
     sx, sy = _quadrant(p, v)
-    j, w_here, v = _launch(w, radii, shell_w, abs(p[0]) + abs(p[1]), v,
-                           (sx / SQRT2, sy / SQRT2), sx * v[0] + sy * v[1])
+    j, v = _launch(w, radii, shell_w, abs(p[0]) + abs(p[1]), v,
+                   (sx / SQRT2, sy / SQRT2), sx * v[0] + sy * v[1])
     event = None  # "x" or "y" for an axis, the shell index step for a shell
 
-    def next_interface(p, v):
-        nonlocal event
-        px, py = p
-        vx, vy = v
-        drho_dt = sx * vx + sy * vy
-        t_axis = math.inf
-        axis = None
-        if sx * vx < 0 and px * sx > _EPS:
-            t_axis, axis = -px / vx, "x"
-        if sy * vy < 0 and py * sy > _EPS:
-            t = -py / vy
-            if t < t_axis:
-                t_axis, axis = t, "y"
-        t_shell = math.inf
-        step = 0
-        if drho_dt > _EPS and j < len(radii):
-            t_shell = (radii[j] - (sx * px + sy * py)) / drho_dt
-            step = 1
-        elif drho_dt < -_EPS and j > 0:
-            t_shell = (radii[j - 1] - (sx * px + sy * py)) / drho_dt
-            step = -1
-        event = axis if t_axis < t_shell else step
-        return min(t_axis, t_shell)
+    def leg(p, v):
+        nonlocal j, event
+        x0, y0, vx, vy = sx * p[0], sy * p[1], sx * v[0], sy * v[1]
+        step = 1 if vx + vy > 0 else -1
+        if abs(vx + vy) <= _EPS or j == (len(radii) if step > 0 else 0):
+            t, event = math.inf, None
+            for axis, c, vc in (("x", x0, vx), ("y", y0, vy)):
+                if vc < 0 and c > _EPS and -c / vc < t:
+                    t, event = -c / vc, axis
+            return _straight(p, v, t)
+        rr = np.append(x0 + y0, grid[j + 1:] if step > 0 else grid[j:0:-1])
+        wr = ws[j:-1] if step > 0 else ws[j:0:-1]
+        kappa = shell_w[j] * abs(vx - vy) / SQRT2
+        tir, off = _run(rr, wr, kappa)
+        # _run drifts toward +x; a ray drifting toward +y is its mirror image
+        mirror = step * (vx - vy) < 0
+        xs, ys = (off[::-1] if mirror else off) + [[x0], [y0]]
+        k = int(np.argmax(tir[1:])) + 1 if tir[1:].any() else len(wr)
+        # a piece crosses an axis it starts more than _EPS away from
+        cut = [(c[1:k + 1] < 0) & (c[:k] > _EPS) for c in (xs, ys)]
+        if np.any(cut):
+            i = int(np.argmax(cut[0] | cut[1])) + 1
+            f, event = min((c[i - 1] / (c[i - 1] - c[i]), axis) for axis, c, m
+                           in (("x", xs, cut[0]), ("y", ys, cut[1]))
+                           if m[i - 1])
+            end = [c[i - 1] + f * (c[i] - c[i - 1]) for c in (xs, ys)]
+        else:
+            i, event, end = k, step, [xs[k], ys[k]]
+        j += step * (i - 1)
+        pts = np.vstack((np.column_stack((xs[:i], ys[:i])), end)) * (sx, sy)
+        # the pieces' directions; mirroring negates the sines
+        s = np.minimum(kappa / wr[:i], 1.0 - 1e-13) * (-1.0 if mirror else 1.0)
+        c = np.sqrt(1.0 - s * s)
+        u = step / SQRT2 * np.column_stack((c + s, c - s)) * (sx, sy)
+        return zip(np.hypot(*np.diff(pts, axis=0).T).tolist(), u.tolist(),
+                   pts[1:].tolist())
 
-    def cross(p, v, t):
-        nonlocal sx, sy, j, w_here
-        q = (p[0] + t * v[0], p[1] + t * v[1])
+    def turn(q, v):
+        nonlocal sx, sy, j
         if event == "x":
             sx = 1.0 if v[0] >= 0 else -1.0
-            return q, (0.0, q[1]), v
+            return (0.0, q[1]), v
         if event == "y":
             sy = 1.0 if v[1] >= 0 else -1.0
-            return q, (q[0], 0.0), v
-        r_iface = radii[j if event > 0 else j - 1]
+            return (q[0], 0.0), v
         j += event
-        v = _refract_direction(v, (sx / SQRT2, sy / SQRT2), w_here, shell_w[j],
-                               f"l1 shell r={r_iface:.6g}")
-        w_here = shell_w[j]
-        return q, q, v
+        where = f"l1 shell r={radii[min(j, j - event)]:.6g}"
+        return q, _refract_direction(v, (sx / SQRT2, sy / SQRT2),
+                                     shell_w[j - event], shell_w[j], where)
 
-    return v, next_interface, cross
+    return v, leg, turn
 
 
 def _circles(w: RadialWeight, p, theta_0, n_shells):
-    """l2 shells: circles with the radial normal.
-
-    The profile is piecewise constant, so the shells are its pieces.
-    """
-    radii, shell_w = _shells(w, n_shells)
+    """l2 shells: circles with the radial normal, one per constant piece."""
+    grid, ws = w.shell_grid(n_shells)
+    radii, shell_w = grid[1:].tolist(), ws.tolist()
     r = math.hypot(*p)
     if r < _EPS:
         raise ValueError("radial launch from the origin is ambiguous")
     n0 = (p[0] / r, p[1] / r)
-    t0 = (-n0[1], n0[0])
-    v = (math.cos(theta_0) * n0[0] + math.sin(theta_0) * t0[0],
-         math.cos(theta_0) * n0[1] + math.sin(theta_0) * t0[1])
-    j, w_here, v = _launch(w, radii, shell_w, r, v, n0,
-                           v[0] * n0[0] + v[1] * n0[1])
+    v = (math.cos(theta_0) * n0[0] - math.sin(theta_0) * n0[1],
+         math.cos(theta_0) * n0[1] + math.sin(theta_0) * n0[0])
+    j, v = _launch(w, radii, shell_w, r, v, n0, v[0] * n0[0] + v[1] * n0[1])
     idx = None
 
-    def next_interface(p, v):
+    def leg(p, v):
         nonlocal idx
         hits = []
         for i in (j - 1, j):
@@ -229,49 +238,48 @@ def _circles(w: RadialWeight, p, theta_0, n_shells):
                 if disc > 0:
                     hits += [(t, i) for t in (t_near, t_far) if t > 1e-10]
         t_next, idx = min(hits) if hits else (math.inf, None)
-        return t_next
+        return _straight(p, v, t_next)
 
-    def cross(p, v, t):
-        nonlocal j, w_here
-        q = (p[0] + t * v[0], p[1] + t * v[1])
+    def turn(q, v):
+        nonlocal j
         rr = math.hypot(*q)
         n = (q[0] / rr, q[1] / rr)
+        w_from = shell_w[j]
         j = idx + 1 if (v[0] * n[0] + v[1] * n[1]) > 0 else idx
-        v = _refract_direction(v, n, w_here, shell_w[j],
-                               f"circle r={radii[idx]:.6g}")
-        w_here = shell_w[j]
-        return q, q, v
+        return q, _refract_direction(v, n, w_from, shell_w[j],
+                                     f"circle r={radii[idx]:.6g}")
 
-    return v, next_interface, cross
+    return v, leg, turn
 
 
-def _propagate(p, v, next_interface, cross, stop, max_segments):
+def _propagate(p, v, leg, turn, stop):
     """Straight pieces from p along v until the ray meets the stop.
 
-    A medium supplies next_interface(p, v), the distance to its next
-    interface along the piece (inf if there is none), and cross(p, v, t),
-    which crosses it: the vertex there, the point the next piece starts
-    from and the refracted direction.
+    A medium supplies leg(p, v), the straight pieces up to its next event
+    as (length, unit direction, end), a piece with no end having length
+    inf, and turn(q, v), which passes the event at the last end q, reached
+    along v, and returns the point and direction the next leg starts from.
+    Each piece is checked against the stop on its own.
     """
     verts = [p]
-    for _ in range(max_segments):
-        t_next = next_interface(p, v)
-        t_stop = _stop_crossing(stop, p, v, min(t_next, 1e6))
-        # the stop wins ties with the interface, up to summation-order noise
-        if t_stop is not None and \
-                t_stop <= t_next + 1e-9 * max(1.0, abs(t_next)):
-            verts.append((p[0] + t_stop * v[0], p[1] + t_stop * v[1]))
-            return Polyline.from_points(verts)
-        if not math.isfinite(t_next):
-            break
-        q, p, v = cross(p, v, t_next)
-        verts.append(q)
+    for _ in range(_MAX_LEGS):
+        for t_next, v, q in leg(p, v):
+            t_stop = _stop_crossing(stop, p, v, min(t_next, 1e6))
+            # the stop wins ties with the event, up to summation-order noise
+            if t_stop is not None and \
+                    t_stop <= t_next + 1e-9 * max(1.0, abs(t_next)):
+                verts.append((p[0] + t_stop * v[0], p[1] + t_stop * v[1]))
+                return Polyline.from_points(verts)
+            if not math.isfinite(t_next):
+                raise TraceError("ray did not reach the stop condition")
+            verts.append(q)
+            p = q
+        p, v = turn(p, v)
     raise TraceError("ray did not reach the stop condition")
 
 
 def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
-                      n_shells: int = DEFAULT_SHELLS,
-                      max_segments: int = _MAX_SEGMENTS) -> Polyline:
+                      n_shells: int = DEFAULT_SHELLS) -> Polyline:
     """Propagate one ray through w from start until the stop condition.
 
     :param stop: 'circle' (the unit circle), ('line', nx, ny, c) for the
@@ -297,4 +305,4 @@ def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
     else:
         raise TraceError(f"{type(w).__name__} has no layered structure; "
                          "use the grid oracle")
-    return _propagate(p, *medium, stop, max_segments)
+    return _propagate(p, *medium, stop)

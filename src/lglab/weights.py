@@ -13,6 +13,7 @@ boundary-hugging geodesic sees.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,24 +33,15 @@ class ProfilePiece:
     tag: str
 
 
-def _piece_values(pieces, r, side):
-    """Vectorized one-sided limit of the profile at radii r.
-
-    side=+1 gives the limit from larger radii, side=-1 from smaller.
-    """
-    r = np.asarray(r, dtype=float)
-    out = np.empty(r.shape, dtype=float)
-    out.fill(np.nan)
-    for p in pieces:
-        if side > 0:
-            m = (r >= p.lo) & (r < p.hi)
-        else:
-            m = (r > p.lo) & (r <= p.hi)
-        out[m] = p.offset + p.slope * r[m]
-    first = pieces[0]
-    m = r <= first.lo
-    out[m] = first.offset + first.slope * first.lo
-    return out
+def _limits(pieces, r):
+    """One-sided limits (from smaller radii, from larger) of the profile at
+    radii r; radii up to the first piece's start read its value there."""
+    r = np.maximum(np.asarray(r, dtype=float), pieces[0].lo)
+    hi, offset, slope = np.array([(p.hi, p.offset, p.slope) for p in pieces]).T
+    i = np.searchsorted(hi[:-1], r)
+    # on a breakpoint the limit from larger radii is the next piece's
+    k = np.minimum(i + (hi[i] == r), len(pieces) - 1)
+    return offset[i] + slope[i] * r, offset[k] + slope[k] * r
 
 
 def circle_hits(p, v, radius, cx=0.0, cy=0.0):
@@ -198,10 +190,7 @@ class RadialWeight(WeightField):
 
     def profile(self, r):
         """Profile value with the inf-of-limits rule at piece boundaries."""
-        r = np.asarray(r, dtype=float)
-        lo_side = _piece_values(self.pieces, r, side=-1)
-        hi_side = _piece_values(self.pieces, r, side=+1)
-        return np.minimum(lo_side, hi_side)
+        return np.minimum(*_limits(self.pieces, r))
 
     def values(self, x, y):
         return self.profile(self.radius(x, y))
@@ -232,7 +221,7 @@ class RadialWeight(WeightField):
             for j in range(1, m + 1):
                 radii.append(p.lo + (p.hi - p.lo) * j / m)
         r = np.array(radii)
-        ws = np.append(_piece_values(self.pieces, r[1:], side=-1),
+        ws = np.append(_limits(self.pieces, r[1:])[0],
                        self.pieces[-1].offset)
         r.setflags(write=False)
         ws.setflags(write=False)
@@ -430,8 +419,9 @@ def heavy_disk(alpha: float = 2.0) -> RadialWeight:
 
 def light_diamond(alpha: float = 0.5) -> RadialWeight:
     """Weight alpha inside l1 radius 1/2 with a linear ramp to 1 over [0.5, 0.55]."""
-    if not 0 < alpha < 1:
-        raise ValueError("light diamond expects 0 < alpha < 1")
+    # a subnormal alpha / sqrt(2) rounds back up to alpha, so sweeps reflect
+    if not sys.float_info.min <= alpha < 1:
+        raise ValueError("light diamond expects 0 < alpha < 1, not subnormal")
     ramp = (1.0 - alpha) / 0.05
     return RadialWeight("light_diamond", "l1", (
         ProfilePiece(0.0, 0.5, alpha, 0.0, "core"),

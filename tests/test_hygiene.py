@@ -5,6 +5,7 @@ Uses only the stdlib ast module.  The package __init__ is left out of the
 unused-import check because its imports are re-exports.
 """
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -131,6 +132,57 @@ def test_public_functions_are_read_somewhere():
               for fn in _public_functions(_tree(p))
               if fn.name not in used]
     assert not unread, f"public functions nothing reads: {unread}"
+
+
+def _passed_params(trees):
+    """{callee name: (positions passed, keywords passed)} over every call.
+
+    A call through functools.partial counts against the function it wraps.
+    A starred argument passes every position, a ** argument every keyword.
+    """
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f, args = node.func, node.args
+            if getattr(f, "id", getattr(f, "attr", "")) == "partial" and args:
+                f, args = args[0], args[1:]
+            name = getattr(f, "id", getattr(f, "attr", ""))
+            pos, kws = out.setdefault(name, (set(), set()))
+            pos.add(math.inf if any(isinstance(a, ast.Starred) for a in args)
+                    else len(args))
+            kws.update(k.arg or "**" for k in node.keywords)
+    return out
+
+
+def test_optional_parameters_are_passed_somewhere():
+    """Every defaulted parameter of a public function is passed by a call.
+
+    Name-based like the check above: a call to any function of the same name
+    that passes the parameter by keyword or by position counts.  A bound
+    method's positions are counted without self.
+    """
+    passed = _passed_params(_tree(p) for p in READERS)
+    unpassed = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            is_class = isinstance(node, ast.ClassDef)
+            for fn in node.body if is_class else [node]:
+                if not isinstance(fn, ast.FunctionDef) \
+                        or fn.name.startswith("_"):
+                    continue
+                params = fn.args.args[1:] if is_class else fn.args.args
+                pos, kws = passed.get(fn.name, ((), ()))
+                optional = list(enumerate(params))[
+                    len(params) - len(fn.args.defaults):]
+                optional += [(math.inf, a) for a, d in zip(
+                    fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+                unpassed += [f"{path.name}:{fn.name}({a.arg})"
+                             for i, a in optional
+                             if a.arg not in kws and "**" not in kws
+                             and not any(n > i for n in pos)]
+    assert not unpassed, f"optional parameters no call passes: {unpassed}"
 
 
 def test_import_does_not_load_scipy_optimize():

@@ -1,5 +1,6 @@
 """Pancake stacking, field assembly, traces, and jump detection."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -203,9 +204,8 @@ def test_fill_matches_per_column_reference(name, alpha):
         assert np.array_equal(s.field.values, _reference_fill(s)), policy
 
 
-# Each weight's documented alpha range.  Subnormal alphas are left out: at
-# the smallest one, 5e-324, the light diamond's horizontal departure kappa
-# alpha / sqrt(2) rounds back up to alpha, so the sweep reflects.
+# Each weight's documented alpha range, normal floats only: the light
+# diamond rejects a subnormal alpha (see the test after this one).
 ALPHA_RANGES = {
     "light_diamond": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
                                allow_subnormal=False),
@@ -232,3 +232,18 @@ def test_fuzzed_stacks_nest_stay_bounded_and_agree_on_energy(name):
         assert lo == pytest.approx(hi, rel=5e-3)
 
     check()
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-323])
+def test_light_diamond_rejects_a_subnormal_alpha(alpha):
+    # its horizontal departure kappa alpha / sqrt(2) rounds back up to alpha
+    # (5e-324: the sweep reflects) or the curves cross (1e-323)
+    with pytest.raises(ValueError, match="subnormal"):
+        make_weight("light_diamond", alpha)
+
+
+def test_light_diamond_stacks_at_the_smallest_normal_alpha():
+    w = make_weight("light_diamond", sys.float_info.min)
+    for policy in (ALL_MINIMAL, ALL_MAXIMAL):
+        s = stack(w, midpoint_levels(16), policy, res=32)
+        assert 0.0 <= s.field.values.min() <= s.field.values.max() <= 2.0

@@ -53,17 +53,45 @@ def test_unreachable_stop_is_an_error():
         trace_layered_ray(w, (0.0, -2.0), 0.0, ("depth", 1.0))
 
 
+def _snell_invariants(arr, w, n_shells):
+    """Per quadrant the run of w sin(theta) against the l1 edge normal, read
+    from each straight piece and its shell's weight."""
+    grid, ws = w.shell_grid(n_shells)
+    d, mid = np.diff(arr, axis=0), 0.5 * (arr[1:] + arr[:-1])
+    quad = np.sign(mid)
+    sin = np.abs(d[:, 0] * quad[:, 1] - d[:, 1] * quad[:, 0]) \
+        / (math.sqrt(2.0) * np.hypot(*d.T))
+    k = np.searchsorted(grid, np.abs(mid).sum(axis=1), side="right") - 1
+    inv = ws[k] * sin
+    # a new run starts wherever the quadrant changes
+    starts = np.flatnonzero(np.any(quad[1:] != quad[:-1], axis=1)) + 1
+    return np.split(inv, starts)
+
+
 def test_radial_ray_conserves_snell_invariant():
-    # w sin(theta) against the l1 shell normal is constant along the ray
+    # w sin(theta) against the l1 shell normal is constant in each quadrant
     w = make_weight("light_diamond_tight", 0.5)
-    ray = trace_layered_ray(w, (0.2, 0.0), math.pi / 4, "circle",
-                            n_shells=4096)
-    arr = ray.as_array()
-    assert np.hypot(*arr[-1]) == pytest.approx(1.0, abs=1e-3)
-    # cost of the traced ray stays within the global weight bounds
-    cost = weighted_length(ray, w)
-    e = ray.euclidean_length()
-    assert 0.5 * e <= cost <= 1.0 * e + 1e-9
+    rng = np.random.default_rng(7)
+    rays = []
+    while len(rays) < 4:
+        r, phi = rng.uniform(0.05, 0.9), rng.uniform(0.0, 2.0 * math.pi)
+        start = (r * math.cos(phi), r * math.sin(phi))
+        try:
+            rays.append(trace_layered_ray(w, start, rng.uniform(-3.1, 3.1),
+                                          "circle", n_shells=4096))
+        except TotalInternalReflection:
+            continue
+    for ray in rays:
+        arr = ray.as_array()
+        assert np.hypot(*arr[-1]) == pytest.approx(1.0, abs=1e-12)
+        runs = _snell_invariants(arr, w, 4096)
+        assert sum(map(len, runs)) > 1000
+        for inv in runs:
+            assert np.ptp(inv) <= 1e-11
+        # cost of the traced ray stays within the global weight bounds
+        cost = weighted_length(ray, w)
+        e = ray.euclidean_length()
+        assert 0.5 * e <= cost <= 1.0 * e + 1e-9
 
 
 @pytest.mark.parametrize("n", [(-math.sqrt(0.5), -math.sqrt(0.5)),
@@ -80,7 +108,9 @@ def test_normal_incidence_passes_straight_through(n, sign):
 # ------------------------------------------------------------- reference ----
 # The tracer as it was before one loop served every medium: a loop per
 # medium, each with its own stop test, step, refraction and budget.  The
-# single loop must reproduce its vertices bit for bit.
+# single loop must reproduce its vertices bit for bit, except on l1 shells:
+# there a leg sums its shell steps first and adds its start once, where this
+# reference adds each step to the position, so vertices agree to 1e-11.
 
 _EPS = 1e-12
 
@@ -361,8 +391,11 @@ def test_single_loop_matches_the_reference_trace(name):
         ref = _outcome(_reference_trace, *args)
         if isinstance(ref, np.ndarray):
             assert isinstance(got, np.ndarray), (args, got)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), \
-                args
+            assert got.shape == ref.shape, args
+            if getattr(w, "norm", None) == "l1":
+                assert np.max(np.abs(got - ref)) <= 1e-11, args
+            else:
+                assert got.tobytes() == ref.tobytes(), args
             traced.add((kind, stop if isinstance(stop, str) else stop[0]))
         else:
             assert got is ref, (args, got, ref)

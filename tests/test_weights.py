@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lglab.weights import (Region, _piece_values, catalog_describe,
-                           catalog_names, make_weight)
+from lglab.weights import (Region, catalog_describe, catalog_names,
+                           make_weight)
 
 DISK_XY = st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
 
@@ -130,6 +130,45 @@ def test_radial_weights_are_y_symmetric(name, alpha, p):
                                                   abs=1e-12)
 
 
+RADIAL = ["heavy_diamond", "heavy_disk", "light_diamond",
+          "light_diamond_tight", "lite_dmd_heavy_core"]
+
+
+def _piece_values(pieces, r, side):
+    """The profile's one-sided limit as it was computed before: one masked
+    pass per piece.  side=+1 is the limit from larger radii, -1 smaller."""
+    r = np.asarray(r, dtype=float)
+    out = np.empty(r.shape, dtype=float)
+    out.fill(np.nan)
+    for p in pieces:
+        if side > 0:
+            m = (r >= p.lo) & (r < p.hi)
+        else:
+            m = (r > p.lo) & (r <= p.hi)
+        out[m] = p.offset + p.slope * r[m]
+    first = pieces[0]
+    m = r <= first.lo
+    out[m] = first.offset + first.slope * first.lo
+    return out
+
+
+@pytest.mark.parametrize("name", RADIAL)
+def test_profile_matches_the_per_piece_reference_bit_for_bit(name):
+    w = make_weight(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    bps = np.array(w.breakpoints())
+    tiny = np.finfo(float).smallest_subnormal
+    r = np.concatenate([
+        rng.uniform(0.0, 1.5, 20000), bps, np.nextafter(bps, 0.0),
+        np.nextafter(bps, 2.0), [-1.0, -tiny, 0.0, -0.0, tiny, 2 * tiny,
+                                 1e-310, np.finfo(float).tiny],
+        *(w.shell_grid(n)[0] for n in (4096, 64))])
+    ref = np.minimum(_piece_values(w.pieces, r, side=-1),
+                     _piece_values(w.pieces, r, side=+1))
+    got = w.profile(r)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def _reference_shell_grid(w, r):
     """The per-shell comprehension that built the shell weights before."""
     inner = [float(_piece_values(w.pieces, np.array([float(x)]), side=-1)[0])
@@ -137,9 +176,7 @@ def _reference_shell_grid(w, r):
     return np.array(inner + [float(w.pieces[-1].offset)])
 
 
-@pytest.mark.parametrize("name", ["heavy_diamond", "heavy_disk",
-                                  "light_diamond", "light_diamond_tight",
-                                  "lite_dmd_heavy_core"])
+@pytest.mark.parametrize("name", RADIAL)
 @pytest.mark.parametrize("n_shells", [4096, 1024, 128, 64])
 def test_shell_grid_matches_the_per_shell_reference_bit_for_bit(name,
                                                                 n_shells):
