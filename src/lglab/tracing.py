@@ -265,9 +265,8 @@ def _propagate(p, v, leg, turn, stop):
     for _ in range(_MAX_LEGS):
         for t_next, v, q in leg(p, v):
             t_stop = _stop_crossing(stop, p, v, min(t_next, 1e6))
-            # the stop wins ties with the event, up to summation-order noise
-            if t_stop is not None and \
-                    t_stop <= t_next + 1e-9 * max(1.0, abs(t_next)):
+            # the stop wins ties: it is found up to _EPS past the event
+            if t_stop is not None:
                 verts.append((p[0] + t_stop * v[0], p[1] + t_stop * v[1]))
                 return Polyline.from_points(verts)
             if not math.isfinite(t_next):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from lglab import analysis
@@ -15,7 +15,9 @@ from lglab.analysis import (ExperimentReport, Quantity, SUITES,
                             rectangle_submodularity_exhaustive, run_suite,
                             submodularity_check, three_diamonds_thresholds)
 from lglab.stacker import ALL_MAXIMAL, ALL_MINIMAL, midpoint_levels, stack
-from lglab.weights import heavy_diamond, make_weight, three_heavy_diamonds
+from lglab.weights import (constant, heavy_diamond, heavy_disk, light_diamond,
+                           light_diamond_tight, lite_dmd_heavy_core,
+                           make_weight, three_heavy_diamonds)
 
 
 def test_quantity_pass_logic():
@@ -112,6 +114,106 @@ def test_clearance_validates_the_center():
 
 def test_submodularity_random_pairs():
     assert submodularity_check(res=128, trials=60, seed=3) == 60
+
+
+def _reference_ball_union(X, Y, rng) -> np.ndarray:
+    """The full-grid rasterization the bounding-box one replaced."""
+    mask = np.zeros(X.shape, dtype=bool)
+    for _ in range(int(rng.integers(1, 5))):
+        cx, cy = rng.uniform(-0.7, 0.7, 2)
+        rad = float(rng.uniform(0.1, 0.5))
+        if rng.random() < 0.5:
+            mask |= np.abs(X - cx) + np.abs(Y - cy) < rad
+        else:
+            mask |= (X - cx) ** 2 + (Y - cy) ** 2 < rad * rad
+    return mask
+
+
+def _reference_mask_perimeter(mask, ch, cv):
+    """The full-grid product-and-sum perimeter the masked sum replaced."""
+    m = np.zeros(np.add(mask.shape, [2, 2]), bool)
+    m[1:-1, 1:-1] = mask
+    bh = m[1:-1, 1:] != m[1:-1, :-1]
+    bv = m[1:, 1:-1] != m[:-1, 1:-1]
+    return (ch * bh).sum() + (cv * bv).sum()
+
+
+class _OneBall:
+    """Generator stand-in whose draws make one ball of a chosen shape."""
+
+    def __init__(self, cx, cy, rad, l1):
+        self.centre, self.rad, self.l1 = np.array([cx, cy]), rad, l1
+
+    def integers(self, low, high):
+        return 1
+
+    def uniform(self, low, high, size=None):
+        return self.rad if size is None else self.centre
+
+    def random(self):
+        return 0.25 if self.l1 else 0.75
+
+
+_offset = st.floats(-1.3, 1.3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(res=st.integers(64, 300), cx=_offset, cy=_offset,
+       rad=st.floats(1e-3, 1.5), l1=st.booleans())
+@example(res=64, cx=0.0, cy=0.0, rad=1e-3, l1=False)  # covers no centre
+@example(res=64, cx=0.0, cy=0.0, rad=1.5, l1=False)  # reaches every edge
+@example(res=64, cx=1.3, cy=-1.3, rad=1.5, l1=True)
+# a centre on c[1] at res 64 and a radius of 2h: some cells tie with the bar
+@example(res=64, cx=-0.953125, cy=-0.953125, rad=0.0625, l1=True)
+@example(res=64, cx=-0.953125, cy=-0.953125, rad=0.0625, l1=False)
+def test_box_rasterization_matches_the_full_grid(res, cx, cy, rad, l1):
+    c = analysis._cell_centers(res)
+    X, Y = np.meshgrid(c, c)
+    assert np.array_equal(
+        analysis._ball_union(c, _OneBall(cx, cy, rad, l1)),
+        _reference_ball_union(X, Y, _OneBall(cx, cy, rad, l1)))
+
+
+_CATALOG_TRIALS = 14  # each of the check's seven weights twice
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5001, 5002, 5003, 5004])
+@pytest.mark.parametrize("res", [128, 256])
+def test_submodularity_check_matches_the_full_grid_loop(res, seed,
+                                                       monkeypatch):
+    balls, perimeters = [], []
+
+    def ball_union(c, rng, real=analysis._ball_union):
+        balls.append(real(c, rng))
+        return balls[-1]
+
+    def mask_perimeter(mask, ch, cv, real=analysis._mask_perimeter):
+        perimeters.append(real(mask, ch, cv))
+        return perimeters[-1]
+
+    monkeypatch.setattr(analysis, "_ball_union", ball_union)
+    monkeypatch.setattr(analysis, "_mask_perimeter", mask_perimeter)
+    passed = submodularity_check(res=res, trials=_CATALOG_TRIALS, seed=seed)
+
+    weights = (constant(1.0), heavy_diamond(2.0), heavy_disk(2.0),
+               light_diamond(0.5), light_diamond_tight(0.5),
+               lite_dmd_heavy_core(), three_heavy_diamonds(2.0))
+    costs = [_edge_costs(w, res) for w in weights]
+    c = analysis._cell_centers(res)
+    X, Y = np.meshgrid(c, c)
+    rng = np.random.default_rng(seed)
+    expected = 0
+    for k in range(_CATALOG_TRIALS):
+        ch, cv = costs[k % len(costs)]
+        a = _reference_ball_union(X, Y, rng)
+        b = _reference_ball_union(X, Y, rng)
+        assert np.array_equal(balls[2 * k], a)
+        assert np.array_equal(balls[2 * k + 1], b)
+        p = [_reference_mask_perimeter(m, ch, cv)
+             for m in (a | b, a & b, a, b)]
+        assert np.allclose(perimeters[k], p, rtol=1e-12, atol=0.0)
+        expected += p[0] + p[1] <= p[2] + p[3] + 1e-9
+    assert passed == expected
 
 
 def test_rectangle_submodularity_exhaustive_small():
