@@ -4,11 +4,16 @@ This is the package's independent referee: it knows nothing about Snell,
 shells, or analytic constructions.  Nodes are the points of a uniform grid
 inside the closed unit disk, edges connect stencil neighbors, and an edge
 costs its Euclidean length times the average endpoint weight (exact for
-weights affine along the edge).  Dijkstra via scipy's sparse csgraph.
+weights affine along the edge).  Dijkstra via scipy's sparse csgraph,
+which is imported by the first query, not by ``import lglab``.
 
-Memory grows with the fourth power of resolution through the edge list; at
-resolution 2048 the graph is around 2 GB, so refine_until treats that as the
-hard ceiling and routine queries should stay at or below 1024.
+Nodes and edges grow with the square of resolution: a 16-neighbor graph at
+resolution 512 has 823k nodes and 6.57M edges, and one query there peaks at
+about 210 MB above the imported package (273 MB for the whole process).
+Each doubling of resolution quadruples that, so refine_until stops at 2048
+(several GB) and routine queries should stay at or below 1024.  Node and
+edge indices are int32: at 2048 there are about 8 * pi * 2048**2 = 1.05e8
+edges, well below 2**31.
 """
 from __future__ import annotations
 
@@ -16,15 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .paths import Polyline
 from .weights import WeightField
 
+# forward offsets only, in lexicographic order (see _build_graph)
 _STENCILS = {
-    8: ((1, 0), (0, 1), (1, 1), (1, -1)),
-    16: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2)),
+    8: ((0, 1), (1, -1), (1, 0), (1, 1)),
+    16: ((0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1)),
 }
 
 
@@ -37,37 +41,52 @@ class RefineResult:
 
 
 def _build_graph(w: WeightField, res: int, stencil: int):
-    """Sparse undirected cost matrix + node coordinates on the disk mask."""
+    """Sparse undirected cost matrix + node coordinates on the disk mask.
+
+    Each node stores its forward edges only (Dijkstra runs undirected).
+    Node ids run in C order over the masked grid and the stencil offsets in
+    lexicographic order, so each node's edges are gathered in slot order and
+    already sorted by target: the CSR arrays are written directly.
+    """
     if stencil not in _STENCILS:
         raise ValueError("stencil must be 8 or 16")
+    from scipy.sparse import csr_matrix
+
     n = 2 * res + 1
     h = 1.0 / res
     ax = np.linspace(-1.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     mask = X * X + Y * Y <= 1.0 + 1e-12
     Wv = w.values(X, Y)
-
-    node_id = -np.ones((n, n), dtype=np.int64)
-    node_id[mask] = np.arange(int(mask.sum()))
-    rows, cols, data = [], [], []
-    for di, dj in _STENCILS[stencil]:
-        si = slice(max(0, -di), n - max(0, di))
-        sj = slice(max(0, -dj), n - max(0, dj))
-        ti = slice(max(0, di), n - max(0, -di))
-        tj = slice(max(0, dj), n - max(0, -dj))
-        ok = mask[si, sj] & mask[ti, tj]
-        src = node_id[si, sj][ok]
-        dst = node_id[ti, tj][ok]
-        cost = (math.hypot(di, dj) * h
-                * 0.5 * (Wv[si, sj][ok] + Wv[ti, tj][ok]))
-        rows.append(src)
-        cols.append(dst)
-        data.append(cost)
     m = int(mask.sum())
-    graph = coo_matrix((np.concatenate(data),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(m, m)).tocsr()
-    return graph, node_id, X, Y, mask
+
+    # padded by the stencil reach, so every offset is a plain slice; each
+    # slot is gathered into a contiguous row and read back node-major
+    nid = np.full((n + 4, n + 4), -1, dtype=np.int32)
+    nid[2:-2, 2:-2][mask] = np.arange(m, dtype=np.int32)
+    Wp = np.pad(Wv, 2)
+    offsets = _STENCILS[stencil]
+    dst = np.empty((len(offsets), m), dtype=np.int32)
+    cost = np.empty((len(offsets), m))
+    for k, (di, dj) in enumerate(offsets):
+        shifted = slice(2 + di, 2 + di + n), slice(2 + dj, 2 + dj + n)
+        dst[k] = nid[shifted][mask]
+        cost[k] = Wp[shifted][mask]
+    cost += Wv[mask]
+    cost *= np.array([[math.hypot(di, dj) * h * 0.5] for di, dj in offsets])
+    ok = dst >= 0
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(ok.sum(axis=0), out=indptr[1:])
+    graph = csr_matrix((cost.T[ok.T], dst.T[ok.T], indptr), shape=(m, m))
+    return graph, nid[2:-2, 2:-2], X, Y, mask
+
+
+def dijkstra(graph, **kwargs):
+    """scipy's csgraph Dijkstra, imported on the first query so that
+    ``import lglab`` and the commands that never query stay scipy-free."""
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    return csgraph_dijkstra(graph, **kwargs)
 
 
 def _nearest_node(node_id, X, Y, mask, p):
@@ -113,9 +132,9 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     while chain[-1] != ia:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    xs = X[mask][chain]
-    ys = Y[mask][chain]
-    return Polyline.from_points(np.column_stack([xs, ys])), cost
+    cells = np.flatnonzero(mask)[chain]
+    return Polyline.from_points(np.column_stack(
+        [X.ravel()[cells], Y.ravel()[cells]])), cost
 
 
 def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:

@@ -185,12 +185,36 @@ def test_optional_parameters_are_passed_somewhere():
     assert not unpassed, f"optional parameters no call passes: {unpassed}"
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize costs about a third of `import lglab`, and only tests
-    # use it
+def _package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC.parent), env.get("PYTHONPATH", "")) if p)
+    return env
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about a third of `import lglab`, and only tests
+    # use it
     code = "import lglab, sys; sys.exit('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          timeout=120)
     assert proc.returncode == 0
+
+
+def test_figure_runs_without_loading_scipy(tmp_path):
+    # only an oracle query needs scipy; the benchmark's tracer still wraps
+    # the oracle's module-level dijkstra, so that name must stay there
+    code = (
+        "import sys, lglab\n"
+        "from lglab import cli\n"
+        "rc = cli.main(['figure', 'heavy_diamond', '--resolution', '64',\n"
+        "               '--levels', '16', '--outdir', sys.argv[1]])\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m == 'scipy' or m.startswith('scipy.'))\n"
+        "if rc or loaded or 'dijkstra' not in vars(lglab.oracle):\n"
+        "    sys.exit(f'exit {rc}, scipy modules {loaded}')\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "heavy_diamond" / "solution.pgm").exists()

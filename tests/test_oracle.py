@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from lglab.curves import BRANCHES, level_curve
-from lglab.oracle import grid_shortest_path, oracle_cost, refine_until
+from lglab.oracle import (_build_graph, grid_shortest_path, oracle_cost,
+                          refine_until)
 from lglab.paths import Polyline, segment, weighted_length
-from lglab.weights import make_weight
+from lglab.weights import Region, make_weight
 
 # worst-case metric stretch of the move stencils on a uniform grid
 STENCIL_STRETCH = {8: 1.0824, 16: 1.0196}
@@ -80,3 +83,84 @@ def test_grid_path_never_beats_the_level_curve(name, alpha):
             curve = weighted_length(path, w)
             assert weighted_length(rescored, w) >= curve * (1.0 - 1e-12), (
                 t, branch)
+
+
+# The oracle graph as it was first assembled: an edge list per stencil
+# offset, handed to scipy as COO and converted to CSR.  _build_graph writes
+# the CSR arrays directly and must reproduce this one exactly.
+_REFERENCE_STENCILS = {
+    8: ((1, 0), (0, 1), (1, 1), (1, -1)),
+    16: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2)),
+}
+
+
+def _reference_graph(w, res, stencil):
+    n = 2 * res + 1
+    h = 1.0 / res
+    ax = np.linspace(-1.0, 1.0, n)
+    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    mask = X * X + Y * Y <= 1.0 + 1e-12
+    Wv = w.values(X, Y)
+    node_id = -np.ones((n, n), dtype=np.int64)
+    node_id[mask] = np.arange(int(mask.sum()))
+    rows, cols, data = [], [], []
+    for di, dj in _REFERENCE_STENCILS[stencil]:
+        si = slice(max(0, -di), n - max(0, di))
+        sj = slice(max(0, -dj), n - max(0, dj))
+        ti = slice(max(0, di), n - max(0, -di))
+        tj = slice(max(0, dj), n - max(0, -dj))
+        ok = mask[si, sj] & mask[ti, tj]
+        rows.append(node_id[si, sj][ok])
+        cols.append(node_id[ti, tj][ok])
+        data.append(math.hypot(di, dj) * h
+                    * 0.5 * (Wv[si, sj][ok] + Wv[ti, tj][ok]))
+    m = int(mask.sum())
+    graph = coo_matrix((np.concatenate(data),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(m, m)).tocsr()
+    return graph, X[mask], Y[mask]
+
+
+def _reference_path(w, res, stencil, ia, ib):
+    graph, xs, ys = _reference_graph(w, res, stencil)
+    dist, pred = dijkstra(graph, directed=False, indices=ia,
+                          return_predecessors=True)
+    chain = [int(ib)]
+    while chain[-1] != ia:
+        chain.append(int(pred[chain[-1]]))
+    chain.reverse()
+    return np.column_stack([xs[chain], ys[chain]]), float(dist[ib])
+
+
+def _frozen_weight(name):
+    if name == "layered_horizontal":
+        return make_weight(name, layers=((0.2, 1.0), (0.5, 2.0), (0.8, 1.5)))
+    if name == "custom_piecewise":
+        return make_weight(name, pieces=(
+            ((Region("l2", radius=0.5),), 3.0, 0.0, 0.0, 0.0),
+            ((Region("l2", radius=0.5, negate=True),), 1.0, 1.0, 0.0, 0.0),
+        ), default=9.0)
+    alpha = 2.0 if name in ("heavy_disk", "three_heavy_diamonds") else None
+    return make_weight(name, alpha)
+
+
+@pytest.mark.parametrize("res", [32, 64])
+@pytest.mark.parametrize("stencil", [8, 16])
+@pytest.mark.parametrize("name", [
+    "constant", "heavy_disk", "lite_dmd_heavy_core", "three_heavy_diamonds",
+    "layered_horizontal", "custom_piecewise"])
+def test_graph_and_path_match_the_coo_reference(name, stencil, res):
+    w = _frozen_weight(name)
+    graph, node_id, _, _, _ = _build_graph(w, res, stencil)
+    ref, _, _ = _reference_graph(w, res, stencil)
+    assert np.array_equal(graph.indptr, ref.indptr)
+    assert np.array_equal(graph.indices, ref.indices)
+    assert np.array_equal(graph.data, ref.data)
+    for a, b in (((-0.9, -0.3), (0.8, 0.45)), ((0.0, -1.0), (0.1, 0.95))):
+        path, cost = grid_shortest_path(w, res, stencil, a, b)
+        pts = path.as_array()
+        ids = [node_id[round((p[0] + 1.0) * res), round((p[1] + 1.0) * res)]
+               for p in pts[[0, -1]]]
+        ref_pts, ref_cost = _reference_path(w, res, stencil, *ids)
+        assert cost == ref_cost
+        assert np.array_equal(pts, ref_pts)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lglab.curves import LevelCurve, level_curve
-from lglab.paths import Polyline
+from lglab.paths import Polyline, weighted_length
 from lglab.snell import H_of
 from lglab.stacker import (ALL_MAXIMAL, ALL_MINIMAL, GridField,
                            StackNestingError, SwitchPolicy, _check_nesting,
@@ -232,6 +232,17 @@ def test_fuzzed_stacks_nest_stay_bounded_and_agree_on_energy(name):
         assert lo == pytest.approx(hi, rel=5e-3)
 
     check()
+
+
+# Pricing a detour through a diamond interior overflows to inf at this
+# alpha (levels 0.415 and 0.463 of 41); the detour filter drops it.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("policy", [ALL_MINIMAL, ALL_MAXIMAL])
+def test_three_diamond_picks_stay_finite_at_the_largest_alpha(policy):
+    w = make_weight("three_heavy_diamonds", sys.float_info.max)
+    s = stack(w, midpoint_levels(41), policy, res=32)
+    for c in s.curves:
+        assert math.isfinite(weighted_length(c.path, w)), c.level
 
 
 @pytest.mark.parametrize("alpha", [5e-324, 1e-323])
