@@ -1,18 +1,20 @@
 """Polylines and weighted arc length.
 
 The central quantity is the line integral of a weight w along a polyline.
-For the weights in this package the integrand along any straight segment is
-piecewise affine in arc length once the segment is split at region interfaces
-and at coordinate-axis crossings, so midpoint quadrature on those pieces is
-exact up to floating point.
+Each weight declares its interfaces (WeightField.interfaces): lines off
+which it is affine, and the l1 and l2 circles it jumps or kinks on.  Cut at
+those, the integrand along every piece is affine in arc length, so one
+midpoint per piece is exact up to floating point.  weighted_length makes
+the cuts for the whole polyline at once, one array pass per interface kind.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .weights import ConstantWeight, RadialWeight, WeightField
+from .weights import WeightField
 
 RIM_STEP = 2e-3
 RIM_LIFT = 2e-6
@@ -25,7 +27,7 @@ class Polyline:
     """
 
     def __init__(self, vertices):
-        arr = np.array(vertices, dtype=float)
+        arr = np.array(vertices, dtype=float, order="C")
         if len(arr) < 2:
             raise ValueError("polyline needs at least 2 vertices")
         if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
@@ -89,73 +91,82 @@ def rim_wrap(a, b, rho, phi_a, phi_b, sign) -> Polyline:
     return Polyline.from_points(np.vstack([[a], arc, [b]]))
 
 
-def _segment_integral(a, b, w):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    seg_len = float(np.hypot(*(b - a)))
-    cuts = sorted(set([0.0, 1.0] + [s for s in w.split_params(a, b)
-                                    if 0.0 < s < 1.0]))
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        piece_len = seg_len * (hi - lo)
-        if piece_len == 0.0:
-            continue
-        mid = a + 0.5 * (lo + hi) * (b - a)
-        total += w.eval(mid) * piece_len
-    return total
+@lru_cache(maxsize=64)
+def _interfaces(w: WeightField):
+    """w.interfaces() without repeats, each kind as three read-only (k, 1)
+    columns: (nx, ny, c) for the lines, (cx, cy, r) for the circles."""
+    out = []
+    for rows in w.interfaces():
+        rows = sorted({tuple(map(float, row)) for row in rows})
+        cols = np.array(rows).reshape(-1, 3).T[:, :, None].copy()
+        cols.setflags(write=False)
+        out.append(cols)
+    return tuple(out)
 
 
-def _clean_segment_mask(arr: np.ndarray, w: RadialWeight) -> np.ndarray:
-    """Segments whose integrand is affine: same quadrant, same profile piece.
+def _cut(pts, i, s):
+    """pts with the points at params s of pieces i inserted in path order.
 
-    arr has shape (N, 2); the mask has length N-1.  Marked segments can be
-    integrated with a single midpoint evaluation.
+    Each row moves as one complex number: a masked copy of (n, 2) rows is
+    several times slower.
     """
-    x, y = arr[:, 0], arr[:, 1]
-    same_qx = (x[:-1] * x[1:]) >= 0
-    same_qy = (y[:-1] * y[1:]) >= 0
-    r = w.radius(x, y)
-    rlo = np.minimum(r[:-1], r[1:])
-    rhi = np.maximum(r[:-1], r[1:])
-    if w.norm == "l2":
-        # the closest point to the origin may be interior to the chord
-        d = np.diff(arr, axis=0)
-        dd = np.einsum("ij,ij->i", d, d)
-        t = np.clip(-np.einsum("ij,ij->i", arr[:-1], d) / dd, 0.0, 1.0)
-        foot = arr[:-1] + t[:, None] * d
-        rlo = np.minimum(rlo, np.hypot(foot[:, 0], foot[:, 1]))
-    no_cross = np.ones(len(arr) - 1, dtype=bool)
-    for b in w.breakpoints():
-        no_cross &= ~((rlo < b) & (b < rhi))
-        no_cross &= rlo != b
-        no_cross &= rhi != b
-    return same_qx & same_qy & no_cross
+    if not len(i):
+        return pts
+    order = np.lexsort((s, i))
+    i, s = i[order], s[order]
+    at = i + np.arange(1, len(i) + 1)
+    keep = np.ones(len(pts) + len(i), dtype=bool)
+    keep[at] = False
+    out = np.empty(len(keep), dtype=complex)
+    out[keep] = pts.view(complex).ravel()
+    out[at] = (pts[i] + s[:, None] * (pts[i + 1] - pts[i])).view(
+        complex).ravel()
+    return out.view(float).reshape(-1, 2)
+
+
+def _cut_sign_changes(pts, f):
+    """Cut where a row of f, affine on every piece, changes sign."""
+    k, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
+    return _cut(pts, i, f[k, i] / (f[k, i] - f[k, i + 1]))
+
+
+def _cut_circles(pts, cx, cy, r):
+    """Cut at both roots in (0, 1) of each piece's l2 circle quadratics."""
+    dx, dy = np.diff(pts[:, 0]), np.diff(pts[:, 1])
+    fx, fy = pts[:-1, 0] - cx, pts[:-1, 1] - cy
+    aa = dx * dx + dy * dy
+    bb = 2.0 * (fx * dx + fy * dy)
+    disc = bb * bb - 4.0 * aa * (fx * fx + fy * fy - r * r)
+    # pieces of zero (or underflowing) length have no roots
+    k, i = np.nonzero((disc > 0) & (aa > 0))
+    sq, bb, aa = np.sqrt(disc[k, i]), bb[k, i], 2.0 * aa[i]
+    s = np.concatenate([(-bb - sq) / aa, (-bb + sq) / aa])
+    i = np.concatenate([i, i])
+    inside = (0.0 < s) & (s < 1.0)
+    return _cut(pts, i[inside], s[inside])
 
 
 def weighted_length(path: Polyline, w: WeightField) -> float:
     """Line integral of w along the polyline.
 
-    Exact (up to floating point) for every catalog weight because the
-    integrand is piecewise affine in arc length after interface splitting.
+    Exact (up to floating point) for every catalog weight.  The polyline is
+    cut where it crosses an interface line, then where the l1 distance to
+    an l1 circle's centre, affine on every piece by now, crosses the
+    radius, then at both roots of each l2 circle's quadratic; one midpoint
+    prices each piece.
     """
-    arr = path.as_array()
-    if isinstance(w, ConstantWeight):
-        return w.c * path.euclidean_length()
-
-    if isinstance(w, RadialWeight) and len(arr) > 16:
-        # long refracted curves: one midpoint per already-clean segment,
-        # scalar interface splitting only for the few straddlers
-        mask = _clean_segment_mask(arr, w)
-        steps = np.diff(arr, axis=0)
-        lens = np.hypot(steps[:, 0], steps[:, 1])
-        mids = 0.5 * (arr[:-1] + arr[1:])
-        vals = w.values(mids[:, 0], mids[:, 1])
-        total = float((vals[mask] * lens[mask]).sum())
-        for i in np.nonzero(~mask)[0]:
-            total += _segment_integral(arr[i], arr[i + 1], w)
-        return total
-
-    total = 0.0
-    for i in range(len(arr) - 1):
-        total += _segment_integral(arr[i], arr[i + 1], w)
-    return total
+    lines, l1, l2 = _interfaces(w)
+    pts = path.as_array()
+    if lines.size:
+        nx, ny, c = lines
+        pts = _cut_sign_changes(pts, nx * pts[:, 0] + ny * pts[:, 1] - c)
+    if l1.size:
+        cx, cy, r = l1
+        pts = _cut_sign_changes(
+            pts, np.abs(pts[:, 0] - cx) + np.abs(pts[:, 1] - cy) - r)
+    if l2.size:
+        pts = _cut_circles(pts, *l2)
+    d = np.diff(pts, axis=0)
+    mid = pts[:-1] + 0.5 * d
+    return float((w.values(mid[:, 0], mid[:, 1])
+                  * np.hypot(d[:, 0], d[:, 1])).sum())

@@ -44,8 +44,8 @@ def _limits(pieces, r):
     return offset[i] + slope[i] * r, offset[k] + slope[k] * r
 
 
-def circle_hits(p, v, radius, cx=0.0, cy=0.0):
-    """Where the line p + t v meets the circle of given radius about (cx, cy).
+def circle_hits(p, v, radius):
+    """Where the line p + t v meets the circle of given radius about 0.
 
     Returns (disc, t_near, t_far): the quadratic's discriminant and its
     roots (-bb - sqrt(disc)) / (2 aa) and (-bb + sqrt(disc)) / (2 aa), with
@@ -53,54 +53,17 @@ def circle_hits(p, v, radius, cx=0.0, cy=0.0):
     circle and disc == 0 that it touches it; each caller decides which of
     those count as a hit.
     """
-    fx, fy = p[0] - cx, p[1] - cy
     aa = v[0] * v[0] + v[1] * v[1]
-    bb = 2.0 * (fx * v[0] + fy * v[1])
-    cc = fx * fx + fy * fy - radius * radius
+    bb = 2.0 * (p[0] * v[0] + p[1] * v[1])
+    cc = p[0] * p[0] + p[1] * p[1] - radius * radius
     disc = bb * bb - 4 * aa * cc
     sq = math.sqrt(max(0.0, disc))
     return disc, (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)
 
 
-def _line_crossing(da, db):
-    """The param in (0,1), as a one-item list, where a segment whose ends
-    lie at signed distances da and db from a line crosses it; else []."""
-    return [da / (da - db)] if da * db < 0 else []
-
-
-def _axis_crossings(a, b, cx=0.0, cy=0.0):
-    """Params in (0,1) where the segment crosses x = cx or y = cy."""
-    return (_line_crossing(a[0] - cx, b[0] - cx)
-            + _line_crossing(a[1] - cy, b[1] - cy))
-
-
-def _l1_radius_hits(a, b, radii, cx=0.0, cy=0.0):
-    """Params where |x-cx| + |y-cy| equals one of the given radii."""
-    cuts = sorted(set([0.0, 1.0] + _axis_crossings(a, b, cx, cy)))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    hits = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        pl = a + lo * (b - a)
-        ph = a + hi * (b - a)
-        rl = abs(pl[0] - cx) + abs(pl[1] - cy)
-        rh = abs(ph[0] - cx) + abs(ph[1] - cy)
-        for r0 in radii:
-            if rl < r0 < rh or rh < r0 < rl:
-                s = (r0 - rl) / (rh - rl)
-                hits.append(lo + s * (hi - lo))
-    return hits
-
-
-def _l2_radius_hits(a, b, radii, cx=0.0, cy=0.0):
-    """Params where the distance to (cx, cy) equals one of the given radii."""
-    d = (b[0] - a[0], b[1] - a[1])
-    hits = []
-    for r0 in radii:
-        disc, s_near, s_far = circle_hits(a, d, r0, cx, cy)
-        if disc > 0:
-            hits += [s for s in (s_near, s_far) if 0.0 < s < 1.0]
-    return hits
+def _axes(cx, cy):
+    """The lines x = cx and y = cy as (nx, ny, c) interface rows."""
+    return [(1.0, 0.0, cx), (0.0, 1.0, cy)]
 
 
 def _diamond_tips(cx, cy, r):
@@ -118,12 +81,15 @@ class WeightField:
     def values(self, x, y):
         raise NotImplementedError
 
-    def eval(self, p) -> float:
-        x, y = float(p[0]), float(p[1])
-        return float(self.values(np.array([x]), np.array([y]))[0])
+    def interfaces(self):
+        """Where the integrand along a straight segment may change slope.
 
-    def split_params(self, a, b) -> list[float]:
-        """Params in (0,1) where the integrand on a -> b may change slope."""
+        Returns (lines, l1, l2): the lines nx x + ny y = c off which the
+        weight is affine, as (nx, ny, c) rows, then the l1 and l2 circles
+        it may jump or kink on, as (cx, cy, r) rows.  Each l1 circle's
+        centre lies on two declared lines, so the l1 distance to it is
+        affine between line crossings.
+        """
         raise TypeError(f"unsupported weight type {type(self).__name__}")
 
     def corner_points(self) -> list[tuple[float, float]]:
@@ -148,8 +114,8 @@ class ConstantWeight(WeightField):
         x = np.asarray(x, dtype=float)
         return np.full(x.shape, self.c, dtype=float)
 
-    def split_params(self, a, b):
-        return []
+    def interfaces(self):
+        return [], [], []
 
 
 @dataclass(frozen=True)
@@ -227,9 +193,11 @@ class RadialWeight(WeightField):
         ws.setflags(write=False)
         return r, ws
 
-    def split_params(self, a, b):
-        hits = _l1_radius_hits if self.norm == "l1" else _l2_radius_hits
-        return _axis_crossings(a, b) + hits(a, b, self.breakpoints())
+    def interfaces(self):
+        circles = [(0.0, 0.0, r) for r in self.breakpoints()]
+        if self.norm == "l1":
+            return _axes(0.0, 0.0), circles, []
+        return [], [], circles
 
     def corner_points(self):
         if self.norm != "l1":
@@ -271,9 +239,9 @@ class MultiDiamondWeight(WeightField):
             inside |= (np.abs(x - cx) + np.abs(y - cy)) < r
         return np.where(inside, self.alpha, 1.0)
 
-    def split_params(self, a, b):
-        return [s for cx, cy, r, _ in self.CENTERS
-                for s in _l1_radius_hits(a, b, [r], cx, cy)]
+    def interfaces(self):
+        return ([row for cx, cy, _, _ in self.CENTERS for row in _axes(cx, cy)],
+                [(cx, cy, r) for cx, cy, r, _ in self.CENTERS], [])
 
     def corner_points(self):
         return [q for cx, cy, r, _ in self.CENTERS
@@ -313,9 +281,8 @@ class LayeredWeight(WeightField):
     def depths(self):
         return tuple(d for d, _ in self.layers)
 
-    def split_params(self, a, b):
-        return [s for d in self.depths()
-                for s in _line_crossing(a[1] + d, b[1] + d)]
+    def interfaces(self):
+        return [(0.0, 1.0, -d) for d in self.depths()], [], []
 
 
 @dataclass(frozen=True)
@@ -344,14 +311,14 @@ class Region:
             raise ValueError(f"unknown region shape {self.shape!r}")
         return ~m if self.negate else m
 
-    def split_params(self, a, b):
-        """Params in (0,1) where the segment a -> b crosses the boundary."""
+    def interfaces(self):
+        """The boundary as (lines, l1, l2) rows, as WeightField.interfaces."""
+        circle = [(self.cx, self.cy, self.radius)]
         if self.shape == "l1":
-            return _l1_radius_hits(a, b, [self.radius], self.cx, self.cy)
+            return _axes(self.cx, self.cy), circle, []
         if self.shape == "l2":
-            return _l2_radius_hits(a, b, [self.radius], self.cx, self.cy)
-        return _line_crossing(self.nx * a[0] + self.ny * a[1] - self.offset,
-                              self.nx * b[0] + self.ny * b[1] - self.offset)
+            return [], [], circle
+        return [(self.nx, self.ny, self.offset)], [], []
 
 
 @dataclass(frozen=True)
@@ -383,14 +350,15 @@ class CustomWeight(WeightField):
             unset &= ~m
         return out
 
-    def split_params(self, a, b):
-        pts = []
+    def interfaces(self):
+        out = ([], [], [])
         for regions, _off, slope, ax, ay in self.pieces:
             if slope != 0.0:
-                pts += _axis_crossings(a, b, ax, ay)
+                out[0].extend(_axes(ax, ay))
             for reg in regions:
-                pts += reg.split_params(a, b)
-        return pts
+                for rows, more in zip(out, reg.interfaces()):
+                    rows.extend(more)
+        return out
 
 
 def heavy_diamond(alpha: float = math.sqrt(1.5)) -> RadialWeight:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lglab import curves
 from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _core_geometry,
@@ -112,6 +113,46 @@ def test_maximal_branch_mirrors_minimal_at_center_level():
         lo = level_curve(w, 1.0, "maximal").path.as_array()
         hi = level_curve(w, 1.0, "minimal").path.mirrored_y().as_array()
         assert np.allclose(np.sort(lo[:, 1]), np.sort(hi[:, 1]), atol=1e-9)
+
+
+# The y-symmetric stackable weights over their documented alpha ranges,
+# normal floats only (the light diamond rejects a subnormal alpha).
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                 allow_subnormal=False)
+MIRROR_ALPHAS = {
+    "constant": st.floats(0.0, exclude_min=True, allow_infinity=False,
+                          allow_subnormal=False),
+    "heavy_diamond": st.floats(1.0, exclude_min=True, allow_infinity=False),
+    "heavy_disk": st.floats(math.pi / 2, allow_infinity=False),
+    "light_diamond": UNIT,
+    "light_diamond_tight": UNIT,
+    "lite_dmd_heavy_core": st.none(),
+}
+
+
+# costs at the top of an unbounded alpha range overflow to inf on both sides
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(MIRROR_ALPHAS))
+def test_maximal_branch_mirrors_minimal_at_every_level(name):
+    # u_max(x, y) = 2 - u_min(x, -y): the minimal level-t curve mirrored in
+    # y is the maximal level-(2 - t) curve.  The levels drawn are those
+    # whose offset h = t - 1 lies inside (-1, 1) and negates exactly: near
+    # the top and bottom of the disk an ulp of level moves the endpoints by
+    # far more than 1e-12.
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=MIRROR_ALPHAS[name], t=st.floats(0.0, 2.0).filter(
+        lambda t: abs(t - 1.0) < 1.0 and (2.0 - t) - 1.0 == 1.0 - t))
+    def check(alpha, t):
+        w = make_weight(name, alpha)
+        lo = level_curve(w, t, "minimal").path.mirrored_y()
+        hi = level_curve(w, 2.0 - t, "maximal").path
+        assert lo.as_array().shape == hi.as_array().shape
+        assert np.allclose(lo.as_array(), hi.as_array(), rtol=0.0,
+                           atol=1e-12)
+        assert math.isclose(weighted_length(lo, w), weighted_length(hi, w),
+                            rel_tol=1e-12)
+
+    check()
 
 
 def test_three_diamonds_route_switching():

@@ -185,6 +185,19 @@ def test_optional_parameters_are_passed_somewhere():
     assert not unpassed, f"optional parameters no call passes: {unpassed}"
 
 
+def test_every_tracer_patch_target_exists():
+    # the benchmark's tracer wraps each target in its owner's own namespace;
+    # a refactor that drops or moves one would break only a traced run
+    sys.path.insert(0, str(TESTS.parent / "perfbench"))
+    try:
+        from layers import patches
+    finally:
+        sys.path.pop(0)
+    missing = [f"{getattr(p.owner, '__name__', p.owner)}.{p.attr}"
+               for p in patches() if p.attr not in vars(p.owner)]
+    assert not missing, f"tracer patch targets not found: {missing}"
+
+
 def _package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
