@@ -9,13 +9,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
 failure.  The LGL_OUT environment variable overrides any configured
-output directory.
+output directory.  solve and figure take --timings, which prints the
+seconds spent stacking, rendering and writing to stderr only, so stdout
+and the artifacts stay byte-identical.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,17 +89,36 @@ def _merge_config(args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _solve(cfg: RunConfig, outdir: Path) -> int:
-    """Stack cfg's level curves and write the four artifacts to outdir."""
-    s = stack(_build_weight(cfg), levels=midpoint_levels(cfg.levels),
+def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
+    """Stack cfg's level curves and write the four artifacts to outdir.
+
+    With timings, the seconds of each stage go to stderr.
+    """
+    seconds = dict.fromkeys(("stack", "pgm", "svg", "csv", "write"), 0.0)
+
+    def timed(stage, fn, *args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        seconds[stage] += time.perf_counter() - start
+        return result
+
+    s = timed("stack", stack, _build_weight(cfg),
+              levels=midpoint_levels(cfg.levels),
               policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
     stride = max(1, (len(s.levels) - 1) // 40)
-    write_text(outdir / "solution.pgm", pgm_text(s.field))
-    write_text(outdir / "contours.svg", svg_text(s))
-    write_text(outdir / "curves.csv", curves_csv(s, stride=stride))
-    write_text(outdir / "run.cfg", serialize_config(cfg))
+    timed("write", write_text, outdir / "solution.pgm",
+          timed("pgm", pgm_text, s.field))
+    timed("write", write_text, outdir / "contours.svg",
+          timed("svg", svg_text, s))
+    timed("write", write_text, outdir / "curves.csv",
+          timed("csv", curves_csv, s, stride=stride))
+    timed("write", write_text, outdir / "run.cfg", serialize_config(cfg))
     for name in ("solution.pgm", "contours.svg", "curves.csv", "run.cfg"):
         print(outdir / name)
+    if timings:
+        print("timings: " + " ".join(f"{stage}={t:.4f}s"
+                                     for stage, t in seconds.items()),
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -126,7 +148,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
-    return _solve(cfg, _resolve_outdir(cfg.outdir))
+    return _solve(cfg, _resolve_outdir(cfg.outdir), args.timings)
 
 
 def cmd_verify(args) -> int:
@@ -164,7 +186,7 @@ def cmd_figure(args) -> int:
                            else preset.outdir)
     outdir = base / args.name
     outdir.mkdir(parents=True, exist_ok=True)
-    return _solve(preset, outdir)
+    return _solve(preset, outdir, args.timings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--experiments", default=None,
                            help="'all' or comma-joined suite names")
 
+    timings_help = "print the seconds of each stage to stderr"
     solve = sub.add_parser("solve", help="stack level curves into a field")
     add_run_flags(solve)
+    solve.add_argument("--timings", action="store_true", help=timings_help)
 
     verify = sub.add_parser("verify", help="run the experiment suites")
     add_run_flags(verify, with_experiments=True)
@@ -215,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--resolution", type=int, default=None)
     fig.add_argument("--levels", type=int, default=None)
     fig.add_argument("--outdir", default=None)
+    fig.add_argument("--timings", action="store_true", help=timings_help)
 
     return parser
 

@@ -62,6 +62,10 @@ def boundary_points(t: float) -> tuple[tuple[float, float], tuple[float, float]]
         raise ValueError("level must lie in (0, 2)")
     h = t - 1.0
     xb = _half_chord(h)
+    if xb == 0.0:
+        # t - 1 rounds to -1 below about 1.1e-16
+        raise ValueError(f"level {t!r} rounds onto the rim: its chord has "
+                         "zero width")
     return (-xb, h), (xb, h)
 
 

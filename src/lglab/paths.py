@@ -153,7 +153,8 @@ def weighted_length(path: Polyline, w: WeightField) -> float:
     cut where it crosses an interface line, then where the l1 distance to
     an l1 circle's centre, affine on every piece by now, crosses the
     radius, then at both roots of each l2 circle's quadratic; one midpoint
-    prices each piece.
+    prices each piece.  A cost too large for a float (a huge weight) is
+    inf, without a warning; callers drop options priced at inf.
     """
     lines, l1, l2 = _interfaces(w)
     pts = path.as_array()
@@ -168,5 +169,6 @@ def weighted_length(path: Polyline, w: WeightField) -> float:
         pts = _cut_circles(pts, *l2)
     d = np.diff(pts, axis=0)
     mid = pts[:-1] + 0.5 * d
-    return float((w.values(mid[:, 0], mid[:, 1])
-                  * np.hypot(d[:, 0], d[:, 1])).sum())
+    with np.errstate(over="ignore"):
+        return float((w.values(mid[:, 0], mid[:, 1])
+                      * np.hypot(d[:, 0], d[:, 1])).sum())

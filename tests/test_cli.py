@@ -118,6 +118,30 @@ def test_figure_writes_named_subdir(tmp_path, capsys):
     assert (tmp_path / "heavy_diamond" / "contours.svg").exists()
 
 
+ARTIFACTS = ("solution.pgm", "contours.svg", "curves.csv", "run.cfg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "lite_dmd_heavy_core", "--resolution", "32", "--levels", "17"],
+    ["solve", "--weight", "heavy_disk", "--alpha", "2", "--resolution", "32",
+     "--levels", "17"]], ids=lambda argv: argv[0])
+def test_timings_go_to_stderr_only(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LGL_OUT", str(tmp_path))
+    folder = tmp_path / argv[1] if argv[0] == "figure" else tmp_path
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    data = [(folder / name).read_bytes() for name in ARTIFACTS]
+    code, timed_out, timed_err = run(argv + ["--timings"], capsys)
+    assert code == 0
+    assert timed_out == out
+    assert [(folder / name).read_bytes() for name in ARTIFACTS] == data
+    stages = [part.split("=")[0] for part in timed_err.split()[1:]]
+    assert timed_err.startswith("timings: ") and timed_err.count("\n") == 1
+    assert stages == ["stack", "pgm", "svg", "csv", "write"]
+    assert all(float(part.split("=")[1].rstrip("s")) >= 0.0
+               for part in timed_err.split()[1:])
+
+
 @pytest.fixture
 def sagging_glide(monkeypatch):
     """Every inward glide sags, so the core's inner-arc bracket fails."""

@@ -45,6 +45,20 @@ def test_boundary_points():
         boundary_points(2.0)
 
 
+@pytest.mark.parametrize("t", [5e-324, 2.2e-291, 1e-17, 2.0 - 1e-17])
+def test_levels_that_round_onto_the_rim_are_level_errors(t):
+    # t - 1 rounds to -1 (2 - 1e-17 is 2.0 itself): the chord has zero width
+    with pytest.raises(ValueError, match="zero width|lie in"):
+        boundary_points(t)
+    with pytest.raises(ValueError, match="zero width|lie in"):
+        level_curve(make_weight("heavy_diamond", 2.0), t)
+
+
+def test_the_smallest_level_off_the_rim_still_has_a_chord():
+    (lx, lh), (rx, rh) = boundary_points(2.0 ** -53)
+    assert lh == rh > -1.0 and rx == -lx > 0.0
+
+
 def test_level_curve_must_be_a_graph():
     with pytest.raises(ValueError):
         LevelCurve(1.0, "minimal",

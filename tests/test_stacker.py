@@ -235,8 +235,9 @@ def test_fuzzed_stacks_nest_stay_bounded_and_agree_on_energy(name):
 
 
 # Pricing a detour through a diamond interior overflows to inf at this
-# alpha (levels 0.415 and 0.463 of 41); the detour filter drops it.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# alpha (levels 0.415 and 0.463 of 41); weighted_length returns inf without
+# a warning, and the detour filter drops it.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("policy", [ALL_MINIMAL, ALL_MAXIMAL])
 def test_three_diamond_picks_stay_finite_at_the_largest_alpha(policy):
     w = make_weight("three_heavy_diamonds", sys.float_info.max)
