@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
 failure.  The LGL_OUT environment variable overrides any configured
-output directory.  solve and figure take --timings, which prints the
-seconds spent stacking, rendering and writing to stderr only, so stdout
-and the artifacts stay byte-identical.
+output directory.  solve, figure and geodesic take --timings, which
+prints the seconds spent stacking or shooting, rendering and writing to
+stderr only, so stdout and the artifacts stay byte-identical.
 """
 from __future__ import annotations
 
@@ -89,12 +89,10 @@ def _merge_config(args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
-    """Stack cfg's level curves and write the four artifacts to outdir.
-
-    With timings, the seconds of each stage go to stderr.
-    """
-    seconds = dict.fromkeys(("stack", "pgm", "svg", "csv", "write"), 0.0)
+def _stopwatch(*stages):
+    """Seconds per stage, and timed(stage, fn, *args, **kwargs), which
+    returns fn(*args, **kwargs) and adds the seconds it took to stage."""
+    seconds = dict.fromkeys(stages, 0.0)
 
     def timed(stage, fn, *args, **kwargs):
         start = time.perf_counter()
@@ -102,6 +100,21 @@ def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
         seconds[stage] += time.perf_counter() - start
         return result
 
+    return seconds, timed
+
+
+def _print_timings(seconds) -> None:
+    print("timings: " + " ".join(f"{stage}={t:.4f}s"
+                                 for stage, t in seconds.items()),
+          file=sys.stderr)
+
+
+def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
+    """Stack cfg's level curves and write the four artifacts to outdir.
+
+    With timings, the seconds of each stage go to stderr.
+    """
+    seconds, timed = _stopwatch("stack", "pgm", "svg", "csv", "write")
     s = timed("stack", stack, _build_weight(cfg),
               levels=midpoint_levels(cfg.levels),
               policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
@@ -116,9 +129,7 @@ def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
     for name in ("solution.pgm", "contours.svg", "curves.csv", "run.cfg"):
         print(outdir / name)
     if timings:
-        print("timings: " + " ".join(f"{stage}={t:.4f}s"
-                                     for stage, t in seconds.items()),
-              file=sys.stderr)
+        _print_timings(seconds)
     return EXIT_OK
 
 
@@ -134,15 +145,18 @@ def cmd_geodesic(args) -> int:
     cfg = RunConfig(weight=args.weight, alpha=args.alpha,
                     layers=args.layers or "", outdir=args.outdir)
     w = _build_weight(cfg)
+    seconds, timed = _stopwatch("shoot", "write")
     if args.via:
         path = Polyline((args.src, *args.via, args.dst))
-        length = weighted_length(path, w)
+        length = timed("shoot", weighted_length, path, w)
     else:
-        path, length = shoot_two_point(w, args.src, args.dst)
+        path, length = timed("shoot", shoot_two_point, w, args.src, args.dst)
     outdir = _resolve_outdir(cfg.outdir)
-    write_text(outdir / "geodesic.csv", geodesic_csv(path))
+    timed("write", write_text, outdir / "geodesic.csv", geodesic_csv(path))
     print(outdir / "geodesic.csv")
     print(f"length={length:.17g}")
+    if args.timings:
+        _print_timings(seconds)
     return EXIT_OK
 
 
@@ -210,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="X,Y;X,Y",
                      help="score this fixed route instead of shooting")
     geo.add_argument("--outdir", default="out")
+    timings_help = "print the seconds of each stage to stderr"
+    geo.add_argument("--timings", action="store_true", help=timings_help)
 
     def add_run_flags(p, with_experiments=False):
         p.add_argument("--config", default=None, help="key=value file")
@@ -226,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--experiments", default=None,
                            help="'all' or comma-joined suite names")
 
-    timings_help = "print the seconds of each stage to stderr"
     solve = sub.add_parser("solve", help="stack level curves into a field")
     add_run_flags(solve)
     solve.add_argument("--timings", action="store_true", help=timings_help)

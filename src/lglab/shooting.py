@@ -1,11 +1,12 @@
 """Two-point weighted shortest paths by refraction shooting.
 
-Scans launch angles, traces each ray to the line through the target
-perpendicular to the endpoint chord, and bisects the transverse miss to
-zero between sign changes.  Smooth refracted rays cannot produce corner
-routes around slow obstacles, so explicit candidates (the straight chord,
-obstacle-corner routes, rim wraps around a slow disk) compete with every
-converged ray and the cheapest valid path wins.
+Scans launch angles, tracing the whole fan of rays in lockstep to the line
+through the target perpendicular to the endpoint chord, and bisects the
+transverse miss to zero between sign changes, one scalar ray at a time.
+Smooth refracted rays cannot produce corner routes around slow obstacles,
+so explicit candidates (the straight chord, obstacle-corner routes, rim
+wraps around a slow disk) compete with every converged ray and the
+cheapest valid path wins.
 """
 from __future__ import annotations
 
@@ -16,48 +17,59 @@ import numpy as np
 
 from .paths import Polyline, rim_wrap, weighted_length
 from .snell import TotalInternalReflection
-from .tracing import TraceError, trace_layered_ray
+from .tracing import TraceError, trace_fan, trace_layered_ray
 from .weights import ConstantWeight, LayeredWeight, RadialWeight, WeightField
 
 DEFAULT_SCAN_ANGLES = 2048
 
 
-def _perp_miss(w, a, b, theta, n_shells):
-    """Signed transverse offset of the ray's hit on the through-b line."""
+def _aim(a, b):
+    """The unit chord direction from a to b and the stop line through b
+    perpendicular to it."""
     d = (b[0] - a[0], b[1] - a[1])
     nrm = math.hypot(*d)
     u = (d[0] / nrm, d[1] / nrm)
-    stop = ("line", u[0], u[1], u[0] * b[0] + u[1] * b[1])
+    return u, ("line", u[0], u[1], u[0] * b[0] + u[1] * b[1])
+
+
+def _miss(e, a, b, u):
+    """Signed transverse offset from b of the end points e on the stop line,
+    NaN where an end lies behind a or is NaN."""
+    along = (e[..., 0] - a[0]) * u[0] + (e[..., 1] - a[1]) * u[1]
+    miss = -(e[..., 0] - b[0]) * u[1] + (e[..., 1] - b[1]) * u[0]
+    return np.where(along < 0.0, math.nan, miss)
+
+
+def _perp_miss(w, a, b, theta, n_shells):
+    """Signed transverse offset of the ray's hit on the through-b line."""
+    u, stop = _aim(a, b)
     try:
         path = trace_layered_ray(w, a, theta, stop, n_shells=n_shells)
     except (TraceError, TotalInternalReflection):
         return math.nan, None
-    e = path.as_array()[-1]
-    along = (e[0] - a[0]) * u[0] + (e[1] - a[1]) * u[1]
-    if along < 0.0:
-        return math.nan, None
-    miss = -(e[0] - b[0]) * u[1] + (e[1] - b[1]) * u[0]
-    return miss, path
+    return float(_miss(path.as_array()[-1], a, b, u)), path
+
+
+def _scan_angles(w, a, b, scan_angles):
+    """(a, b, swapped, thetas): the endpoints in launch order, whether they
+    were swapped, and the scan's launch angles."""
+    if not isinstance(w, LayeredWeight):
+        return a, b, False, np.linspace(-math.pi, math.pi, scan_angles,
+                                        endpoint=False)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, scan_angles + 2)[1:-1]
+    # Layered rays only travel downward, so launch from the higher end.
+    return (b, a, True, thetas) if a[1] < b[1] else (a, b, False, thetas)
 
 
 def _scan_candidates(w, a, b, tol, n_shells, scan_angles):
-    swapped = False
-    if isinstance(w, LayeredWeight):
-        # Layered rays only travel downward, so launch from the higher end.
-        if a[1] < b[1]:
-            a, b, swapped = b, a, True
-        thetas = np.linspace(-math.pi / 2, math.pi / 2, scan_angles + 2)[1:-1]
-    else:
-        thetas = np.linspace(-math.pi, math.pi, scan_angles, endpoint=False)
-    misses = np.full(scan_angles, math.nan)
-    for i, th in enumerate(thetas):
-        misses[i], _ = _perp_miss(w, a, b, float(th), n_shells)
+    a, b, swapped, thetas = _scan_angles(w, a, b, scan_angles)
+    u, stop = _aim(a, b)
+    misses = _miss(trace_fan(w, a, thetas, stop, n_shells), a, b, u)
+    m0, m1 = misses[:-1], misses[1:]
     out = []
-    for i in range(scan_angles - 1):
-        m0, m1 = misses[i], misses[i + 1]
-        if math.isnan(m0) or math.isnan(m1) or (m0 > 0) == (m1 > 0):
-            continue
-        lo, hi, flo = float(thetas[i]), float(thetas[i + 1]), m0
+    # NaN compares False, so a bracket needs two finite misses
+    for i in np.flatnonzero((m0 > 0) & (m1 <= 0) | (m0 <= 0) & (m1 > 0)):
+        lo, hi, flo = float(thetas[i]), float(thetas[i + 1]), m0[i]
         path = None
         for _ in range(60):
             mid = 0.5 * (lo + hi)

@@ -9,6 +9,8 @@ of each shell taken at its outer radius, so refined shells converge to the
 continuous bending ray.  One loop, _propagate, traces every medium; a
 medium supplies its launch, its legs (the straight pieces up to its next
 event) and its turns; an l1 leg is one curves._run across a quadrant's shells.
+trace_fan traces many rays from one start in lockstep, one leg of every
+live ray at a time, with the same arithmetic, and returns their end points.
 
 Angle convention: theta is measured from the interface normal.  For layered
 media the ray starts downward, tilted by theta_0 toward +x.  For radial media
@@ -23,7 +25,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .curves import _run
+from .curves import _BLOCK, _run
 from .paths import Polyline
 from .snell import SolverError, TotalInternalReflection, snell_refract
 from .weights import (SQRT2, ConstantWeight, LayeredWeight, RadialWeight,
@@ -38,26 +40,38 @@ class TraceError(SolverError):
     """Ray failed to reach the stop condition within the leg budget."""
 
 
+def _stop_form(stop):
+    """stop as 'circle' or ('line', nx, ny, c); ('depth', d) is y = -d."""
+    if isinstance(stop, tuple) and stop[0] == "depth":
+        stop = ("line", 0.0, 1.0, -stop[1])
+    if stop != "circle" and not (isinstance(stop, tuple)
+                                 and stop[0] == "line"):
+        raise ValueError(f"unknown stop condition {stop!r}")
+    return stop
+
+
 def _stop_crossing(stop, p, v, t_max):
     """Earliest parameter in (0, t_max] where p + t*v crosses the stop.
 
-    Returns None when the straight piece does not reach it.  stop is
-    'circle' (the unit circle) or ('line', nx, ny, c) for nx*x + ny*y = c.
+    p and v are arrays of points and directions, (..., 2), and t_max an
+    array of their pieces' lengths.  Returns the parameters and a mask of
+    the pieces that reach the stop.  stop is 'circle' (the unit circle) or
+    ('line', nx, ny, c) for nx*x + ny*y = c.
     """
+    def reach(t):
+        return (t > _EPS) & (t <= t_max + _EPS)
+
     if stop == "circle":
-        disc, t_near, t_far = circle_hits(p, v, 1.0)
-        if disc < 0:
-            return None
-        for t in (t_near, t_far):
-            if _EPS < t <= t_max + _EPS:
-                return t
-        return None
+        disc, t_near, t_far = circle_hits(np.moveaxis(p, -1, 0),
+                                          np.moveaxis(v, -1, 0), 1.0)
+        near, far = reach(t_near), reach(t_far)
+        return np.where(near, t_near, t_far), (disc >= 0) & (near | far)
     _, nx, ny, c = stop
-    den = nx * v[0] + ny * v[1]
-    if den == 0:
-        return None
-    t = (c - nx * p[0] - ny * p[1]) / den
-    return t if _EPS < t <= t_max + _EPS else None
+    den = nx * v[..., 0] + ny * v[..., 1]
+    # den == 0 (parallel to the line) gives NaN, which reaches nothing
+    t = (c - nx * p[..., 0] - ny * p[..., 1]) / np.where(den == 0, np.nan,
+                                                         den)
+    return t, reach(t)
 
 
 def _refract_direction(v, n, w_in, w_out, where):
@@ -77,9 +91,11 @@ def _refract_direction(v, n, w_in, w_out, where):
     return (c * n[0] + s * tx, c * n[1] + s * ty)
 
 
-def _straight(p, v, t):
-    """A leg of one straight piece of length t (inf: no end) from p along v."""
-    return [(t, v, (p[0] + t * v[0], p[1] + t * v[1]))]
+def _straight(p, v, t, end=None):
+    """A leg of one straight piece of length t (inf: no end) from p along v,
+    as the arrays (lengths, unit directions, ends); end overrides its end."""
+    return (np.array([t]), np.array([v]),
+            np.array([end or (p[0] + t * v[0], p[1] + t * v[1])]))
 
 
 def _uniform(theta_0):
@@ -102,7 +118,7 @@ def _layers(w: LayeredWeight, theta_0):
             k += 1
         if k < len(depths) and v[1] < 0:
             t = (-depths[k] - p[1]) / v[1]
-            return [(t, v, (p[0] + t * v[0], -depths[k]))]
+            return _straight(p, v, t, (p[0] + t * v[0], -depths[k]))
         return _straight(p, v, math.inf)
 
     def turn(q, v):
@@ -113,6 +129,18 @@ def _layers(w: LayeredWeight, theta_0):
     return _uniform(theta_0)[0], leg, turn
 
 
+def _launch_shell(w: RadialWeight, radii, rho):
+    """Shell index a ray launched at radius rho starts in, and the weight at
+    rho when rho lies on one of the interfaces radii (else None): a ray
+    launched inward from an interface starts one shell further in."""
+    i = bisect_left(radii, rho)
+    # the nearest interface is one of the two around rho
+    on_boundary = any(abs(r - rho) < 1e-11
+                      for r in radii[max(i - 1, 0):i + 1])
+    j = bisect_right(radii, rho + (1e-11 if on_boundary else 0.0))
+    return j, float(w.profile(np.array([rho]))[0]) if on_boundary else None
+
+
 def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):
     """Shell index and direction of a ray launched at radius rho.
 
@@ -120,13 +148,8 @@ def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):
     start and outward the ray's rate of radius change along v.  A launch
     on an interface refracts into whichever shell it proceeds to.
     """
-    i = bisect_left(radii, rho)
-    # the nearest interface is one of the two around rho
-    on_boundary = any(abs(r - rho) < 1e-11
-                      for r in radii[max(i - 1, 0):i + 1])
-    j = bisect_right(radii, rho + (1e-11 if on_boundary else 0.0))
-    if on_boundary:
-        w_from = float(w.profile(np.array([rho]))[0])
+    j, w_from = _launch_shell(w, radii, rho)
+    if w_from is not None:
         if outward < -_EPS:
             j -= 1
         if shell_w[j] != w_from:
@@ -197,8 +220,7 @@ def _diamonds(w: RadialWeight, p, theta_0, n_shells):
         s = np.minimum(kappa / wr[:i], 1.0 - 1e-13) * (-1.0 if mirror else 1.0)
         c = np.sqrt(1.0 - s * s)
         u = step / SQRT2 * np.column_stack((c + s, c - s)) * (sx, sy)
-        return zip(np.hypot(*np.diff(pts, axis=0).T).tolist(), u.tolist(),
-                   pts[1:].tolist())
+        return np.hypot(*np.diff(pts, axis=0).T), u, pts[1:]
 
     def turn(q, v):
         nonlocal sx, sy, j
@@ -256,23 +278,25 @@ def _propagate(p, v, leg, turn, stop):
     """Straight pieces from p along v until the ray meets the stop.
 
     A medium supplies leg(p, v), the straight pieces up to its next event
-    as (length, unit direction, end), a piece with no end having length
-    inf, and turn(q, v), which passes the event at the last end q, reached
-    along v, and returns the point and direction the next leg starts from.
-    Each piece is checked against the stop on its own.
+    as the arrays (lengths, unit directions, ends), a piece with no end
+    having length inf, and turn(q, v), which passes the event at the last
+    end q, reached along v, and returns the point and direction the next
+    leg starts from.  Each piece is checked against the stop on its own.
     """
-    verts = [p]
+    verts = [np.array([p])]
     for _ in range(_MAX_LEGS):
-        for t_next, v, q in leg(p, v):
-            t_stop = _stop_crossing(stop, p, v, min(t_next, 1e6))
-            # the stop wins ties: it is found up to _EPS past the event
-            if t_stop is not None:
-                verts.append((p[0] + t_stop * v[0], p[1] + t_stop * v[1]))
-                return Polyline.from_points(verts)
-            if not math.isfinite(t_next):
-                raise TraceError("ray did not reach the stop condition")
-            verts.append(q)
-            p = q
+        t, u, q = leg(p, v)
+        s = np.concatenate(([p], q[:-1]))
+        # the stop wins ties: it is found up to _EPS past the event
+        ts, hit = _stop_crossing(stop, s, u, np.minimum(t, 1e6))
+        if hit.any():
+            k = hit.argmax()
+            return Polyline.from_points(np.concatenate(
+                verts + [q[:k], [s[k] + ts[k] * u[k]]]))
+        if not math.isfinite(t[-1]):
+            raise TraceError("ray did not reach the stop condition")
+        verts.append(q)
+        p, v = tuple(q[-1].tolist()), tuple(u[-1].tolist())
         p, v = turn(p, v)
     raise TraceError("ray did not reach the stop condition")
 
@@ -288,11 +312,7 @@ def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
     :raises TotalInternalReflection: supercritical incidence at an interface.
     :raises TraceError: stop condition unreachable.
     """
-    if isinstance(stop, tuple) and stop[0] == "depth":
-        stop = ("line", 0.0, 1.0, -stop[1])
-    if stop != "circle" and not (isinstance(stop, tuple)
-                                 and stop[0] == "line"):
-        raise ValueError(f"unknown stop condition {stop!r}")
+    stop = _stop_form(stop)
     p = (float(start[0]), float(start[1]))
     if isinstance(w, ConstantWeight):
         medium = _uniform(theta_0)
@@ -305,3 +325,304 @@ def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
         raise TraceError(f"{type(w).__name__} has no layered structure; "
                          "use the grid oracle")
     return _propagate(p, *medium, stop)
+
+
+# The fan: many rays from one start, traced in lockstep.  A fan medium keeps
+# its per-ray state in a dict of row arrays; its leg(st, stop) traces one
+# leg of every row and returns (e, q, u): the point where the leg meets the
+# stop (NaN rows where it does not), and the end and last direction of the
+# leg (q not finite for a leg with no end).  turn(st, q, u) passes each
+# row's event and returns a mask of the rows that did not totally reflect.
+# Every value is computed as the scalar tracer computes it, operation for
+# operation, so each ray ends where trace_layered_ray's ray ends.
+
+_AXIS_X, _AXIS_Y = 2, 3  # l1 leg events besides the shell steps -1 and +1
+
+
+def _libm(f, *cols):
+    """The math function f on each row of the arrays cols: numpy's own
+    transcendental functions may differ from math's in the last bit."""
+    return np.fromiter(map(f, *(c.tolist() for c in cols)), float,
+                       count=len(cols[0]))
+
+
+def _refract_rows(v, n, w_in, w_out):
+    """_refract_direction on rows of directions v and normals n, (m, 2) each.
+
+    Returns the bent directions and a mask of the rows that pass, False
+    where _refract_direction raises TotalInternalReflection.
+    """
+    vn = v[:, 0] * n[:, 0] + v[:, 1] * n[:, 1]
+    tx, ty = v[:, 0] - vn * n[:, 0], v[:, 1] - vn * n[:, 1]
+    tlen = _libm(math.hypot, tx, ty)
+    s_in = _libm(math.sin, _libm(math.asin, np.minimum(tlen, 1.0)))
+    s_out = (w_in / w_out) * s_in
+    ok = ~(s_out > 1.0)
+    theta_out = _libm(math.asin, np.where(ok, s_out, 0.0))
+    s = np.divide(_libm(math.sin, theta_out), tlen,
+                  out=np.zeros_like(tlen), where=tlen >= _EPS)
+    c = np.copysign(_libm(math.cos, theta_out), vn)
+    return np.column_stack((c * n[:, 0] + s * tx, c * n[:, 1] + s * ty)), ok
+
+
+def _first_stop(stop, s, u, t):
+    """Where each row's pieces first meet the stop, NaN rows where none
+    does.  Piece k of a row starts at s[:, k] along the unit u[:, k] for the
+    length t[:, k] (inf: no end, NaN: no piece)."""
+    ts, hit = _stop_crossing(stop, s, u, np.minimum(t, 1e6))
+    rows, k = np.arange(len(t)), hit.argmax(axis=1)
+    e = s[rows, k] + ts[rows, k, None] * u[rows, k]
+    e[~hit.any(axis=1)] = np.nan
+    return e
+
+
+def _straight_rows(stop, p, v, t):
+    """A leg of one straight piece per row: (e, q, v) as a fan leg."""
+    q = p + np.where(np.isfinite(t), t, np.nan)[:, None] * v
+    return _first_stop(stop, p[:, None], v[:, None], t[:, None]), q, v
+
+
+def _rotated_rows(n0, thetas):
+    """The unit n0 rotated counterclockwise by each of thetas, as rows."""
+    cos, sin = _libm(math.cos, thetas), _libm(math.sin, thetas)
+    return np.column_stack((cos * n0[0] - sin * n0[1],
+                            cos * n0[1] + sin * n0[0]))
+
+
+def _launch_rows(w, grid, ws, rho, v, n, outward):
+    """_launch for rows of directions v, normals n and rates outward, on
+    the shells (grid, ws) of w.shell_grid.  Returns the shell indices, the
+    directions and a mask of the rows that launch."""
+    j, w_from = _launch_shell(w, grid[1:].tolist(), rho)
+    j = np.full(len(v), j)
+    ok = np.ones(len(v), dtype=bool)
+    if w_from is not None:
+        j -= outward < -_EPS
+        bend = ws[j] != w_from
+        v = v.copy()
+        v[bend], ok[bend] = _refract_rows(v[bend], n[bend], w_from,
+                                          ws[j[bend]])
+    return j, v, ok
+
+
+def _fan_layers(w: LayeredWeight, p, thetas):
+    """_layers for a fan from p."""
+    if not np.all((-math.pi / 2 < thetas) & (thetas < math.pi / 2)):
+        raise ValueError("launch angle must be strictly subcritical")
+    depths = np.array(w.depths())
+    ws = np.array([wk for _, wk in w.layers])
+    v = np.column_stack((_libm(math.sin, thetas), -_libm(math.cos, thetas)))
+    st = {"p": np.tile(p, (len(v), 1)), "v": v}
+
+    def leg(st, stop):
+        p, v = st["p"], st["v"]
+        k = st["k"] = np.sum(p[:, 1:] <= -depths + _EPS, axis=1)
+        down = (k < len(depths)) & (v[:, 1] < 0)
+        y = -depths[np.minimum(k, len(depths) - 1)]
+        t = np.divide(y - p[:, 1], v[:, 1], out=np.full(len(v), np.inf),
+                      where=down)
+        e, q, v = _straight_rows(stop, p, v, t)
+        q[down, 1] = y[down]
+        return e, q, v
+
+    def turn(st, q, u):
+        k = st["k"]
+        v, ok = _refract_rows(u, np.array([[0.0, 1.0]]), ws[k],
+                              ws[np.minimum(k + 1, len(ws) - 1)])
+        st["p"], st["v"] = q, v
+        return ok
+
+    return np.ones(len(v), dtype=bool), st, leg, turn
+
+
+def _fan_diamonds(w: RadialWeight, p, thetas, n_shells):
+    """_diamonds for a fan from p.  A run leg of each row is one row of a
+    blocked _run; the rows with a run leg are sorted by the shells it
+    crosses, so a block pads its rows little."""
+    grid, ws = w.shell_grid(n_shells)
+    n_radii = len(grid) - 1
+    sx, sy = _quadrant(p, (1.0, 1.0))
+    v = _rotated_rows((sx / SQRT2, sy / SQRT2), thetas)
+    # _quadrant for each row
+    sx, sy = (np.where(c > _EPS, 1.0, np.where(c < -_EPS, -1.0, np.where(
+        vc >= 0, 1.0, -1.0))) for c, vc in zip(p, v.T))
+    j, v, ok = _launch_rows(w, grid, ws, abs(p[0]) + abs(p[1]), v,
+                            np.column_stack((sx, sy)) / SQRT2,
+                            sx * v[:, 0] + sy * v[:, 1])
+    st = {"p": np.tile(p, (len(v), 1)), "v": v, "sx": sx, "sy": sy, "j": j}
+
+    def run(stop, p, v, sx, sy, j, step, n_sh):
+        """One _diamonds run leg per row, padded to the longest run with
+        shells of zero width and infinite weight."""
+        m, cols = len(j), np.arange(int(n_sh.max()))
+        rows, out = np.arange(m), step[:, None] > 0
+        x0, y0, vx, vy = sx * p[:, 0], sy * p[:, 1], sx * v[:, 0], sy * v[:, 1]
+        gi = np.where(out, j[:, None] + 1 + cols, j[:, None] - cols)
+        rr = np.column_stack((x0 + y0, grid[np.clip(gi, 1, n_radii)]))
+        wi = np.where(out, j[:, None] + cols, j[:, None] - cols)
+        wr = np.where(cols < n_sh[:, None], ws[np.clip(wi, 0, n_radii)],
+                      np.inf)
+        kappa = (ws[j] * abs(vx - vy) / SQRT2)[:, None]
+        tir, off = _run(rr, wr, kappa)
+        mirror = (step * (vx - vy) < 0)[:, None]
+        xs = np.where(mirror, off[1], off[0]) + x0[:, None]
+        ys = np.where(mirror, off[0], off[1]) + y0[:, None]
+        # the first reflecting shell after the first, else the run's end
+        k = np.minimum(np.argmax(np.column_stack((tir[:, 1:], rows >= 0)),
+                                 axis=1) + 1, n_sh)
+        # a piece crosses an axis it starts more than _EPS away from
+        cut = [(c[:, 1:] < 0) & (c[:, :-1] > _EPS) & (cols < k[:, None])
+               for c in (xs, ys)]
+        crossed = (cut[0] | cut[1]).any(axis=1)
+        i = np.where(crossed, (cut[0] | cut[1]).argmax(axis=1) + 1, k)
+        a, b = rows, i - 1
+        f = [np.divide(c[a, b], c[a, b] - c[a, i], out=np.full(m, np.inf),
+                       where=crossed & m_[a, b])
+             for c, m_ in zip((xs, ys), cut)]
+        on_x = f[0] <= f[1]
+        f = np.where(crossed, np.where(on_x, *f), 0.0)
+        end = [np.where(crossed, c[a, b] + f * (c[a, i] - c[a, b]), c[a, i])
+               for c in (xs, ys)]
+        event = np.where(crossed, np.where(on_x, _AXIS_X, _AXIS_Y), step)
+        # the pieces up to the end, in the world frame
+        n = int(i.max())
+        sgn = np.stack((sx, sy), axis=1)[:, None]
+        pts = np.stack((xs[:, :n + 1], ys[:, :n + 1]), axis=-1) * sgn
+        pts[a, i] = np.column_stack(end) * sgn[:, 0]
+        t = np.hypot(*np.moveaxis(pts[:, 1:] - pts[:, :-1], -1, 0))
+        t[cols[:n] >= i[:, None]] = np.nan
+        s = np.minimum(kappa / wr[:, :n], 1.0 - 1e-13) \
+            * np.where(mirror, -1.0, 1.0)
+        c = np.sqrt(1.0 - s * s)
+        coef = (step / SQRT2)[:, None]
+        u = np.stack((coef * (c + s), coef * (c - s)), axis=-1) * sgn
+        starts = pts[:, :-1].copy()
+        starts[:, 0] = p
+        e = _first_stop(stop, starts, u, t)
+        return e, pts[a, i], u[a, b], event, j + step * (i - 1)
+
+    def leg(st, stop):
+        p, v, sx, sy, j = (st[key] for key in ("p", "v", "sx", "sy", "j"))
+        x0, y0, vx, vy = sx * p[:, 0], sy * p[:, 1], sx * v[:, 0], sy * v[:, 1]
+        step = np.where(vx + vy > 0, 1, -1)
+        n_sh = np.where(step > 0, n_radii - j, j)
+        flat = (abs(vx + vy) <= _EPS) | (n_sh == 0)
+        e, q, u = np.empty_like(p), np.empty_like(p), v.copy()
+        event, j = np.zeros(len(j), dtype=int), j.copy()
+        # straight to the axis ahead
+        rows = np.flatnonzero(flat)
+        t = np.full(len(rows), np.inf)
+        for axis, c, vc in ((_AXIS_X, x0[rows], vx[rows]),
+                            (_AXIS_Y, y0[rows], vy[rows])):
+            tc = np.divide(-c, vc, out=np.full(len(rows), np.inf),
+                           where=(vc < 0) & (c > _EPS))
+            event[rows[tc < t]] = axis
+            t = np.minimum(t, tc)
+        e[rows], q[rows], _ = _straight_rows(stop, p[rows], v[rows], t)
+        # run legs, longest first, in blocks of about _BLOCK pieces
+        rows = np.flatnonzero(~flat)
+        rows = rows[np.argsort(-n_sh[rows], kind="stable")]
+        at = 0
+        while at < len(rows):
+            b = rows[at:at + max(1, _BLOCK // int(n_sh[rows[at]]))]
+            e[b], q[b], u[b], event[b], j[b] = run(
+                stop, p[b], v[b], sx[b], sy[b], j[b], step[b], n_sh[b])
+            at += len(b)
+        st["event"], st["j"] = event, j
+        return e, q, u
+
+    def turn(st, q, u):
+        event, sx, sy, j = (st[key] for key in ("event", "sx", "sy", "j"))
+        p, v, ok = q.copy(), u.copy(), np.ones(len(q), dtype=bool)
+        for axis, sk in ((_AXIS_X, sx), (_AXIS_Y, sy)):
+            on = event == axis
+            sk[on] = np.where(u[on, axis - _AXIS_X] >= 0, 1.0, -1.0)
+            p[on, axis - _AXIS_X] = 0.0
+        sh = np.abs(event) == 1
+        j[sh] += event[sh]
+        v[sh], ok[sh] = _refract_rows(
+            u[sh], np.column_stack((sx[sh], sy[sh])) / SQRT2,
+            ws[j[sh] - event[sh]], ws[j[sh]])
+        st["p"], st["v"] = p, v
+        return ok
+
+    return ok, st, leg, turn
+
+
+def _fan_circles(w: RadialWeight, p, thetas, n_shells):
+    """_circles for a fan from p."""
+    grid, ws = w.shell_grid(n_shells)
+    n_radii = len(grid) - 1
+    r = math.hypot(*p)
+    if r < _EPS:
+        raise ValueError("radial launch from the origin is ambiguous")
+    n0 = (p[0] / r, p[1] / r)
+    v = _rotated_rows(n0, thetas)
+    j, v, ok = _launch_rows(w, grid, ws, r, v, np.tile(n0, (len(v), 1)),
+                            v[:, 0] * n0[0] + v[:, 1] * n0[1])
+    st = {"p": np.tile(p, (len(v), 1)), "v": v, "j": j}
+
+    def leg(st, stop):
+        p, v, j = st["p"], st["v"], st["j"]
+        # the nearer hit on circles j - 1 and j, the lower circle on ties
+        ts, idx = [], []
+        for i in (j - 1, j):
+            disc, *hits = circle_hits(p.T, v.T,
+                                      grid[np.clip(i + 1, 1, n_radii)])
+            valid = (i >= 0) & (i < n_radii) & (disc > 0)
+            ts += [np.where(valid & (t > 1e-10), t, np.inf) for t in hits]
+            idx += [i, i]
+        pick = np.argmin(ts, axis=0)
+        rows = np.arange(len(j))
+        st["idx"] = np.array(idx)[pick, rows]
+        return _straight_rows(stop, p, v, np.array(ts)[pick, rows])
+
+    def turn(st, q, u):
+        idx, j = st["idx"], st["j"]
+        n = q / _libm(math.hypot, q[:, 0], q[:, 1])[:, None]
+        w_from = ws[j]
+        j[:] = np.where(u[:, 0] * n[:, 0] + u[:, 1] * n[:, 1] > 0, idx + 1,
+                        idx)
+        v, ok = _refract_rows(u, n, w_from, ws[j])
+        st["p"], st["v"] = q, v
+        return ok
+
+    return ok, st, leg, turn
+
+
+def trace_fan(w: WeightField, start, thetas, stop, n_shells: int):
+    """End points of the rays trace_layered_ray(w, start, theta, stop,
+    n_shells) for every theta in thetas, traced in lockstep.
+
+    One generation traces one leg of every live ray, checks its pieces
+    against the stop and turns the rays that go on.  A ray's row is NaN
+    where trace_layered_ray raises TraceError or TotalInternalReflection.
+    Only layered and radial weights have a fan.
+
+    :raises ValueError: an unknown stop form or an invalid launch.
+    """
+    stop = _stop_form(stop)
+    p = (float(start[0]), float(start[1]))
+    thetas = np.asarray(thetas, dtype=float)
+    if isinstance(w, LayeredWeight):
+        ok, st, leg, turn = _fan_layers(w, p, thetas)
+    elif isinstance(w, RadialWeight):
+        shells = _fan_diamonds if w.norm == "l1" else _fan_circles
+        ok, st, leg, turn = shells(w, p, thetas, n_shells)
+    else:
+        raise TraceError(f"{type(w).__name__} has no traced fan")
+    ends = np.full((len(thetas), 2), np.nan)
+    rows = np.flatnonzero(ok)
+    st = {key: a[rows] for key, a in st.items()}
+    for _ in range(_MAX_LEGS):
+        if not rows.size:
+            break
+        e, q, u = leg(st, stop)
+        hit = ~np.isnan(e[:, 0])
+        ends[rows[hit]] = e[hit]
+        go = ~hit & np.isfinite(q[:, 0])
+        st = {key: a[go] for key, a in st.items()}
+        ok = turn(st, q[go], u[go])
+        st = {key: a[ok] for key, a in st.items()}
+        rows = rows[go][ok]
+    return ends

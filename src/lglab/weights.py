@@ -51,13 +51,13 @@ def circle_hits(p, v, radius):
     roots (-bb - sqrt(disc)) / (2 aa) and (-bb + sqrt(disc)) / (2 aa), with
     disc clamped at 0 inside the root.  disc < 0 means the line misses the
     circle and disc == 0 that it touches it; each caller decides which of
-    those count as a hit.
+    those count as a hit.  The coordinates may be arrays of lines.
     """
     aa = v[0] * v[0] + v[1] * v[1]
     bb = 2.0 * (p[0] * v[0] + p[1] * v[1])
     cc = p[0] * p[0] + p[1] * p[1] - radius * radius
     disc = bb * bb - 4 * aa * cc
-    sq = math.sqrt(max(0.0, disc))
+    sq = np.sqrt(np.maximum(0.0, disc))
     return disc, (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)
 
 

@@ -142,6 +142,26 @@ def test_timings_go_to_stderr_only(argv, tmp_path, capsys, monkeypatch):
                for part in timed_err.split()[1:])
 
 
+@pytest.mark.parametrize("route", [[], ["--via", "0.1,-0.6"]],
+                         ids=["shot", "via"])
+def test_geodesic_timings_go_to_stderr_only(route, tmp_path, capsys):
+    argv = ["geodesic", "--weight", "layered_horizontal", "--layers",
+            "0.2:1.0,0.5:2.0,0.8:1.5", "--from=-0.4,0.3", "--to=0.5,-0.7",
+            *route, "--outdir", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    data = (tmp_path / "geodesic.csv").read_bytes()
+    code, timed_out, timed_err = run(argv + ["--timings"], capsys)
+    assert code == 0
+    assert timed_out == out
+    assert (tmp_path / "geodesic.csv").read_bytes() == data
+    parts = timed_err.split()[1:]
+    assert timed_err.startswith("timings: ") and timed_err.count("\n") == 1
+    assert [part.split("=")[0] for part in parts] == ["shoot", "write"]
+    assert all(float(part.split("=")[1].rstrip("s")) >= 0.0
+               for part in parts)
+
+
 @pytest.fixture
 def sagging_glide(monkeypatch):
     """Every inward glide sags, so the core's inner-arc bracket fails."""

@@ -144,8 +144,6 @@ MIRROR_ALPHAS = {
 }
 
 
-# costs at the top of an unbounded alpha range overflow to inf on both sides
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MIRROR_ALPHAS))
 def test_maximal_branch_mirrors_minimal_at_every_level(name):
     # u_max(x, y) = 2 - u_min(x, -y): the minimal level-t curve mirrored in

@@ -6,7 +6,8 @@ import pytest
 
 from lglab.paths import Polyline, weighted_length
 from lglab.tracing import (DEFAULT_SHELLS, TotalInternalReflection,
-                           TraceError, _refract_direction, trace_layered_ray)
+                           TraceError, _refract_direction, trace_fan,
+                           trace_layered_ray)
 from lglab.weights import (ConstantWeight, LayeredWeight, ProfilePiece,
                            RadialWeight, circle_hits, make_weight)
 
@@ -402,6 +403,44 @@ def test_single_loop_matches_the_reference_trace(name):
     # every launch kind and stop form produced rays, not only errors
     assert traced == {(k, s) for k in ("interior", "axis", "interface")
                       for s in ("circle", "depth", "line")}
+
+
+@pytest.mark.parametrize("name", [n for n in _MEDIA if n != "constant"])
+def test_fan_ends_where_each_scalar_ray_ends(name):
+    # one lockstep fan per seeded launch against a scalar ray per angle:
+    # the same end point to the last bit, NaN where the scalar ray raises
+    w = _MEDIA[name]()
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    reached = set()
+    for start, _, stop, n_shells, kind in _seeded_launches(w, rng, 12):
+        if isinstance(w, LayeredWeight):
+            thetas = rng.uniform(-1.5, 1.5, 16)
+        else:
+            thetas = rng.uniform(-math.pi, math.pi, 16)
+        ends = trace_fan(w, start, thetas, stop, n_shells)
+        for theta, end in zip(thetas, ends):
+            ref = _outcome(trace_layered_ray, w, start, float(theta), stop,
+                           n_shells)
+            if isinstance(ref, np.ndarray):
+                assert end.tobytes() == ref[-1].tobytes(), (start, theta)
+                reached.add((kind, stop if isinstance(stop, str) else stop[0]))
+            else:
+                assert np.isnan(end).all() and ref is not ValueError
+    # every launch kind and stop form had rays that reached the stop
+    assert reached == {(k, s) for k in ("interior", "axis", "interface")
+                       for s in ("circle", "depth", "line")}
+
+
+def test_fan_rejects_what_the_scalar_tracer_rejects():
+    layered = _MEDIA["layered"]()
+    with pytest.raises(ValueError, match="subcritical"):
+        trace_fan(layered, (0.0, 0.0), [0.1, 2.0], ("depth", 1.0), 64)
+    with pytest.raises(ValueError, match="unknown stop"):
+        trace_fan(layered, (0.0, 0.0), [0.1], "x_axis", 64)
+    with pytest.raises(ValueError, match="origin"):
+        trace_fan(_MEDIA["heavy_disk"](), (0.0, 0.0), [0.1], "circle", 64)
+    with pytest.raises(TraceError):
+        trace_fan(_MEDIA["constant"](), (0.0, 0.0), [0.1], "circle", 64)
 
 
 def test_sloped_l2_profile_is_rejected():
