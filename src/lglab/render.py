@@ -4,6 +4,12 @@ Every writer here is pure text-in-text-out with fixed formatting (%.6f
 for SVG coordinates, %.9g for CSV numbers, LF line endings), so repeated
 runs of the same solve produce byte-identical files.
 
+The PGM heightmap is written by runs.  A row of a solution field is a few
+runs of equal values: constant outside the disk, one value per level band
+inside it.  Only the head of each run is rounded to its 16-bit code, each
+code that occurs gets its decimal word once, and the text is joined from
+words repeated over their runs, one block of rows at a time.
+
 Vertex coordinates are written by one array encoder that reproduces
 Python's "%.6f" % x and "%.9g" % x byte for byte.  It scales |x| by an
 exact power of ten, rounds with np.rint and writes the digits three at a
@@ -26,42 +32,50 @@ from .stacker import GridField, SolutionStack
 SVG_VIEWBOX = "-1.05 -1.05 2.1 2.1"
 
 
-# Cells per encoded block of rows; keeps the uint8 temporaries small.
+# Cells per joined block of rows; joining the runs a block at a time keeps
+# the pieces in flight small next to the text.
 _BLOCK = 1 << 15
-# Digit k of a code, counting from the left, is written when the code is at
-# least _LEAD[k]; the units digit always is.
-_LEAD = (10000, 1000, 100, 10)
 
 
 def pgm_text(field: GridField) -> str:
     """Plain (P2) PGM of a solution field, values [0,2] mapped to 0..65535.
 
-    One grid row per output line, top row (y = +1) first.  Each cell is
-    written as five ASCII digits and a separator, a space or the row's
-    newline, and a mask drops the leading zeros.
+    One grid row per output line, top row (y = +1) first, each cell written
+    as its decimal code and a separator, a space or the row's newline.  The
+    field is cut into runs of equal values along the rows: a run breaks
+    where the value changes and at each row's first and last cell, the last
+    one carrying the newline.  Only the run heads are rounded to codes, and
+    each run is written as one word repeated.
     """
     values = field.values
     nrows, n = values.shape
-    out = [f"P2\n{n} {nrows}\n65535\n"]
+    flipped = values[::-1]
+    heads = np.empty((nrows, n), dtype=bool)
+    np.not_equal(flipped[:, 1:], flipped[:, :-1], out=heads[:, 1:])
+    heads[:, 0] = heads[:, -1] = True
+    starts = np.flatnonzero(heads)
+    del heads  # the text built below sets the peak
+    row, col = np.divmod(starts, n)
+    head = flipped[row, col]
+    # NaN equals nothing, so it always heads a run; a run of inf has an
+    # inf head
+    if not np.isfinite(head).all():
+        raise ValueError("field values must be finite")
+    codes = np.rint(np.clip(head, 0.0, 2.0) * (65535.0 / 2.0)).astype(
+        np.int64)
+    keys, word = np.unique(codes + 65536 * (col == n - 1),
+                           return_inverse=True)
+    words = [str(k & 0xFFFF) + ("\n" if k >> 16 else " ")
+             for k in keys.tolist()]
+    lengths = np.diff(starts, append=nrows * n).tolist()
+    word = word.tolist()
+    # every row starts a run, so the runs of a block of rows are a slice
     step = max(1, _BLOCK // n)
-    for top in range(nrows, 0, -step):
-        block = values[max(0, top - step):top][::-1]
-        if not np.isfinite(block).all():
-            raise ValueError("field values must be finite")
-        codes = np.rint(np.clip(block, 0.0, 2.0) * (65535.0 / 2.0)).astype(
-            np.int32)
-        cells = np.empty(codes.shape + (6,), np.uint8)
-        rest = codes
-        for k in range(4, -1, -1):
-            tens = rest // 10
-            cells[..., k] = rest - 10 * tens + ord("0")
-            rest = tens
-        cells[..., 5] = ord(" ")
-        cells[:, -1, 5] = ord("\n")
-        keep = np.ones(cells.shape, dtype=bool)
-        for k, lead in enumerate(_LEAD):
-            keep[..., k] = codes >= lead
-        out.append(cells[keep].tobytes().decode("ascii"))
+    cuts = np.searchsorted(starts, np.arange(0, nrows + step, step) * n)
+    out = [f"P2\n{n} {nrows}\n65535\n"]
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        out.append("".join([words[w] * k for w, k in
+                            zip(word[lo:hi], lengths[lo:hi])]))
     return "".join(out)
 
 
@@ -241,6 +255,12 @@ def report_csv(reports: list[ExperimentReport]) -> str:
     return "\n".join(rows) + "\n"
 
 
+# Characters per write; the file object encodes each write whole, so a
+# large text is written in slices to keep that copy small.
+_CHUNK = 1 << 20
+
+
 def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for at in range(0, len(text), _CHUNK):
+            fh.write(text[at:at + _CHUNK])

@@ -99,6 +99,34 @@ def _check_nesting(curves, xs, res):
     return ys
 
 
+def _disk_rows(xs):
+    """Inside columns of each row of the node grid xs × xs: row j lies in the
+    open disk, sq[j] + sq[i] < 1 - 1e-15 with sq = xs², exactly on
+    a[j] <= i < b[j].
+
+    The rounded sum is monotone in sq[i], and sq falls then rises along a
+    row, so the inside columns of a row are one interval.  Its ends are
+    found by a bisection over all rows at once.
+    """
+    sq = xs * xs
+    n, mid = len(xs), int(np.argmin(sq))
+
+    def first(lo, hi, inside):
+        # the first column in [lo, hi) whose test equals inside, else hi; a
+        # settled row may sit at n, hence the clamp
+        while (lo < hi).any():
+            m = (lo + hi) // 2
+            live = lo < hi
+            hit = (sq + sq[np.minimum(m, n - 1)] < 1.0 - 1e-15) == inside
+            hi = np.where(live & hit, m, hi)
+            lo = np.where(live & ~hit, m + 1, lo)
+        return lo
+
+    a = first(np.zeros(n, int), np.full(n, mid), True)
+    b = first(np.full(n, mid), np.full(n, n), False)
+    return a, b
+
+
 def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
           res: int = DEFAULT_RES, n_shells: int | None = None) -> SolutionStack:
     """Build the stacked solution field from per-level shortest curves."""
@@ -120,8 +148,11 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
     xb = np.array([lc.x_bound() for lc in curves])[:, None]
     pad = np.where(levels < 1.0, -np.inf, np.inf)[:, None]
     gmat = np.where(np.abs(xs) <= xb + 1e-15, ys, pad)
-    # the count of curves below a node is its level only in monotone
-    # columns; nesting bounds the fixup by a cell
+    # Nesting holds only to within a grid cell, so over one column the
+    # height of curve k + 1 may dip below that of curve k.  The running
+    # maximum makes every column nondecreasing in k, and with it the start
+    # rows below, so the count of curves below a node is the index of the
+    # highest one, the node's level.  Nesting bounds the fix-up by a cell.
     gmat = np.maximum.accumulate(gmat, axis=0)
 
     # SwitchPolicy makes branches a maximal prefix then a minimal suffix
@@ -134,17 +165,30 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
     rows = np.concatenate([
         np.searchsorted(xs, gmat[:first_min], side="left"),
         np.searchsorted(xs, gmat[first_min:], side="right")])
-    starts = (rows * n + np.arange(n)).ravel()
-    count = np.bincount(starts, minlength=(n + 1) * n).reshape(n + 1, n)
-    # count[j, i] curves lie below the node.  Columns are monotone, so with
-    # weak/strict the last curve at g <= y_j / g < y_j this is
-    # max(min(weak, first_min - 1), strict if strict >= first_min else -1) + 1
-    np.cumsum(count, axis=0, out=count)
+    # count[j, i] curves start at or below row j, so that many lie below the
+    # node.  Columns are monotone, so with weak/strict the last curve at
+    # g <= y_j / g < y_j this is
+    # max(min(weak, first_min - 1), strict if strict >= first_min else -1) + 1.
+    # It never exceeds the number of levels, so the narrowest unsigned type
+    # that holds that one will do.  A curve starts once in each column, so
+    # one indexed add per curve counts it, and the counts are summed down
+    # one row at a time, where an axis-0 cumsum would stride across rows.
+    kind = np.min_scalar_type(len(levels))
+    count = np.zeros((n + 1, n), dtype=kind)
+    cols = np.arange(n)
+    for start in rows:
+        count[start, cols] += 1
+    for j in range(1, n):
+        np.add(count[j - 1], count[j], out=count[j])
+    # indexing widens the narrow counts a buffer at a time, where np.take
+    # would make one n x n intp copy of them
     u = np.concatenate([[0.0], levels])[count[:n]]
-    sq = xs * xs
-    outside = sq[:, None] + sq[None, :] >= 1.0 - 1e-15
-    u[outside] = np.broadcast_to(np.clip(xs + 1.0, 0.0, 2.0)[:, None],
-                                 (n, n))[outside]
+    # outside the open disk each row takes its boundary value
+    a, b = _disk_rows(xs)
+    rim = np.clip(xs + 1.0, 0.0, 2.0)
+    for j, (lo, hi, v) in enumerate(zip(a.tolist(), b.tolist(),
+                                        rim.tolist())):
+        u[j, :lo] = u[j, hi:] = v
     return SolutionStack(w, levels, curves, policy, GridField(res, u))
 
 

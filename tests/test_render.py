@@ -115,12 +115,91 @@ def test_pgm_matches_reference_across_widths(shape):
     assert pgm_text(GridField(0, values)) == _reference_pgm(values)
 
 
+def _banded(shape, values, lengths):
+    """A field whose output order, top row first, is runs of values with
+    the given lengths, cut into rows of shape[1] regardless of the runs."""
+    flat = np.repeat(values, lengths)[:shape[0] * shape[1]]
+    return flat.reshape(shape)[::-1].copy()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 9), (3, render._BLOCK + 1)])
+def test_pgm_writes_a_constant_field_as_one_word(shape):
+    values = np.full(shape, 1.25)
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+
+
+def test_pgm_runs_carry_across_row_ends():
+    # each row, top first, ends on the value the next row starts with
+    band = [0.5, 1.0, 0.25, 2.0, 0.0, 1.0, 1.0, 0.5]
+    top = np.array([[v] * 4 + [w] * 6 for v, w in zip(band, band[1:])])
+    assert np.array_equal(top[:-1, -1], top[1:, 0])
+    values = top[::-1]
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+    # runs spanning several whole rows
+    values = _banded((12, 10), [0.5, 1.0, 0.25, 2.0, 0.0],
+                     [15, 10, 33, 40, 22])
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+
+
+@pytest.mark.parametrize("nrows", [1, 2, 31])
+def test_pgm_writes_single_column_fields(nrows):
+    values = _banded((nrows, 1), [1.0, 0.0, 2.0, 1.0], [5, 9, 1, 30])
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+
+
+def test_pgm_merges_signed_zeros_into_one_code():
+    values = np.zeros((6, 8))
+    values[::2, 1::3] = -0.0
+    values[1, :4] = [-0.0, 0.0, -0.0, -1e-300]
+    values[4:] = np.where(np.arange(8) % 2, -0.0, 0.0)
+    assert np.signbit(values).any()
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+
+
+def test_pgm_writes_distinct_floats_of_one_code():
+    step = 2.0 / 65535.0
+    near = [1.0, math.nextafter(1.0, 2.0), 1.0 + 0.4 * step,
+            1.0 - 0.4 * step, 1.0 + step, -0.5, -3.0, 0.0, 2.5, 1e9, 2.0,
+            77 * step, 77.4 * step, 76.6 * step]
+    values = np.array(near * 4).reshape(8, 7)
+    codes = np.rint(np.clip(values, 0.0, 2.0) / step)
+    assert len(np.unique(values)) > len(np.unique(codes))
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+
+
+@pytest.mark.parametrize("width", [render._BLOCK - 1, render._BLOCK + 1,
+                                   render._BLOCK // 2 - 1,
+                                   render._BLOCK // 2 + 1])
+def test_pgm_runs_cross_row_block_cuts(width):
+    # long runs straddle every row end, so each block of rows starts and
+    # ends inside a run
+    values = _banded((5, width), [0.75, 1.5, 0.0, 2.0, 0.75],
+                     [width + 3, 2 * width - 7, width // 2, 5, 2 * width])
+    assert pgm_text(GridField(0, values)) == _reference_pgm(values)
+
+
+def test_pgm_matches_reference_on_a_res_768_field():
+    s = stack(make_weight("heavy_disk", 2.0), levels=midpoint_levels(21),
+              res=768)
+    assert pgm_text(s.field) == _reference_pgm(s.field.values)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pgm_rejects_non_finite_fields(bad):
     values = np.ones((9, 9))
     values[7, 3] = bad
     with pytest.raises(ValueError, match="finite"):
         pgm_text(GridField(4, values))
+
+
+def test_write_text_writes_long_texts_in_slices(tmp_path):
+    # a multi-byte character on each side of every slice cut
+    text = ("ab\u00e9\n" * (render._CHUNK // 2 + 2))[:2 * render._CHUNK + 7]
+    path = tmp_path / "long.txt"
+    render.write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    render.write_text(path, "")
+    assert path.read_bytes() == b""
 
 
 def _reference_svg(stack, max_curves=41) -> str:

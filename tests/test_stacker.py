@@ -11,7 +11,7 @@ from lglab.paths import Polyline, weighted_length
 from lglab.snell import H_of
 from lglab.stacker import (ALL_MAXIMAL, ALL_MINIMAL, GridField,
                            StackNestingError, SwitchPolicy, _check_nesting,
-                           bv_energy, jump_set, local_oscillation,
+                           _disk_rows, bv_energy, jump_set, local_oscillation,
                            midpoint_levels, stack, trace_error)
 from lglab.weights import make_weight
 
@@ -202,6 +202,33 @@ def test_fill_matches_per_column_reference(name, alpha):
     for policy in (ALL_MINIMAL, ALL_MAXIMAL, SwitchPolicy(1.1)):
         s = stack(w, levels=midpoint_levels(21), res=40, policy=policy)
         assert np.array_equal(s.field.values, _reference_fill(s)), policy
+
+
+@pytest.mark.parametrize("count", [254, 255, 256, 300])
+def test_fill_matches_per_column_reference_across_count_widths(count):
+    # the counts are kept in the narrowest type that holds the level count,
+    # a byte up to 255 levels; the top levels lie well inside the disk, so
+    # some nodes have every curve below them
+    w = make_weight("heavy_diamond", 2.0)
+    levels = np.linspace(0.05, 1.5, count)
+    for policy in (ALL_MINIMAL, ALL_MAXIMAL, SwitchPolicy(1.1)):
+        s = stack(w, levels=levels, res=12, policy=policy)
+        u = s.field.values
+        assert np.array_equal(u, _reference_fill(s)), policy
+        xs = s.field.coords
+        inside = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0 - 1e-15
+        assert (u[inside] == levels[-1]).any()
+
+
+def test_disk_rows_match_the_rim_mask():
+    for res in [*range(301), 512, 768, 1024]:
+        xs = np.linspace(-1.0, 1.0, 2 * res + 1)
+        sq = xs * xs
+        outside = sq[:, None] + sq[None, :] >= 1.0 - 1e-15
+        a, b = _disk_rows(xs)
+        cols = np.arange(len(xs))
+        inside = (cols >= a[:, None]) & (cols < b[:, None])
+        assert np.array_equal(inside, ~outside), res
 
 
 # Each weight's documented alpha range, normal floats only: the light
