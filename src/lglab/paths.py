@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .weights import WeightField
+from .weights import WeightField, circle_hits
 
 RIM_STEP = 2e-3
 RIM_LIFT = 2e-6
@@ -133,14 +133,12 @@ def _cut_sign_changes(pts, f):
 def _cut_circles(pts, cx, cy, r):
     """Cut at both roots in (0, 1) of each piece's l2 circle quadratics."""
     dx, dy = np.diff(pts[:, 0]), np.diff(pts[:, 1])
-    fx, fy = pts[:-1, 0] - cx, pts[:-1, 1] - cy
-    aa = dx * dx + dy * dy
-    bb = 2.0 * (fx * dx + fy * dy)
-    disc = bb * bb - 4.0 * aa * (fx * fx + fy * fy - r * r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc, *hits = circle_hits((pts[:-1, 0] - cx, pts[:-1, 1] - cy),
+                                  (dx, dy), r)
     # pieces of zero (or underflowing) length have no roots
-    k, i = np.nonzero((disc > 0) & (aa > 0))
-    sq, bb, aa = np.sqrt(disc[k, i]), bb[k, i], 2.0 * aa[i]
-    s = np.concatenate([(-bb - sq) / aa, (-bb + sq) / aa])
+    k, i = np.nonzero((disc > 0) & (dx * dx + dy * dy > 0))
+    s = np.concatenate([t[k, i] for t in hits])
     i = np.concatenate([i, i])
     inside = (0.0 < s) & (s < 1.0)
     return _cut(pts, i[inside], s[inside])

@@ -2,7 +2,8 @@
 
 Scans launch angles, tracing the whole fan of rays in lockstep to the line
 through the target perpendicular to the endpoint chord, and bisects the
-transverse miss to zero between sign changes, one scalar ray at a time.
+transverse miss between sign changes, one scalar ray at a time, to within
+tol or until the midpoint rounds onto an end, as it does across a jump.
 Smooth refracted rays cannot produce corner routes around slow obstacles,
 so explicit candidates (the straight chord, obstacle-corner routes, rim
 wraps around a slow disk) compete with every converged ray and the
@@ -77,7 +78,8 @@ def _scan_candidates(w, a, b, tol, n_shells, scan_angles):
             if math.isnan(fm):
                 break
             path = pm
-            if abs(fm) < tol:
+            # once mid rounds onto an end, every later step retraces it
+            if abs(fm) < tol or mid == lo or mid == hi:
                 break
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm

@@ -75,47 +75,30 @@ def snell_chain(weights, theta_1: float) -> float:
     return direct
 
 
-def _adaptive_simpson(f, a, b, eps):
-    """Recursive Simpson with the standard 15-fold error estimate."""
+def _glide_integral(t0: float) -> float:
+    """H_of's integral by the 16-point Gauss-Legendre rule."""
+    from numpy.polynomial.legendre import leggauss
 
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        m = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + m)
-        rm = 0.5 * (m + hi)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(lo, m, flo, flm, fmid)
-        right = simpson(m, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, m, flo, flm, fmid, left, 0.5 * tol, depth - 1)
-                + recurse(m, hi, fmid, frm, fhi, right, 0.5 * tol, depth - 1))
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, eps, 48)
+    x, wts = leggauss(16)
+    c, half = 1.0 + t0, 0.5 * (1.0 - t0)
+    d = half * (1.0 + x)  # s - c at the nodes
+    r = (2.0 * (c + d) ** 2 - c * c) ** 0.5
+    return float(half * wts @ (d * (2.0 * c + d) / (r * (r + c))))
 
 
 def H_of(t0: float) -> float:
     """Height gained by a ray gliding up through the graded diamond shell.
 
-    Integrates (1/2) * [1 - (1+t0)/sqrt(2(1+t)^2 - (1+t0)^2)] for t in
-    (t0, 1).  The integrand is 0 at t = t0 and positive beyond, so the result
-    is strictly positive for any t0 in (0, 1).
+    Integrates (1/2)(1 - c/r) = (s - c)(s + c) / (r (r + c)) over s = 1 + t
+    in (c, 2), with c = 1 + t0 and r = sqrt(2 s^2 - c^2).  The second form
+    does not cancel.  With s - c taken from the interval's length 1 - t0 it
+    is positive at every node, and so is H, for every float t0 in (0, 1).
+    The integrand is analytic on [c, 2]; 16 nodes are exact to a few
+    roundings.
     """
     if not 0.0 < t0 < 1.0:
         raise ValueError("t0 must lie in (0, 1)")
-    c = 1.0 + t0
-
-    def f(t):
-        return 0.5 * (1.0 - c / math.sqrt(2.0 * (1.0 + t) ** 2 - c * c))
-
-    val = _adaptive_simpson(f, t0, 1.0, 1e-8)
+    val = _glide_integral(t0)
     if not val > 0.0:
         raise SolverError(f"glide height {val} is not positive")
     return val

@@ -104,26 +104,27 @@ def _disk_rows(xs):
     open disk, sq[j] + sq[i] < 1 - 1e-15 with sq = xs², exactly on
     a[j] <= i < b[j].
 
-    The rounded sum is monotone in sq[i], and sq falls then rises along a
-    row, so the inside columns of a row are one interval.  Its ends are
-    found by a bisection over all rows at once.
+    The rounded sum is monotone in sq[i] and sq falls then rises along a
+    row, so the inside columns of a row are one interval, and counting the
+    columns each side of the centre with sq[i] < (1 - 1e-15) - sq[j] places
+    its ends.  The count can disagree with the rounded test only within
+    ~2e-16 of that threshold, and distinct sq differ by at least 1/res², so
+    one step of the real test moves each end onto the interval.
     """
     sq = xs * xs
-    n, mid = len(xs), int(np.argmin(sq))
+    mid = int(np.argmin(sq))
+    thr = (1.0 - 1e-15) - sq
+    a = mid - np.searchsorted(sq[:mid][::-1], thr)
+    b = mid + np.searchsorted(sq[mid:], thr)
+    ext = np.append(sq, np.inf)  # columns -1 and n lie outside
 
-    def first(lo, hi, inside):
-        # the first column in [lo, hi) whose test equals inside, else hi; a
-        # settled row may sit at n, hence the clamp
-        while (lo < hi).any():
-            m = (lo + hi) // 2
-            live = lo < hi
-            hit = (sq + sq[np.minimum(m, n - 1)] < 1.0 - 1e-15) == inside
-            hi = np.where(live & hit, m, hi)
-            lo = np.where(live & ~hit, m + 1, lo)
-        return lo
+    def inside(i):
+        return sq + ext[i] < 1.0 - 1e-15
 
-    a = first(np.zeros(n, int), np.full(n, mid), True)
-    b = first(np.full(n, mid), np.full(n, n), False)
+    a -= inside(a - 1)
+    a += (a < mid) & ~inside(a)
+    b += inside(b)
+    b -= (b > mid) & ~inside(b - 1)
     return a, b
 
 

@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from lglab import shooting
 from lglab.curves import boundary_points, level_curve
-from lglab.paths import segment, weighted_length
+from lglab.paths import Polyline, segment, weighted_length
 from lglab.shooting import shoot_two_point
 from lglab.tracing import trace_fan
 from lglab.weights import make_weight
@@ -170,3 +170,64 @@ def test_default_shot_traces_few_scalar_rays(name, alpha, a, b, monkeypatch):
     monkeypatch.setattr(shooting, "trace_layered_ray", counted)
     shoot_two_point(make_weight(name, alpha), a, b)
     assert 0 < len(rays) < 300
+
+
+def _scan_candidates_without_early_exit(w, a, b, tol, n_shells, scan_angles):
+    # the scan with a bisection that only stops at tol, a NaN miss or 60
+    # steps, as it once did; kept as the reference for the early exit
+    a, b, swapped, thetas = shooting._scan_angles(w, a, b, scan_angles)
+    u, stop = shooting._aim(a, b)
+    misses = shooting._miss(trace_fan(w, a, thetas, stop, n_shells), a, b, u)
+    m0, m1 = misses[:-1], misses[1:]
+    out = []
+    for i in np.flatnonzero((m0 > 0) & (m1 <= 0) | (m0 <= 0) & (m1 > 0)):
+        lo, hi, flo = float(thetas[i]), float(thetas[i + 1]), m0[i]
+        path = None
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm, pm = shooting._perp_miss(w, a, b, mid, n_shells)
+            if math.isnan(fm):
+                break
+            path = pm
+            if abs(fm) < tol:
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        if path is not None:
+            e = path.as_array()[-1]
+            if math.hypot(e[0] - b[0], e[1] - b[1]) < max(tol * 10, 1e-6):
+                verts = np.vstack([path.as_array()[:-1], [b]])
+                out.append(Polyline.from_points(
+                    verts[::-1] if swapped else verts))
+    return out
+
+
+@pytest.mark.parametrize("name, alpha, a, b", [
+    ("heavy_diamond", 2.0, (-0.8, 0.0), (0.8, 0.0)),
+    ("heavy_disk", 2.0, (-0.5, 0.3), (0.6, -0.2))],
+    ids=["heavy_diamond", "heavy_disk"])
+def test_bisection_stops_where_its_midpoint_rounds_onto_an_end(
+        name, alpha, a, b, monkeypatch):
+    # each shot has a bracket across a jump of the miss, which the full
+    # bisection halves for all 60 steps (102 and 101 scalar rays in all,
+    # against 86 and 85 with the early exit); the paths are the same
+    rays = []
+
+    def counted(*args, **kwargs):
+        rays.append(args[2])
+        return trace(*args, **kwargs)
+
+    trace = shooting.trace_layered_ray
+    monkeypatch.setattr(shooting, "trace_layered_ray", counted)
+    w = make_weight(name, alpha)
+    path, cost = shoot_two_point(w, a, b)
+    n_rays = len(rays)
+    rays.clear()
+    monkeypatch.setattr(shooting, "_scan_candidates",
+                        _scan_candidates_without_early_exit)
+    ref_path, ref_cost = shoot_two_point(w, a, b)
+    assert cost == ref_cost
+    assert path.as_array().tobytes() == ref_path.as_array().tobytes()
+    assert n_rays < len(rays)

@@ -9,7 +9,7 @@ from lglab.snell import (H_of, SolverError, heavy_disk_arc_test, snell_chain,
                          snell_refract)
 from lglab.tracing import TotalInternalReflection
 
-# frozen adaptive-Simpson values of the sag integral (eps 1e-8)
+# values of the sag integral frozen from an adaptive Simpson rule (eps 1e-8)
 H_TABLE = {
     0.1: 0.17153096458483258,
     0.3: 0.10568359666652322,
@@ -77,6 +77,28 @@ def test_sag_decreases_toward_rim():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def _sag_closed_form(t0):
+    # the antiderivative; it cancels as t0 -> 1, so compare where it is stable
+    c = 1.0 + t0
+    return 0.5 * (1.0 - t0) - c / (2.0 * math.sqrt(2.0)) * (
+        math.acosh(2.0 * math.sqrt(2.0) / c) - math.acosh(math.sqrt(2.0)))
+
+
+def test_sag_matches_the_closed_form():
+    for t0 in (0.01 + 0.89 * k / 40 for k in range(41)):
+        assert H_of(t0) == pytest.approx(_sag_closed_form(t0), rel=1e-13,
+                                         abs=0), t0
+
+
+def test_sag_stays_positive_and_decreasing_up_to_the_last_float():
+    grid = [1.0 - 2.0 ** -k for k in range(1, 54)]
+    vals = [H_of(t) for t in grid]
+    # 1 + t0 rounds to 2 at the last one
+    assert grid[-1] == math.nextafter(1.0, 0.0) and 1.0 + grid[-1] == 2.0
+    assert all(v > 0.0 for v in vals)
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
 def test_arc_criterion_table():
     assert heavy_disk_arc_test(2.0, math.pi)          # 4 > pi
     assert heavy_disk_arc_test(math.pi / 2, math.pi)  # exact tie counts
@@ -102,6 +124,6 @@ def test_chain_drift_is_a_solver_error(monkeypatch):
 
 
 def test_nonpositive_glide_height_is_a_solver_error(monkeypatch):
-    monkeypatch.setattr(snell, "_adaptive_simpson", lambda f, a, b, eps: 0.0)
+    monkeypatch.setattr(snell, "_glide_integral", lambda t0: 0.0)
     with pytest.raises(SolverError, match="not positive"):
         H_of(0.5)

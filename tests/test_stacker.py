@@ -220,15 +220,61 @@ def test_fill_matches_per_column_reference_across_count_widths(count):
         assert (u[inside] == levels[-1]).any()
 
 
+def _bisected_disk_rows(xs):
+    # the row ends found by a vectorized bisection on the real test, as the
+    # stacker once did, kept as a reference for the count-and-correct form
+    sq = xs * xs
+    n, mid = len(xs), int(np.argmin(sq))
+
+    def first(lo, hi, inside):
+        while (lo < hi).any():
+            m = (lo + hi) // 2
+            live = lo < hi
+            hit = (sq + sq[np.minimum(m, n - 1)] < 1.0 - 1e-15) == inside
+            hi = np.where(live & hit, m, hi)
+            lo = np.where(live & ~hit, m + 1, lo)
+        return lo
+
+    return (first(np.zeros(n, int), np.full(n, mid), True),
+            first(np.full(n, mid), np.full(n, n), False))
+
+
+def _rows_mask(xs, a, b):
+    cols = np.arange(len(xs))
+    return (cols >= a[:, None]) & (cols < b[:, None])
+
+
 def test_disk_rows_match_the_rim_mask():
-    for res in [*range(301), 512, 768, 1024]:
+    for res in [*range(301), 512, 768, 1024, 2048, 4096]:
         xs = np.linspace(-1.0, 1.0, 2 * res + 1)
-        sq = xs * xs
-        outside = sq[:, None] + sq[None, :] >= 1.0 - 1e-15
         a, b = _disk_rows(xs)
-        cols = np.arange(len(xs))
-        inside = (cols >= a[:, None]) & (cols < b[:, None])
-        assert np.array_equal(inside, ~outside), res
+        ref_a, ref_b = _bisected_disk_rows(xs)
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), res
+        if res <= 1024:
+            # past that the n x n mask is too big to build
+            sq = xs * xs
+            outside = sq[:, None] + sq[None, :] >= 1.0 - 1e-15
+            assert np.array_equal(_rows_mask(xs, a, b), ~outside), res
+
+
+@pytest.mark.parametrize("xj, xi, inside", [
+    # sq[i] < 1 - 1e-15 - sq[j] holds, the rounded sum test fails
+    (0.8846682710209841, 0.4662210315384126, False),
+    # and the other way round
+    (0.620367421014253, 0.7843113303683197, True)])
+def test_disk_rows_correct_a_miscounted_end(xj, xi, inside):
+    # on these pairs the column count lands one off the real test at both
+    # ends of row j, so a correction step has to move each end (one pair
+    # moves them outward, the other inward)
+    thr = (1.0 - 1e-15) - xj * xj
+    assert (xi * xi < thr) != inside
+    assert (xj * xj + xi * xi < 1.0 - 1e-15) == inside
+    half = np.array([0.0, 0.3, xj, xi, 1.0])
+    xs = np.unique(np.concatenate([-half, half]))
+    a, b = _disk_rows(xs)
+    sq = xs * xs
+    outside = sq[:, None] + sq[None, :] >= 1.0 - 1e-15
+    assert np.array_equal(_rows_mask(xs, a, b), ~outside)
 
 
 # Each weight's documented alpha range, normal floats only: the light
