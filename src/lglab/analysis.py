@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _refine, boundary_points, level_curve
+from .curves import (_THREE_DIAMOND_VIAS, _refine, boundary_points,
+                     level_curve)
 from .oracle import grid_shortest_path
 from .paths import Polyline, weighted_length
 from .shooting import shoot_two_point
@@ -29,24 +30,16 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Quantity:
-    """One measured number with its target and an absolute or relative bar."""
+    """One measured number with its target and an absolute bar."""
 
     label: str
     value: float
     expected: float
     tolerance: float
-    kind: str = "abs"
-
-    def __post_init__(self):
-        if self.kind not in ("abs", "rel"):
-            raise ValueError("kind must be 'abs' or 'rel'")
 
     @property
     def passed(self) -> bool:
-        err = abs(self.value - self.expected)
-        if self.kind == "rel":
-            return err <= self.tolerance * max(1.0, abs(self.expected))
-        return err <= self.tolerance
+        return abs(self.value - self.expected) <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ class ExperimentReport:
         for q in self.quantities:
             flag = "PASS" if q.passed else "FAIL"
             yield (f"[{flag}] {self.name}: {q.label} = {q.value:.9g} "
-                   f"(expected {q.expected:.9g} +/- {q.tolerance:.3g} {q.kind})")
+                   f"(expected {q.expected:.9g} +/- {q.tolerance:.3g} abs)")
 
 
 def _point_polyline_distance(p, pts: np.ndarray) -> float:
@@ -93,14 +86,13 @@ def curvature_clearance(w: WeightField, z, r: float) -> float:
     phi = math.atan2(zy, zx)
     p1 = (math.cos(phi - dphi), math.sin(phi - dphi))
     p2 = (math.cos(phi + dphi), math.sin(phi + dphi))
-    if isinstance(w, ConstantWeight):
-        path = Polyline((p1, p2))
-    elif abs(zx) < 1e-12 and isinstance(w, (RadialWeight, MultiDiamondWeight)):
+    if abs(zx) < 1e-12 and isinstance(w, (RadialWeight, MultiDiamondWeight)):
         # at a pole the geodesic is a level curve; pick the branch nearer z
         t = 1.0 + zy * math.cos(dphi)
         branch = "minimal" if zy > 0 else "maximal"
         path = level_curve(w, t, branch).path
-    elif isinstance(w, (RadialWeight, MultiDiamondWeight, LayeredWeight)):
+    elif isinstance(w, (ConstantWeight, RadialWeight, MultiDiamondWeight,
+                        LayeredWeight)):
         path, _ = shoot_two_point(w, p1, p2, tol=1e-7, n_shells=512,
                                   scan_angles=512)
     else:
@@ -343,30 +335,26 @@ def three_diamonds_thresholds(alpha: float = SQRT2) -> tuple[float, float]:
     a diamond would be penalized; the returned roots are alpha-free.
     """
     w = three_heavy_diamonds(alpha)
+    _, under, over, _, apex, _ = _THREE_DIAMOND_VIAS
 
     def cost(t, verts):
         left, right = boundary_points(t)
         return weighted_length(Polyline((left, *verts, right)), w)
 
     def bottom_minus_top(t):
-        return (cost(t, ((-0.5, -0.25), (0.5, -0.25)))
-                - cost(t, ((-0.5, 0.25), (0.0, 0.375), (0.5, 0.25))))
+        return cost(t, under) - cost(t, over)
 
     def top_minus_apex(t):
-        return (cost(t, ((-0.5, 0.25), (0.0, 0.375), (0.5, 0.25)))
-                - cost(t, ((0.0, 0.375),)))
+        return cost(t, over) - cost(t, apex)
 
     def root(f, lo, hi):
         flo, fhi = f(lo), f(hi)
         if (flo > 0) == (fhi > 0):
-            raise ValueError("f(lo) and f(hi) must have different signs")
+            raise ValueError("no route-equality root in (3/4, 11/8)")
         return _refine(f, lo, hi, flo, fhi)
 
-    try:
-        t0 = root(bottom_minus_top, 0.76, 1.12)
-        t1 = root(top_minus_apex, t0 + 1e-6, 1.374)
-    except ValueError as exc:
-        raise ValueError("no route-equality root in (3/4, 11/8)") from exc
+    t0 = root(bottom_minus_top, 0.76, 1.12)
+    t1 = root(top_minus_apex, t0 + 1e-6, 1.374)
     if not 0.75 < t0 < t1 < 1.375:
         raise ValueError(f"thresholds ({t0:.6g}, {t1:.6g}) left (3/4, 11/8)")
     return float(t0), float(t1)
@@ -463,7 +451,7 @@ def litedmdheavycore_checks() -> ExperimentReport:
     return ExperimentReport("litedmdheavycore", tuple(quantities))
 
 
-def _snell_suite(seed: int = 0) -> ExperimentReport:
+def _snell_suite(seed: int) -> ExperimentReport:
     rng = np.random.default_rng(seed)
     worst_recip = 0.0
     worst_chain = 0.0
@@ -493,12 +481,11 @@ def _snell_suite(seed: int = 0) -> ExperimentReport:
     return ExperimentReport("snell", (
         Quantity("reciprocity worst error", worst_recip, 0.0, 1e-12),
         Quantity("chain collapse worst error", worst_chain, 0.0, 1e-12),
-        Quantity("two-layer kink vs golden section", shot, ref,
-                 1e-6),
+        Quantity("two-layer kink vs exact minimum", shot, ref, 1e-6),
     ))
 
 
-def _thresholds_suite(seed: int = 0) -> ExperimentReport:
+def _thresholds_suite(seed: int) -> ExperimentReport:
     t0, t1 = three_diamonds_thresholds(SQRT2)
     spread0 = max(abs(three_diamonds_thresholds(a)[0] - t0)
                   for a in (2.0, 5.0))
@@ -514,7 +501,7 @@ def _thresholds_suite(seed: int = 0) -> ExperimentReport:
     ))
 
 
-def _submodularity_suite(seed: int = 0) -> ExperimentReport:
+def _submodularity_suite(seed: int) -> ExperimentReport:
     trials = 1000
     passed = submodularity_check(res=256, trials=trials, seed=seed)
     return ExperimentReport("submodularity", (
@@ -522,7 +509,7 @@ def _submodularity_suite(seed: int = 0) -> ExperimentReport:
     ))
 
 
-def _clearance_suite(seed: int = 0) -> ExperimentReport:
+def _clearance_suite(seed: int) -> ExperimentReport:
     rng = np.random.default_rng(seed)
     w = constant(1.0)
     worst = 0.0
@@ -540,11 +527,11 @@ def _clearance_suite(seed: int = 0) -> ExperimentReport:
     ))
 
 
-def _corelite_suite(seed: int = 0) -> ExperimentReport:
+def _corelite_suite(seed: int) -> ExperimentReport:
     return litedmdheavycore_checks()
 
 
-def _rectangles_suite(seed: int = 0) -> ExperimentReport:
+def _rectangles_suite(seed: int) -> ExperimentReport:
     return rectangle_submodularity_exhaustive(seed=seed)
 
 

@@ -19,14 +19,14 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .analysis import SUITES, run_suite
 from .config import RunConfig, load_config, parse_layers, serialize_config
 from .paths import Polyline, weighted_length
-from .render import (curves_csv, geodesic_csv, pgm_text, report_csv, svg_text,
-                     write_text)
+from .render import (_level_stride, curves_csv, geodesic_csv, pgm_text,
+                     report_csv, svg_text, write_text)
 from .shooting import shoot_two_point
 from .snell import SolverError
 from .stacker import SwitchPolicy, midpoint_levels, stack
@@ -79,14 +79,10 @@ def _build_weight(cfg: RunConfig):
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    updates = {}
-    for name in ("weight", "alpha", "layers", "resolution", "levels",
-                 "switch_level", "outdir", "experiments", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    return replace(cfg, **updates) if updates else cfg
+    """The config file, or the defaults, overridden by the flags given."""
+    cfg = load_config(args.config) if args.config else RunConfig()
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
+                           if getattr(args, f.name, None) is not None})
 
 
 def _stopwatch(*stages):
@@ -118,7 +114,7 @@ def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
     s = timed("stack", stack, _build_weight(cfg),
               levels=midpoint_levels(cfg.levels),
               policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
-    stride = max(1, (len(s.levels) - 1) // 40)
+    stride = _level_stride(len(s.levels))
     timed("write", write_text, outdir / "solution.pgm",
           timed("pgm", pgm_text, s.field))
     timed("write", write_text, outdir / "contours.svg",
@@ -227,27 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     timings_help = "print the seconds of each stage to stderr"
     geo.add_argument("--timings", action="store_true", help=timings_help)
 
-    def add_run_flags(p, with_experiments=False):
-        p.add_argument("--config", default=None, help="key=value file")
-        p.add_argument("--weight", default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--layers", default=None)
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--switch-level", dest="switch_level", type=float,
-                       default=None)
-        p.add_argument("--outdir", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if with_experiments:
-            p.add_argument("--experiments", default=None,
-                           help="'all' or comma-joined suite names")
-
     solve = sub.add_parser("solve", help="stack level curves into a field")
-    add_run_flags(solve)
+    solve.add_argument("--config", default=None, help="key=value file")
+    solve.add_argument("--weight", default=None)
+    solve.add_argument("--alpha", type=float, default=None)
+    solve.add_argument("--layers", default=None)
+    solve.add_argument("--resolution", type=int, default=None)
+    solve.add_argument("--levels", type=int, default=None)
+    solve.add_argument("--switch-level", dest="switch_level", type=float,
+                       default=None)
+    solve.add_argument("--outdir", default=None)
     solve.add_argument("--timings", action="store_true", help=timings_help)
 
     verify = sub.add_parser("verify", help="run the experiment suites")
-    add_run_flags(verify, with_experiments=True)
+    verify.add_argument("--config", default=None, help="key=value file")
+    verify.add_argument("--experiments", default=None,
+                        help="'all' or comma-joined suite names")
+    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--outdir", default=None)
 
     fig = sub.add_parser("figure", help="preset solves by weight name")
     fig.add_argument("name")

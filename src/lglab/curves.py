@@ -50,6 +50,8 @@ _TIE_TOL = 1e-12
 # Bracket width to which _refine pins a sweep root.
 _ROOT_TOL = 1e-15
 
+_DECIMATE_TARGET = 512  # vertex count _decimate thins a sweep polyline to
+
 
 def _half_chord(h: float) -> float:
     """Half-width of the unit disk at height h."""
@@ -111,11 +113,11 @@ def _pick(options, branch: str) -> Polyline:
         0.0, *path.as_array().T))
 
 
-def _decimate(pts: np.ndarray, target: int = 512) -> np.ndarray:
+def _decimate(pts: np.ndarray) -> np.ndarray:
     """Thin a dense sweep polyline, always keeping both endpoints."""
-    if len(pts) <= target:
+    if len(pts) <= _DECIMATE_TARGET:
         return pts
-    stride = max(1, len(pts) // target)
+    stride = max(1, len(pts) // _DECIMATE_TARGET)
     idx = list(range(0, len(pts) - 1, stride))
     idx.append(len(pts) - 1)
     return pts[idx]
@@ -174,19 +176,18 @@ def _climb(w: RadialWeight, start, kappa, n_shells: int = SWEEP_SHELLS):
     pts = np.empty((*radii.shape[:-1], radii.shape[-1] + 1, 2))
     for j in (0, 1):
         np.add(start[..., j, None], offsets[j], out=pts[..., :-1, j])
-    rows = pts.reshape(-1, *pts.shape[-2:])
-    rows[:, -1] = [_rim_step(p, kp, w) for p, kp in
-                   zip(rows[:, -2].tolist(), kappa.ravel().tolist())]
+    pts[..., -1, :] = _rim_step(pts[..., -2, :], kappa, w)
     return pts
 
 
-def _rim_step(p, kappa: float, w: RadialWeight):
-    """Where a sweep's straight outer leg from p meets the unit circle."""
-    s_out = kappa / float(w.pieces[-1].offset)
-    c_out = math.sqrt(1.0 - s_out * s_out)
-    v = ((c_out + s_out) / math.sqrt(2.0), (c_out - s_out) / math.sqrt(2.0))
-    t = circle_hits(p, v, 1.0)[2]
-    return p[0] + t * v[0], p[1] + t * v[1]
+def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
+    """Where the straight outer legs of sweeps from points p (..., 2), one
+    kappa each, meet the unit circle."""
+    s_out = np.divide(kappa, float(w.pieces[-1].offset))
+    c_out = np.sqrt(1.0 - s_out * s_out)
+    v = np.stack([c_out + s_out, c_out - s_out], axis=-1) / math.sqrt(2.0)
+    t = circle_hits((p[..., 0], p[..., 1]), (v[..., 0], v[..., 1]), 1.0)[2]
+    return p + t[..., None] * v
 
 
 def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
@@ -464,10 +465,7 @@ def _three_diamond_options(w: MultiDiamondWeight, h: float,
     for via in _THREE_DIAMOND_VIAS:
         if via and all(y == h for _, y in via):
             continue  # the chord itself, with collinear vertices on it
-        try:
-            poly = Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
-        except ValueError:
-            continue
+        poly = Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
         cost = weighted_length(poly, w)
         if via and cost > poly.euclidean_length() + 1e-9:
             continue  # a detour route crossing a diamond interior is never it

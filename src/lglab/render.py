@@ -198,17 +198,25 @@ def _vertex_text(paths, heads, fmt, sep, end=""):
     return "".join(out)
 
 
-def svg_text(stack: SolutionStack, max_curves: int = 41) -> str:
+_SOLVE_CURVES = 41  # level curves in solve's contours.svg and curves.csv
+
+
+def _level_stride(count: int, max_curves: int = _SOLVE_CURVES) -> int:
+    """Level step from the first of count that samples at most max_curves."""
+    if max_curves < 1:
+        raise ValueError("max_curves must be positive")
+    return max(1, (count - 1) // (max_curves - 1)) if max_curves > 1 \
+        else count
+
+
+def svg_text(stack: SolutionStack, max_curves: int = _SOLVE_CURVES) -> str:
     """SVG 1.1 contour plot, one path per sampled level curve.
 
     Math coordinates go in as-is; a single group transform flips the
     y-axis into screen orientation.  Stroke shade encodes the level,
     darker = lower.
     """
-    if max_curves < 1:
-        raise ValueError("max_curves must be positive")
-    stride = max(1, (len(stack.levels) - 1) // (max_curves - 1)) \
-        if max_curves > 1 else len(stack.levels)
+    stride = _level_stride(len(stack.levels), max_curves)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

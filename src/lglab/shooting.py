@@ -19,7 +19,7 @@ import numpy as np
 from .paths import Polyline, rim_wrap, weighted_length
 from .snell import TotalInternalReflection
 from .tracing import TraceError, trace_fan, trace_layered_ray
-from .weights import ConstantWeight, LayeredWeight, RadialWeight, WeightField
+from .weights import LayeredWeight, RadialWeight, WeightField
 
 DEFAULT_SCAN_ANGLES = 2048
 
@@ -100,19 +100,11 @@ def _corner_routes(w, a, b) -> list[Polyline]:
     if not corners or abs(b[0] - a[0]) < 1e-12:
         return []
     lo, hi = (a, b) if a[0] <= b[0] else (b, a)
+    # sorted, so each combination runs in x order from lo to hi
     corners.sort()
-    routes = []
-    for k in range(1, min(w.max_corners, len(corners)) + 1):
-        for combo in combinations(corners, k):
-            xs = [p[0] for p in combo]
-            if any(x2 - x1 < -1e-12 for x1, x2 in zip(xs, xs[1:])):
-                continue
-            try:
-                routes.append(Polyline.from_points(
-                    np.array([lo, *combo, hi])))
-            except ValueError:
-                continue
-    return routes
+    return [Polyline.from_points(np.array([lo, *combo, hi]))
+            for k in range(1, min(w.max_corners, len(corners)) + 1)
+            for combo in combinations(corners, k)]
 
 
 def _rim_wraps(w, a, b) -> list[Polyline]:
@@ -139,8 +131,8 @@ def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,
     """Cheapest found path between interior/boundary points a and b.
 
     Returns (path, weighted length).  For weights without a ray tracer
-    (multi-diamond, custom piecewise) only the explicit candidates compete;
-    the grid oracle is the fallback for anything more general.
+    (constant, multi-diamond, custom piecewise) only the explicit candidates
+    compete; the grid oracle is the fallback for anything more general.
     """
     a = (float(a[0]), float(a[1]))
     b = (float(b[0]), float(b[1]))
@@ -148,12 +140,8 @@ def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,
         raise ValueError("endpoints must lie in the closed unit disk")
     if math.hypot(a[0] - b[0], a[1] - b[1]) < 1e-15:
         raise ValueError("endpoints coincide")
-    chord = Polyline((a, b))
-    if isinstance(w, ConstantWeight):
-        return chord, weighted_length(chord, w)
-    candidates = [chord]
-    candidates += _corner_routes(w, a, b)
-    candidates += _rim_wraps(w, a, b)
+    candidates = [Polyline((a, b)), *_corner_routes(w, a, b),
+                  *_rim_wraps(w, a, b)]
     if isinstance(w, (RadialWeight, LayeredWeight)):
         candidates += _scan_candidates(w, a, b, tol, n_shells, scan_angles)
     costs = [weighted_length(p, w) for p in candidates]

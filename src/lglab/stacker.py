@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import LevelCurve, level_curve
+from .curves import SWEEP_SHELLS, LevelCurve, level_curve
 from .paths import weighted_length
 from .snell import SolverError
 from .weights import WeightField
 
 DEFAULT_LEVELS = 401
 DEFAULT_RES = 512
+_JUMP_SPACINGS = 5.0  # a curve gap over this many level spacings is a jump
 
 
 def midpoint_levels(count: int = DEFAULT_LEVELS) -> np.ndarray:
@@ -129,7 +130,8 @@ def _disk_rows(xs):
 
 
 def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
-          res: int = DEFAULT_RES, n_shells: int | None = None) -> SolutionStack:
+          res: int = DEFAULT_RES,
+          n_shells: int = SWEEP_SHELLS) -> SolutionStack:
     """Build the stacked solution field from per-level shortest curves."""
     if levels is None:
         levels = midpoint_levels()
@@ -138,9 +140,8 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
         raise ValueError("need at least 16 levels")
     if np.any(np.diff(levels) <= 0) or levels[0] <= 0 or levels[-1] >= 2:
         raise ValueError("levels must be strictly increasing inside (0, 2)")
-    kwargs = {} if n_shells is None else {"n_shells": n_shells}
     curves = tuple(level_curve(w, float(t), policy.branch_for(float(t)),
-                               **kwargs) for t in levels)
+                               n_shells=n_shells) for t in levels)
 
     n = 2 * res + 1
     xs = np.linspace(-1.0, 1.0, n)
@@ -200,7 +201,7 @@ def bv_energy(s: SolutionStack) -> float:
                      for dt, lc in zip(dts, s.curves)))
 
 
-def _jump_touch_angles(s: SolutionStack, factor: float = 5.0) -> list[float]:
+def _jump_touch_angles(s: SolutionStack) -> list[float]:
     """Boundary angles where a jump-carrying level curve meets the circle."""
     out = []
     dt = float(np.median(np.diff(s.levels)))
@@ -208,7 +209,7 @@ def _jump_touch_angles(s: SolutionStack, factor: float = 5.0) -> list[float]:
         xb = min(a.x_bound(), b.x_bound())
         xs = np.linspace(-xb, xb, 64)
         gap = float(np.max(np.abs(b.y_at(xs) - a.y_at(xs))))
-        if gap > factor * dt:
+        if gap > _JUMP_SPACINGS * dt:
             h = 0.5 * (a.level + b.level) - 1.0
             h = max(-1.0, min(1.0, h))
             phi = math.asin(h)

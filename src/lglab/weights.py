@@ -175,7 +175,7 @@ class RadialWeight(WeightField):
         one-sided value at its outer radius, the unbounded last shell the
         outer piece's value.  The arrays are shared, so they are read-only.
         """
-        radii = [0.0]
+        radii = [np.zeros(1)]
         span = sum(p.hi - p.lo for p in self.pieces
                    if math.isfinite(p.hi) and p.slope != 0.0)
         for p in self.pieces:
@@ -184,9 +184,8 @@ class RadialWeight(WeightField):
             m = 1
             if p.slope != 0.0 and span > 0.0:
                 m = max(1, int(round(n_shells * (p.hi - p.lo) / span)))
-            for j in range(1, m + 1):
-                radii.append(p.lo + (p.hi - p.lo) * j / m)
-        r = np.array(radii)
+            radii.append(p.lo + (p.hi - p.lo) * np.arange(1, m + 1) / m)
+        r = np.concatenate(radii)
         ws = np.append(_limits(self.pieces, r[1:])[0],
                        self.pieces[-1].offset)
         r.setflags(write=False)

@@ -63,6 +63,21 @@ def test_solve_reads_config_file(tmp_path, capsys):
     assert (tmp_path / "out" / "solution.pgm").exists()
 
 
+def test_run_cfg_records_the_seed_of_the_file_or_the_default(tmp_path,
+                                                             capsys):
+    # solve takes no --seed, but run.cfg keeps the shared file format whole
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text("weight = constant\nresolution = 32\nlevels = 16\n"
+                   "seed = 7\n", encoding="utf-8")
+    for argv, seed in ((["--config", str(cfg)], 7), ([], 0)):
+        out = tmp_path / f"seed{seed}"
+        code, _, _ = run(["solve", *argv, "--weight", "constant",
+                          "--resolution", "32", "--levels", "16",
+                          "--outdir", str(out)], capsys)
+        assert code == 0
+        assert f"seed = {seed}\n" in (out / "run.cfg").read_text()
+
+
 def test_env_var_overrides_outdir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LGL_OUT", str(tmp_path / "env"))
     code, _, _ = run(["solve", "--weight", "constant", "--resolution", "48",
@@ -82,6 +97,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "resolution" in err
     code, _, err = run(["figure", "nope", "--outdir", str(tmp_path)], capsys)
     assert code == 2 and "unknown figure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--weight", "heavy_diamond"],
+    ["verify", "--resolution", "64"],
+    ["solve", "--seed", "3"],
+    ["solve", "--experiments", "snell"]], ids=" ".join)
+def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_solver_failures_exit_3(tmp_path, capsys):

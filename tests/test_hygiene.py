@@ -157,7 +157,8 @@ def _passed_params(trees):
 
 
 def test_optional_parameters_are_passed_somewhere():
-    """Every defaulted parameter of a public function is passed by a call.
+    """Every defaulted parameter of a public function, a public method or a
+    module-level private function is passed by a call.
 
     Name-based like the check above: a call to any function of the same name
     that passes the parameter by keyword or by position counts.  A bound
@@ -170,7 +171,8 @@ def test_optional_parameters_are_passed_somewhere():
             is_class = isinstance(node, ast.ClassDef)
             for fn in node.body if is_class else [node]:
                 if not isinstance(fn, ast.FunctionDef) \
-                        or fn.name.startswith("_"):
+                        or fn.name.startswith("__") \
+                        or is_class and fn.name.startswith("_"):
                     continue
                 params = fn.args.args[1:] if is_class else fn.args.args
                 pos, kws = passed.get(fn.name, ((), ()))

@@ -1,4 +1,5 @@
 """Two-point geodesic search."""
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,49 @@ from lglab.weights import make_weight
 def test_constant_weight_returns_chord():
     w = make_weight("constant", 1.5)
     path, cost = shoot_two_point(w, (-0.6, 0.1), (0.7, -0.4))
-    assert len(path.vertices) == 2
+    assert path == Polyline(((-0.6, 0.1), (0.7, -0.4)))
     assert cost == pytest.approx(1.5 * math.hypot(1.3, 0.5), abs=1e-12)
+    assert cost == 2.0892582415776175  # frozen weighted_length of the chord
+
+
+def _reference_corner_routes(w, a, b):
+    """_corner_routes as it was written with an x-order filter and a guard
+    around each route: the reference for the plain list."""
+    corners = [p for p in w.corner_points()
+               if min(a[0], b[0]) - 1e-12 < p[0] < max(a[0], b[0]) + 1e-12]
+    if not corners or abs(b[0] - a[0]) < 1e-12:
+        return []
+    lo, hi = (a, b) if a[0] <= b[0] else (b, a)
+    corners.sort()
+    routes = []
+    for k in range(1, min(w.max_corners, len(corners)) + 1):
+        for combo in itertools.combinations(corners, k):
+            xs = [p[0] for p in combo]
+            if any(x2 - x1 < -1e-12 for x1, x2 in zip(xs, xs[1:])):
+                continue
+            try:
+                routes.append(Polyline.from_points(
+                    np.array([lo, *combo, hi])))
+            except ValueError:
+                continue
+    return routes
+
+
+@pytest.mark.parametrize("name", ["heavy_diamond", "three_heavy_diamonds"])
+def test_corner_routes_match_the_guarded_loop(name):
+    w = make_weight(name, 2.0)
+    rng = np.random.default_rng(11)
+    pairs = [tuple(map(tuple, rng.uniform(-0.7, 0.7, (2, 2))))
+             for _ in range(40)]
+    # ends on a corner's x, on a corner itself, and with equal x
+    pairs += [((-0.5, 0.3), (0.5, 0.3)), ((-0.75, 0.0), (0.75, 0.0)),
+              ((0.0, 0.125), (0.5, -0.25)), ((0.2, -0.6), (0.2, 0.6))]
+    count = 0
+    for a, b in pairs:
+        got = shooting._corner_routes(w, a, b)
+        assert got == _reference_corner_routes(w, a, b)
+        count += len(got)
+    assert count > 0
 
 
 def test_heavy_diamond_tip_route():
