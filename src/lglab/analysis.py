@@ -46,7 +46,6 @@ class Quantity:
 class ExperimentReport:
     name: str
     quantities: tuple[Quantity, ...]
-    artifacts: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -78,7 +77,7 @@ def curvature_clearance(w: WeightField, z, r: float) -> float:
     weight it equals r^2/2 exactly.
     """
     zx, zy = float(z[0]), float(z[1])
-    if abs(math.hypot(zx, zy) - 1.0) > 1e-9:
+    if not abs(math.hypot(zx, zy) - 1.0) <= 1e-9:
         raise ValueError("z must lie on the unit circle")
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
@@ -543,6 +542,17 @@ SUITES = {
     "corelite": _corelite_suite,
     "rectangles": _rectangles_suite,
 }
+
+
+def _suite_names(text: str) -> tuple[str, ...]:
+    """'all' alone (every suite, in name order) or distinct suite names."""
+    names = tuple(n.strip() for n in text.split(","))
+    if names == ("all",):
+        return tuple(sorted(SUITES))
+    if not set(names) <= set(SUITES) or len(set(names)) < len(names):
+        raise ValueError(f"unknown experiment list {text!r}; give 'all' alone "
+                         f"or distinct names from {', '.join(SUITES)}")
+    return names
 
 
 def run_suite(name: str, seed: int = 0) -> ExperimentReport:

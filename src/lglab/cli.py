@@ -22,7 +22,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .analysis import SUITES, run_suite
+from .analysis import _suite_names, run_suite
 from .config import RunConfig, load_config, parse_layers, serialize_config
 from .paths import Polyline, weighted_length
 from .render import (_level_stride, curves_csv, geodesic_csv, pgm_text,
@@ -163,9 +163,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
-    names = tuple(sorted(SUITES)) if cfg.experiments == "all" else \
-        tuple(n.strip() for n in cfg.experiments.split(","))
-    reports = [run_suite(name, seed=cfg.seed) for name in names]
+    reports = [run_suite(name, seed=cfg.seed)
+               for name in _suite_names(cfg.experiments)]
     for rep in reports:
         for line in rep.lines():
             print(line)

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .analysis import SUITES
-
-_SUITE_KEYS = ("all", *SUITES)
+from .analysis import _suite_names
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,7 @@ class RunConfig:
             raise ValueError("switch_level must lie in [0, 2]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in self.experiments.split(","):
-            if name.strip() not in _SUITE_KEYS:
-                raise ValueError(f"unknown experiment {name.strip()!r}; "
-                                 f"known: {', '.join(_SUITE_KEYS)}")
+        _suite_names(self.experiments)
 
 
 def parse_layers(text: str):

@@ -356,8 +356,8 @@ _SWEEP_BOUNDS = {
 def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
                     n_shells: int) -> list[tuple[float, Polyline]]:
     """Candidates for the continuous l1-radial weights."""
-    c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.kind]
-    is_core = w.kind == "lite_dmd_heavy_core"
+    c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.name]
+    is_core = w.name == "lite_dmd_heavy_core"
     inner = np.empty((0, 2))
     if is_core:
         a_star, h_star, arc = _core_geometry(w, n_shells)
@@ -437,7 +437,7 @@ def _heavy_obstacle_options(w: RadialWeight, h: float,
     """
     paths = [_chord(h, xb)]
     if abs(h) < 0.5:
-        if w.kind == "heavy_diamond":
+        if w.name == "heavy_diamond":
             paths += [_diamond_detour(w.alpha, h, xb, sign)
                       for sign in (1.0, -1.0)
                       if sign * h >= 0.0 or abs(h) <= xb - 0.5]
@@ -487,10 +487,10 @@ def level_curve(w: WeightField, t: float, branch: str = "minimal",
         return LevelCurve(t, branch, _chord(h, xb))
     if isinstance(w, MultiDiamondWeight):
         options = _three_diamond_options(w, h, xb)
-    elif isinstance(w, RadialWeight) and w.kind in ("heavy_diamond",
+    elif isinstance(w, RadialWeight) and w.name in ("heavy_diamond",
                                                     "heavy_disk"):
         options = _heavy_obstacle_options(w, h, xb)
-    elif isinstance(w, RadialWeight) and w.kind in _SWEEP_BOUNDS:
+    elif isinstance(w, RadialWeight) and w.name in _SWEEP_BOUNDS:
         options = _radial_options(w, h, xb, branch, n_shells)
     else:
         raise NotImplementedError(

@@ -42,7 +42,7 @@ def snell_refract(w_in: float, w_out: float, theta_in: float) -> float:
     :param w_out: weight on the outgoing side, > 0.
     :param theta_in: incidence angle in [0, pi/2].
     """
-    if w_in <= 0 or w_out <= 0:
+    if not (w_in > 0 and w_out > 0):
         raise ValueError("weights must be positive")
     if not 0 <= theta_in <= math.pi / 2:
         raise ValueError("incidence angle must lie in [0, pi/2]")
@@ -111,7 +111,7 @@ def heavy_disk_arc_test(alpha: float, theta: float) -> bool:
     routes then have equal weighted length, and the rim is the one the
     level-curve construction uses.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")

@@ -73,7 +73,6 @@ class SolutionStack:
     weight: WeightField
     levels: np.ndarray
     curves: tuple[LevelCurve, ...]
-    policy: SwitchPolicy
     field: GridField = field(repr=False, default=None)
 
 
@@ -191,7 +190,7 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
     for j, (lo, hi, v) in enumerate(zip(a.tolist(), b.tolist(),
                                         rim.tolist())):
         u[j, :lo] = u[j, hi:] = v
-    return SolutionStack(w, levels, curves, policy, GridField(res, u))
+    return SolutionStack(w, levels, curves, GridField(res, u))
 
 
 def bv_energy(s: SolutionStack) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +30,6 @@ class ProfilePiece:
     hi: float
     offset: float
     slope: float
-    tag: str
 
 
 def _limits(pieces, r):
@@ -93,12 +92,14 @@ class WeightField:
         raise TypeError(f"unsupported weight type {type(self).__name__}")
 
     def corner_points(self) -> list[tuple[float, float]]:
-        """Obstacle corners a cheapest route may kink at."""
-        return []
+        """Tips of the declared l1 circles, where a cheapest route may kink."""
+        return [q for cx, cy, r in self.interfaces()[1] if r > 0
+                for q in _diamond_tips(cx, cy, r)]
 
     def rim_radii(self) -> list[float]:
-        """Radii of the slow disks about the origin a route may wrap around."""
-        return []
+        """Radii in (0, 1) of declared l2 circles about 0, for rim wraps."""
+        return [r for cx, cy, r in self.interfaces()[2]
+                if cx == cy == 0 and 0 < r < 1]
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,12 @@ class ConstantWeight(WeightField):
     c: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("weight must be positive")
         object.__setattr__(self, "name", f"constant({self.c:g})")
 
     def values(self, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape, self.c, dtype=float)
+        return np.full(np.shape(x), self.c, dtype=float)
 
     def interfaces(self):
         return [], [], []
@@ -128,7 +128,7 @@ class RadialWeight(WeightField):
     integration.  Values on piece boundaries follow the inf-of-limits rule.
     """
 
-    kind: str
+    name: str = field()  # field(): required, not WeightField's default
     norm: str  # "l1" or "l2"
     pieces: tuple[ProfilePiece, ...]
     alpha: float = float("nan")
@@ -145,7 +145,6 @@ class RadialWeight(WeightField):
             raise ValueError("last profile piece must be unbounded")
         if self.norm == "l2" and any(p.slope != 0.0 for p in self.pieces):
             raise ValueError("l2 profiles must be piecewise constant")
-        object.__setattr__(self, "name", self.kind)
 
     def radius(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -198,17 +197,6 @@ class RadialWeight(WeightField):
             return _axes(0.0, 0.0), circles, []
         return [], [], circles
 
-    def corner_points(self):
-        if self.norm != "l1":
-            return []
-        return [q for r in self.breakpoints() if r > 0
-                for q in _diamond_tips(0.0, 0.0, r)]
-
-    def rim_radii(self):
-        if self.norm != "l2":
-            return []
-        return [r for r in self.breakpoints() if 0 < r < 1]
-
 
 @dataclass(frozen=True)
 class MultiDiamondWeight(WeightField):
@@ -219,32 +207,27 @@ class MultiDiamondWeight(WeightField):
     """
 
     alpha: float = SQRT2
+    name = "three_heavy_diamonds"
     max_corners = 4
 
-    CENTERS = ((-0.5, 0.0, 0.25, "large_left"),
-               (0.5, 0.0, 0.25, "large_right"),
-               (0.0, 0.25, 0.125, "small"))
+    # the large left, large right and small diamond
+    CENTERS = ((-0.5, 0.0, 0.25), (0.5, 0.0, 0.25), (0.0, 0.25, 0.125))
 
     def __post_init__(self):
-        if self.alpha < SQRT2:
+        if not self.alpha >= SQRT2:
             raise ValueError("three-diamond weight expects alpha >= sqrt(2)")
-        object.__setattr__(self, "name", "three_heavy_diamonds")
 
     def values(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        for cx, cy, r, _ in self.CENTERS:
+        for cx, cy, r in self.CENTERS:
             inside |= (np.abs(x - cx) + np.abs(y - cy)) < r
         return np.where(inside, self.alpha, 1.0)
 
     def interfaces(self):
-        return ([row for cx, cy, _, _ in self.CENTERS for row in _axes(cx, cy)],
-                [(cx, cy, r) for cx, cy, r, _ in self.CENTERS], [])
-
-    def corner_points(self):
-        return [q for cx, cy, r, _ in self.CENTERS
-                for q in _diamond_tips(cx, cy, r)]
+        return ([row for cx, cy, _ in self.CENTERS for row in _axes(cx, cy)],
+                list(self.CENTERS), [])
 
 
 @dataclass(frozen=True)
@@ -258,24 +241,22 @@ class LayeredWeight(WeightField):
     """
 
     layers: tuple[tuple[float, float], ...]
+    name = "layered_horizontal"
 
     def __post_init__(self):
-        depths = [d for d, _ in self.layers]
-        if len(depths) < 1 or any(b <= a for a, b in zip(depths, depths[1:])):
+        depths = self.depths()
+        if not depths or not all(b > a for a, b in zip(depths, depths[1:])):
             raise ValueError("layer depths must increase")
-        if depths[0] <= 0 or any(w <= 0 for _, w in self.layers):
+        if not (depths[0] > 0 and all(w > 0 for _, w in self.layers)):
             raise ValueError("depths and weights must be positive")
-        object.__setattr__(self, "name", "layered_horizontal")
 
     def values(self, x, y):
-        y = np.asarray(y, dtype=float)
-        depths = np.array([d for d, _ in self.layers])
-        ws = np.array([w for _, w in self.layers])
-        idx = np.searchsorted(depths, -y, side="left")
-        idx_hi = np.searchsorted(depths, -y, side="right")
-        idx = np.clip(idx, 0, len(ws) - 1)
-        idx_hi = np.clip(idx_hi, 0, len(ws) - 1)
-        return np.minimum(ws[idx], ws[idx_hi])
+        # a piecewise-constant profile of the depth -y; the last weight
+        # holds from the last depth but one down
+        inner = self.depths()[:-1]
+        pieces = [ProfilePiece(lo, hi, w, 0.0) for lo, hi, (_, w) in zip(
+            (-math.inf, *inner), (*inner, math.inf), self.layers)]
+        return np.minimum(*_limits(pieces, -np.asarray(y, dtype=float)))
 
     def depths(self):
         return tuple(d for d, _ in self.layers)
@@ -297,6 +278,10 @@ class Region:
     offset: float = 0.0
     negate: bool = False
 
+    def __post_init__(self):
+        if self.shape not in ("l1", "l2", "halfplane"):
+            raise ValueError(f"unknown region shape {self.shape!r}")
+
     def contains(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -304,10 +289,8 @@ class Region:
             m = (np.abs(x - self.cx) + np.abs(y - self.cy)) < self.radius
         elif self.shape == "l2":
             m = np.hypot(x - self.cx, y - self.cy) < self.radius
-        elif self.shape == "halfplane":
-            m = (self.nx * x + self.ny * y) <= self.offset
         else:
-            raise ValueError(f"unknown region shape {self.shape!r}")
+            m = (self.nx * x + self.ny * y) <= self.offset
         return ~m if self.negate else m
 
     def interfaces(self):
@@ -332,9 +315,7 @@ class CustomWeight(WeightField):
 
     pieces: tuple[tuple[tuple[Region, ...], float, float, float, float], ...]
     default: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "custom_piecewise")
+    name = "custom_piecewise"
 
     def values(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -362,11 +343,11 @@ class CustomWeight(WeightField):
 
 def heavy_diamond(alpha: float = math.sqrt(1.5)) -> RadialWeight:
     """Weight alpha on the open l1 ball of radius 1/2, 1 outside."""
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError("heavy diamond expects alpha > 1")
     return RadialWeight("heavy_diamond", "l1", (
-        ProfilePiece(0.0, 0.5, alpha, 0.0, "core"),
-        ProfilePiece(0.5, math.inf, 1.0, 0.0, "outside"),
+        ProfilePiece(0.0, 0.5, alpha, 0.0),
+        ProfilePiece(0.5, math.inf, 1.0, 0.0),
     ), alpha=alpha)
 
 
@@ -376,11 +357,11 @@ def heavy_disk(alpha: float = 2.0) -> RadialWeight:
     Geodesic wrapping around the disk needs alpha >= pi/2; smaller values are
     rejected so the level-curve construction stays valid.
     """
-    if alpha < math.pi / 2:
+    if not alpha >= math.pi / 2:
         raise ValueError("heavy disk expects alpha >= pi/2")
     return RadialWeight("heavy_disk", "l2", (
-        ProfilePiece(0.0, 0.5, alpha, 0.0, "core"),
-        ProfilePiece(0.5, math.inf, 1.0, 0.0, "outside"),
+        ProfilePiece(0.0, 0.5, alpha, 0.0),
+        ProfilePiece(0.5, math.inf, 1.0, 0.0),
     ), alpha=alpha)
 
 
@@ -391,9 +372,9 @@ def light_diamond(alpha: float = 0.5) -> RadialWeight:
         raise ValueError("light diamond expects 0 < alpha < 1, not subnormal")
     ramp = (1.0 - alpha) / 0.05
     return RadialWeight("light_diamond", "l1", (
-        ProfilePiece(0.0, 0.5, alpha, 0.0, "core"),
-        ProfilePiece(0.5, 0.55, alpha - 0.5 * ramp, ramp, "ramp"),
-        ProfilePiece(0.55, math.inf, 1.0, 0.0, "outside"),
+        ProfilePiece(0.0, 0.5, alpha, 0.0),
+        ProfilePiece(0.5, 0.55, alpha - 0.5 * ramp, ramp),
+        ProfilePiece(0.55, math.inf, 1.0, 0.0),
     ), alpha=alpha)
 
 
@@ -402,8 +383,8 @@ def light_diamond_tight(alpha: float = 0.5) -> RadialWeight:
     if not 0 < alpha < 1:
         raise ValueError("tight light diamond expects 0 < alpha < 1")
     return RadialWeight("light_diamond_tight", "l1", (
-        ProfilePiece(0.0, 1.0, alpha, 1.0 - alpha, "core"),
-        ProfilePiece(1.0, math.inf, 1.0, 0.0, "outside"),
+        ProfilePiece(0.0, 1.0, alpha, 1.0 - alpha),
+        ProfilePiece(1.0, math.inf, 1.0, 0.0),
     ), alpha=alpha)
 
 
@@ -414,9 +395,9 @@ def lite_dmd_heavy_core() -> RadialWeight:
     match at both breakpoints so the weight is continuous.
     """
     return RadialWeight("lite_dmd_heavy_core", "l1", (
-        ProfilePiece(0.0, 0.5, 0.75, -0.5, "K_in"),
-        ProfilePiece(0.5, 1.0, 0.0, 1.0, "K_ann"),
-        ProfilePiece(1.0, math.inf, 1.0, 0.0, "K_out"),
+        ProfilePiece(0.0, 0.5, 0.75, -0.5),
+        ProfilePiece(0.5, 1.0, 0.0, 1.0),
+        ProfilePiece(1.0, math.inf, 1.0, 0.0),
     ))
 
 
@@ -432,27 +413,31 @@ def layered_horizontal(layers) -> LayeredWeight:
     return LayeredWeight(tuple((float(d), float(w)) for d, w in layers))
 
 
+# name: (builder, parameter range, one-line behaviour note)
 _CATALOG = {
-    "constant": ("c > 0, default 1",
+    "constant": (constant, "c > 0, default 1",
                  "uniform speed; geodesics are straight chords"),
-    "heavy_diamond": ("alpha > 1, default sqrt(3/2)",
+    "heavy_diamond": (heavy_diamond, "alpha > 1, default sqrt(3/2)",
                       "slow diamond of l1 radius 1/2; corner or refracted routes"),
-    "heavy_disk": ("alpha >= pi/2, default 2",
+    "heavy_disk": (heavy_disk, "alpha >= pi/2, default 2",
                    "slow disk of radius 1/2; arc-hugging routes"),
-    "light_diamond": ("0 < alpha < 1, default 1/2",
+    "light_diamond": (light_diamond, "0 < alpha < 1, default 1/2",
                       "fast diamond with a thin ramp shell; gliding level curves"),
-    "light_diamond_tight": ("0 < alpha < 1, default 1/2",
+    "light_diamond_tight": (light_diamond_tight, "0 < alpha < 1, default 1/2",
                             "continuous radial interpolation; solution jumps on "
                             "the x-axis"),
-    "lite_dmd_heavy_core": ("no parameter",
+    "lite_dmd_heavy_core": (lite_dmd_heavy_core, "no parameter",
                             "continuous weight, costly center, cheap ring; "
                             "non-unique solutions"),
-    "three_heavy_diamonds": ("alpha >= sqrt(2), default sqrt(2)",
+    "three_heavy_diamonds": (three_heavy_diamonds,
+                             "alpha >= sqrt(2), default sqrt(2)",
                              "two large and one small slow diamond; level bands "
                              "with tied routes"),
-    "layered_horizontal": ("layers = (depth, weight) pairs, depths increasing",
+    "layered_horizontal": (layered_horizontal,
+                           "layers = (depth, weight) pairs, depths increasing",
                            "horizontally stratified medium below the x-axis"),
-    "custom_piecewise": ("pieces over l1/l2 balls and half-planes",
+    "custom_piecewise": (CustomWeight,
+                         "pieces over l1/l2 balls and half-planes",
                          "user-defined regional weight, affine in l1 distance"),
 }
 
@@ -463,7 +448,7 @@ def catalog_names() -> tuple[str, ...]:
 
 def catalog_describe(name: str) -> tuple[str, str]:
     """(parameter range, one-line behaviour note) for a catalog entry."""
-    return _CATALOG[name]
+    return _CATALOG[name][1:]
 
 
 def make_weight(name: str, alpha: float | None = None, *,
@@ -471,25 +456,15 @@ def make_weight(name: str, alpha: float | None = None, *,
     """Build a catalog weight by name, using defaults for omitted parameters."""
     if name not in _CATALOG:
         raise KeyError(f"unknown weight {name!r}; known: {', '.join(_CATALOG)}")
+    builder = _CATALOG[name][0]
     if name == "layered_horizontal":
         if layers is None:
             raise ValueError("layered_horizontal needs layers=[(depth, weight), ...]")
-        return layered_horizontal(layers)
+        return builder(layers)
     if name == "custom_piecewise":
         if pieces is None:
             raise ValueError("custom_piecewise needs pieces=...")
-        return CustomWeight(tuple(pieces), default=default)
-    if name == "lite_dmd_heavy_core":
-        if alpha is not None:
-            raise ValueError("lite_dmd_heavy_core takes no parameter")
-        return lite_dmd_heavy_core()
-    builders = {
-        "constant": constant,
-        "heavy_diamond": heavy_diamond,
-        "heavy_disk": heavy_disk,
-        "light_diamond": light_diamond,
-        "light_diamond_tight": light_diamond_tight,
-        "three_heavy_diamonds": three_heavy_diamonds,
-    }
-    builder = builders[name]
+        return builder(tuple(pieces), default=default)
+    if name == "lite_dmd_heavy_core" and alpha is not None:
+        raise ValueError("lite_dmd_heavy_core takes no parameter")
     return builder() if alpha is None else builder(alpha)

@@ -11,7 +11,7 @@ from lglab.analysis import (ExperimentReport, Quantity, SUITES,
                             _edge_costs, _interval_pairs, _mask_perimeter,
                             _rect_masks, _rect_pair_terms, _rect_tables,
                             curvature_clearance, disagreement_area,
-                            litedmdheavycore_checks, nonuniqueness_gap,
+                            nonuniqueness_gap,
                             rectangle_submodularity_exhaustive, run_suite,
                             submodularity_check, three_diamonds_thresholds)
 from lglab.stacker import ALL_MAXIMAL, ALL_MINIMAL, midpoint_levels, stack
@@ -133,6 +133,8 @@ def test_grid_clearance_of_a_uniform_custom_weight(z):
 def test_clearance_validates_the_center():
     with pytest.raises(ValueError):
         curvature_clearance(make_weight("constant"), (0.5, 0.5), 0.2)
+    with pytest.raises(ValueError, match="unit circle"):
+        curvature_clearance(make_weight("constant"), (math.nan, 0.0), 0.2)
 
 
 def test_submodularity_random_pairs():
@@ -391,8 +393,30 @@ def test_nonuniqueness_gap_rejects_equal_policies():
 
 
 def test_corelite_checks_pass():
-    rep = litedmdheavycore_checks()
-    assert rep.passed
+    assert run_suite("corelite").passed
+
+
+def test_thresholds_suite_passes():
+    assert run_suite("thresholds").passed
+
+
+def test_heavy_suites_forward_the_seed(monkeypatch):
+    seeds = []
+
+    def check(res, trials, seed):
+        seeds.append(seed)
+        return trials
+
+    def exhaustive(seed):
+        seeds.append(seed)
+        return ExperimentReport("rectangle_submodularity", ())
+
+    monkeypatch.setattr(analysis, "submodularity_check", check)
+    monkeypatch.setattr(analysis, "rectangle_submodularity_exhaustive",
+                        exhaustive)
+    assert run_suite("submodularity", seed=7).passed
+    assert run_suite("rectangles", seed=8).name == "rectangle_submodularity"
+    assert seeds == [7, 8]
 
 
 def test_run_suite_names():

@@ -4,6 +4,7 @@ import pytest
 
 import lglab.cli as cli
 from lglab import curves, stacker
+from lglab.analysis import SUITES, ExperimentReport, Quantity
 from lglab.curves import LevelCurve, level_curve
 from lglab.snell import SolverError
 from lglab.weights import make_weight
@@ -126,8 +127,6 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "[PASS] clearance" in out
     assert (tmp_path / "report.csv").exists()
 
-    from lglab.analysis import ExperimentReport, Quantity
-
     def fake(name, seed=0):
         return ExperimentReport(name, (Quantity("rigged", 9.0, 0.0, 1e-9),))
 
@@ -137,6 +136,57 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "[FAIL]" in out
     assert "rigged" in err
+
+
+def _recording_suites(monkeypatch):
+    calls = []
+
+    def fake(name, seed=0):
+        calls.append(name)
+        return ExperimentReport(name, (Quantity("probe", 0.0, 0.0, 0.0),))
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    return calls
+
+
+@pytest.mark.parametrize("experiments", ["snell,all", "snell,snell"])
+def test_verify_rejects_a_bad_suite_list_before_any_suite_runs(
+        experiments, tmp_path, capsys, monkeypatch):
+    calls = _recording_suites(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiments = {experiments}\n", encoding="utf-8")
+    for argv in (["--experiments", experiments], ["--config", str(cfg)]):
+        code, _, err = run(["verify", *argv, "--outdir", str(tmp_path)],
+                           capsys)
+        assert code == 2 and "unknown experiment" in err
+    assert calls == []
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_verify_all_runs_every_suite_in_name_order(tmp_path, capsys,
+                                                   monkeypatch):
+    calls = _recording_suites(monkeypatch)
+    code, out, _ = run(["verify", "--experiments", "all",
+                        "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == sorted(SUITES)
+    assert out.splitlines() == [
+        *(f"[PASS] {name}: probe = 0 (expected 0 +/- 0 abs)"
+          for name in sorted(SUITES)), str(tmp_path / "report.csv")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--weight", "heavy_diamond", "--resolution", "32",
+      "--levels", "16"], "alpha > 1"),
+    (["geodesic", "--weight", "heavy_disk", "--from=-0.5,0.3",
+      "--to=0.6,-0.2"], "alpha >= pi/2")], ids=["solve", "geodesic"])
+def test_nan_alpha_exits_2_with_the_range_message(argv, message, tmp_path,
+                                                  capsys):
+    code, out, err = run([*argv, "--alpha", "nan", "--outdir", str(tmp_path)],
+                         capsys)
+    assert code == 2 and message in err
+    assert "length=" not in out
+    assert not any(tmp_path.iterdir())
 
 
 def test_figure_writes_named_subdir(tmp_path, capsys):

@@ -29,6 +29,8 @@ def test_comments_and_blanks_ignored():
     ("switch_level = 2.5", "switch_level"),
     ("seed = -1", "seed"),
     ("experiments = bogus", "unknown experiment"),
+    ("experiments = snell,all", "unknown experiment"),
+    ("experiments = snell,snell", "unknown experiment"),
     ("just a line", "expected key = value"),
 ])
 def test_rejections(text, fragment):

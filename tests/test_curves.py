@@ -316,8 +316,8 @@ def test_radial_stack_sweep_count(monkeypatch, name, alpha):
 
 
 def _apex_bounds(w):
-    _, _, lo, hi = _SWEEP_BOUNDS[w.kind]
-    if w.kind == "lite_dmd_heavy_core":
+    _, _, lo, hi = _SWEEP_BOUNDS[w.name]
+    if w.name == "lite_dmd_heavy_core":
         lo += _core_geometry(w)[1]
     return lo, hi
 
@@ -481,9 +481,9 @@ def _thin_light_shell():
     inward glide reflects there after a clipped step too short to reach
     the y-axis."""
     return RadialWeight("thin_light_shell", "l1", (
-        ProfilePiece(0.0, 0.3, 1.0, 0.0, "inner"),
-        ProfilePiece(0.3, 0.3 + 1e-9, 0.1, 0.0, "thin"),
-        ProfilePiece(0.3 + 1e-9, math.inf, 1.0, 0.0, "outer"),
+        ProfilePiece(0.0, 0.3, 1.0, 0.0),
+        ProfilePiece(0.3, 0.3 + 1e-9, 0.1, 0.0),
+        ProfilePiece(0.3 + 1e-9, math.inf, 1.0, 0.0),
     ))
 
 

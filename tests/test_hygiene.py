@@ -134,6 +134,33 @@ def test_public_functions_are_read_somewhere():
     assert not unread, f"public functions nothing reads: {unread}"
 
 
+def _dataclass_fields(tree):
+    """(class name, field name) of every module-level dataclass."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or not any(
+                getattr(getattr(d, "func", d), "id", "") == "dataclass"
+                for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id
+
+
+def test_dataclass_fields_are_read_somewhere():
+    """Every dataclass field in the package is read as an attribute in
+    src/, tests/ or perfbench/; a field nothing reads is state every caller
+    must still supply.  Name-based like the checks above: obj.field read
+    anywhere, on any object, counts.
+    """
+    read = {node.attr for p in READERS for node in ast.walk(_tree(p))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{p.name}:{cls}.{name}" for p in MODULES
+              for cls, name in _dataclass_fields(_tree(p)) if name not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
 def _passed_params(trees):
     """{callee name: (positions passed, keywords passed)} over every call.
 

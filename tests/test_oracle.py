@@ -51,6 +51,7 @@ def test_refinement_tightens_the_estimate():
     r = refine_until(w, (-1.0, 0.0), (1.0, 0.0), rel_tol=5e-3,
                      start_res=64, max_res=256)
     assert r.converged
+    assert r.rel_change < 5e-3
     assert r.resolution > 64
     assert r.cost <= coarse + 1e-12
     assert r.cost == pytest.approx(math.sqrt(5.0), rel=0.02)

@@ -212,7 +212,7 @@ def _ref_split_params(w, a, b):
         hits = _ref_l1_hits if w.norm == "l1" else _ref_l2_hits
         return _ref_axes(a, b) + hits(a, b, w.breakpoints())
     if isinstance(w, MultiDiamondWeight):
-        return [s for cx, cy, r, _ in w.CENTERS
+        return [s for cx, cy, r in w.CENTERS
                 for s in _ref_l1_hits(a, b, [r], cx, cy)]
     if isinstance(w, LayeredWeight):
         return [s for d in w.depths() for s in _ref_line(a[1] + d, b[1] + d)]

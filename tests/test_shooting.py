@@ -11,7 +11,7 @@ from lglab.curves import boundary_points, level_curve
 from lglab.paths import Polyline, segment, weighted_length
 from lglab.shooting import shoot_two_point
 from lglab.tracing import trace_fan
-from lglab.weights import make_weight
+from lglab.weights import Region, make_weight
 
 
 def test_constant_weight_returns_chord():
@@ -71,6 +71,23 @@ def test_heavy_diamond_tip_route():
     assert cost < 2.6
     ys = path.as_array()[:, 1]
     assert np.max(np.abs(ys)) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, shape", [("heavy_diamond", "l1"),
+                                         ("heavy_disk", "l2")])
+def test_custom_obstacle_shots_like_the_catalog_weight(name, shape):
+    # a custom weight's corners and rims come from its interfaces, as the
+    # catalog weight's do: the same explicit routes, none of them rays
+    a, b = (-0.8, 0.0), (0.8, 0.0)
+    w = make_weight(name, 2.0)
+    custom = make_weight("custom_piecewise", pieces=[
+        ((Region(shape, radius=0.5),), 2.0, 0.0, 0.0, 0.0)])
+    assert custom.corner_points() == w.corner_points()
+    assert custom.rim_radii() == w.rim_radii()
+    best = min(weighted_length(p, w) for p in [
+        *shooting._corner_routes(w, a, b), *shooting._rim_wraps(w, a, b)])
+    _, cost = shoot_two_point(custom, a, b)
+    assert cost == best < 2.6
 
 
 def test_two_layer_kink_matches_direct_minimization():

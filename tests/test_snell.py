@@ -38,6 +38,9 @@ def test_refract_rejects_bad_inputs():
         snell_refract(-1.0, 2.0, 0.3)
     with pytest.raises(ValueError):
         snell_refract(1.0, 2.0, 2.0)  # past pi/2
+    for args in ((math.nan, 2.0, 0.3), (1.0, math.nan, 0.3)):
+        with pytest.raises(ValueError, match="positive"):
+            snell_refract(*args)
 
 
 @given(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, 0.995))
@@ -114,6 +117,8 @@ def test_arc_criterion_domain():
         heavy_disk_arc_test(2.0, 3.5)
     with pytest.raises(ValueError):
         heavy_disk_arc_test(-1.0, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        heavy_disk_arc_test(math.nan, 1.0)
 
 
 def test_chain_drift_is_a_solver_error(monkeypatch):

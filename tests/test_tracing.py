@@ -446,8 +446,8 @@ def test_fan_rejects_what_the_scalar_tracer_rejects():
 def test_sloped_l2_profile_is_rejected():
     with pytest.raises(ValueError, match="piecewise constant"):
         RadialWeight("ramp_disk", "l2", (
-            ProfilePiece(0.0, 0.5, 1.0, 1.0, "ramp"),
-            ProfilePiece(0.5, math.inf, 1.5, 0.0, "outside")))
+            ProfilePiece(0.0, 0.5, 1.0, 1.0),
+            ProfilePiece(0.5, math.inf, 1.5, 0.0)))
 
 
 @pytest.mark.parametrize("stop", ["diamond_edge", "x_axis", "y_axis",

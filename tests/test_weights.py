@@ -93,6 +93,30 @@ def test_layered_strips():
         make_weight("layered_horizontal")
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name", [
+    "constant", "heavy_diamond", "heavy_disk", "light_diamond",
+    "light_diamond_tight", "three_heavy_diamonds"])
+def test_nan_alpha_fails_every_range_check(name):
+    with pytest.raises(ValueError):
+        make_weight(name, NAN)
+
+
+@pytest.mark.parametrize("layers", [
+    ((NAN, 2.0),), ((0.3, NAN),), ((0.3, 2.0), (NAN, 4.0))],
+    ids=["depth", "weight", "second_depth"])
+def test_nan_layers_fail_the_range_checks(layers):
+    with pytest.raises(ValueError):
+        make_weight("layered_horizontal", layers=layers)
+
+
+def test_unknown_region_shape_is_rejected_when_built():
+    with pytest.raises(ValueError, match="unknown region shape"):
+        Region("bogus")
+
+
 def test_custom_piecewise():
     ring = Region("l2", radius=0.5, negate=True)
     inner = Region("l2", radius=0.5)
