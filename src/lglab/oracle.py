@@ -7,13 +7,23 @@ costs its Euclidean length times the average endpoint weight (exact for
 weights affine along the edge).  Dijkstra via scipy's sparse csgraph,
 which is imported by the first query, not by ``import lglab``.
 
+The module holds at most one built graph, keyed by (weight, resolution,
+stencil); weights are immutable and the key compares them with ``==``.  A
+query with the held key reuses it; a query with any other key first drops
+the held graph and only then builds its own, so two graphs are never alive
+at once.  Only what a query reads is held, read-only: the CSR matrix, the
+grid's node ids, the disk mask and the 1-D grid axis.  refine_until drops
+the held graph on return, since its resolution ladder never repeats a key.
+
 Nodes and edges grow with the square of resolution: a 16-neighbor graph at
-resolution 512 has 823k nodes and 6.57M edges, and one query there peaks at
-about 210 MB above the imported package (273 MB for the whole process).
-Each doubling of resolution quadruples that, so refine_until stops at 2048
-(several GB) and routine queries should stay at or below 1024.  Node and
-edge indices are int32: at 2048 there are about 8 * pi * 2048**2 = 1.05e8
-edges, well below 2**31.
+resolution 512 has 823k nodes and 6.57M edges, and takes 83 MiB held.  A
+query that builds it peaks 197 MiB above the imported package (279 MB RSS
+for the whole process); one that reuses it adds 88 MiB, mostly the
+transposed copy that scipy's undirected Dijkstra makes.  Each doubling of
+resolution quadruples that, so refine_until stops at 2048 (several GB) and
+routine queries should stay at or below 1024.  Node and edge indices are
+int32: at 2048 there are about 8 * pi * 2048**2 = 1.05e8 edges, well below
+2**31.
 """
 from __future__ import annotations
 
@@ -89,7 +99,24 @@ def dijkstra(graph, **kwargs):
     return csgraph_dijkstra(graph, **kwargs)
 
 
-def _nearest_node(node_id, X, Y, mask, p):
+# the one graph kept between queries: (key, graph, node_id, mask, ax)
+_held = None
+
+
+def _graph(w: WeightField, res: int, stencil: int):
+    """The held (graph, node_id, mask, ax) for this key, else a new one."""
+    global _held
+    key = (w, res, stencil)
+    if _held is None or _held[0] != key:
+        _held = None  # drop the old graph before building the new one
+        graph, node_id, X, _, mask = _build_graph(w, res, stencil)
+        _held = (key, graph, node_id, mask, X[:, 0].copy())
+        for arr in (graph.data, graph.indices, graph.indptr, *_held[2:]):
+            arr.setflags(write=False)
+    return _held[1:]
+
+
+def _nearest_node(node_id, mask, ax, p):
     n = node_id.shape[0]
     res = (n - 1) // 2
     i = int(round((p[0] + 1.0) * res))
@@ -106,7 +133,7 @@ def _nearest_node(node_id, X, Y, mask, p):
         if len(ii):
             ii = ii + max(0, i - r)
             jj = jj + max(0, j - r)
-            d = (X[ii, jj] - p[0]) ** 2 + (Y[ii, jj] - p[1]) ** 2
+            d = (ax[ii] - p[0]) ** 2 + (ax[jj] - p[1]) ** 2
             k = int(np.argmin(d))
             best = node_id[ii[k], jj[k]]
             break
@@ -120,9 +147,11 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     """Minimum-cost grid path between the nodes nearest a and b."""
     if res < 32:
         raise ValueError("resolution below 32 is meaningless here")
-    graph, node_id, X, Y, mask = _build_graph(w, res, stencil)
-    ia = _nearest_node(node_id, X, Y, mask, a)
-    ib = _nearest_node(node_id, X, Y, mask, b)
+    graph, node_id, mask, ax = _graph(w, res, stencil)
+    ia = _nearest_node(node_id, mask, ax, a)
+    ib = _nearest_node(node_id, mask, ax, b)
+    if ia == ib:
+        raise ValueError(f"endpoints {a} and {b} snap to one grid node")
     dist, pred = dijkstra(graph, directed=False, indices=ia,
                           return_predecessors=True)
     cost = float(dist[ib])
@@ -132,9 +161,8 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     while chain[-1] != ia:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    cells = np.flatnonzero(mask)[chain]
-    return Polyline.from_points(np.column_stack(
-        [X.ravel()[cells], Y.ravel()[cells]])), cost
+    i, j = np.divmod(np.flatnonzero(mask)[chain], len(ax))
+    return Polyline.from_points(np.column_stack([ax[i], ax[j]])), cost
 
 
 def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:
@@ -144,15 +172,20 @@ def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:
 def refine_until(w: WeightField, a, b, rel_tol: float, start_res: int = 128,
                  max_res: int = 2048) -> RefineResult:
     """Double a 16-neighbor grid's resolution until costs settle to rel_tol."""
-    if rel_tol < 0.002:
-        raise ValueError("rel_tol below 0.002 exceeds what the grid delivers")
-    res = start_res
-    prev = oracle_cost(w, res, 16, a, b)
-    while res * 2 <= max_res:
-        res *= 2
-        cur = oracle_cost(w, res, 16, a, b)
-        rel = abs(cur - prev) / max(abs(cur), 1e-300)
-        if rel < rel_tol:
-            return RefineResult(cur, rel, res, True)
-        prev = cur
-    return RefineResult(prev, math.nan, res, False)
+    global _held
+    if not rel_tol >= 0.002:
+        raise ValueError("rel_tol must be at least 0.002; the grid delivers "
+                         "no better")
+    try:
+        res = start_res
+        prev = oracle_cost(w, res, 16, a, b)
+        while res * 2 <= max_res:
+            res *= 2
+            cur = oracle_cost(w, res, 16, a, b)
+            rel = abs(cur - prev) / max(abs(cur), 1e-300)
+            if rel < rel_tol:
+                return RefineResult(cur, rel, res, True)
+            prev = cur
+        return RefineResult(prev, math.nan, res, False)
+    finally:
+        _held = None

@@ -1,11 +1,13 @@
 """Grid shortest-path oracle: bounds and refinement behaviour."""
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from lglab import oracle
 from lglab.curves import BRANCHES, level_curve
 from lglab.oracle import (_build_graph, grid_shortest_path, oracle_cost,
                           refine_until)
@@ -165,3 +167,101 @@ def test_graph_and_path_match_the_coo_reference(name, stencil, res):
         ref_pts, ref_cost = _reference_path(w, res, stencil, *ids)
         assert cost == ref_cost
         assert np.array_equal(pts, ref_pts)
+
+
+def test_refine_until_rejects_nan_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(oracle, "_build_graph", no_build)
+    with pytest.raises(ValueError, match="rel_tol"):
+        refine_until(make_weight("constant"), (-1.0, 0.0), (1.0, 0.0),
+                     float("nan"))
+
+
+def test_endpoints_on_one_node_rejected_before_dijkstra(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("Dijkstra ran")
+
+    monkeypatch.setattr(oracle, "dijkstra", no_search)
+    with pytest.raises(ValueError, match="snap to one grid node"):
+        grid_shortest_path(make_weight("constant"), 64, 8, (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="snap to one grid node"):
+        grid_shortest_path(make_weight("constant"), 64, 8, (0, 0),
+                           (0.004, -0.003))
+
+
+def _fresh_path(w, res, stencil, a, b):
+    """A query on a graph built for it alone, run through scipy's Dijkstra."""
+    graph, node_id, X, Y, mask = _build_graph(w, res, stencil)
+    ia, ib = (node_id[round((p[0] + 1.0) * res), round((p[1] + 1.0) * res)]
+              for p in (a, b))
+    dist, pred = dijkstra(graph, directed=False, indices=ia,
+                          return_predecessors=True)
+    chain = [int(ib)]
+    while chain[-1] != ia:
+        chain.append(int(pred[chain[-1]]))
+    return np.column_stack([X[mask], Y[mask]])[chain[::-1]], float(dist[ib])
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Spies on the oracle, from a start with no graph held: a weak reference
+    to each graph handed to Dijkstra, and for each graph build, which of
+    those graphs were alive as it began."""
+    oracle._held = None
+    graphs, builds = [], []
+    search, build = oracle.dijkstra, oracle._build_graph
+
+    def spy_search(graph, **kwargs):
+        graphs.append(weakref.ref(graph))
+        return search(graph, **kwargs)
+
+    def spy_build(*args):
+        builds.append([ref() is not None for ref in graphs])
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "dijkstra", spy_search)
+    monkeypatch.setattr(oracle, "_build_graph", spy_build)
+    return graphs, builds
+
+
+@pytest.mark.parametrize("res", [32, 64])
+@pytest.mark.parametrize("stencil", [8, 16])
+def test_interleaved_queries_match_fresh_graphs(stencil, res, spied):
+    wa = make_weight("heavy_disk", 2.0)
+    wb = make_weight("three_heavy_diamonds", 2.0)
+    a, b = (-0.875, -0.25), (0.75, 0.5)
+    for w in (wa, wa, wb, wa):
+        path, cost = grid_shortest_path(w, res, stencil, a, b)
+        ref_pts, ref_cost = _fresh_path(w, res, stencil, a, b)
+        assert cost == ref_cost
+        assert np.array_equal(path.as_array(), ref_pts)
+    graphs, builds = spied
+    # the repeat reuses wa's graph; each new key drops the held graph
+    # before its build begins, and only the last graph stays held
+    assert builds == [[], [False, False], [False, False, False]]
+    assert [ref() is not None for ref in graphs] == [False, False, False,
+                                                     True]
+
+
+def test_held_arrays_are_read_only(spied):
+    w = make_weight("heavy_disk", 2.0)
+    grid_shortest_path(w, 64, 16, (-0.5, 0.0), (0.5, 0.0))
+    graph = spied[0][0]()
+    key, held_graph, *arrays = oracle._held
+    assert key == (w, 64, 16) and held_graph is graph
+    for arr in (graph.data, graph.indices, graph.indptr, *arrays):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_refine_until_holds_no_graph_on_return(spied):
+    w = make_weight("heavy_diamond", 2.0)
+    refine_until(w, (-1.0, 0.0), (1.0, 0.0), rel_tol=5e-3, start_res=64,
+                 max_res=256)
+    graphs, builds = spied
+    assert len(builds) == len(graphs) >= 2
+    assert all(ref() is None for ref in graphs)
+    assert oracle._held is None
