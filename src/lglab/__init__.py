@@ -15,7 +15,7 @@ from .analysis import (ExperimentReport, Quantity, SUITES, curvature_clearance,
 from .config import (RunConfig, load_config, parse_config, parse_layers,
                      serialize_config)
 from .curves import LevelCurve, boundary_points, level_curve
-from .oracle import RefineResult, grid_shortest_path, oracle_cost, refine_until
+from .oracle import grid_shortest_path, oracle_cost
 from .paths import Polyline, segment, weighted_length
 from .shooting import shoot_two_point
 from .snell import (H_of, SolverError, heavy_disk_arc_test, snell_chain,
@@ -31,9 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_MAXIMAL", "ALL_MINIMAL", "ExperimentReport", "GridField", "H_of",
-    "LevelCurve", "Polyline", "Quantity", "RefineResult", "RunConfig",
-    "SUITES", "SolutionStack", "SolverError", "StackNestingError",
-    "SwitchPolicy",
+    "LevelCurve", "Polyline", "Quantity", "RunConfig", "SUITES",
+    "SolutionStack", "SolverError", "StackNestingError", "SwitchPolicy",
     "TotalInternalReflection", "TraceError", "WeightField",
     "boundary_points", "bv_energy", "catalog_describe", "catalog_names",
     "curvature_clearance", "disagreement_area", "grid_shortest_path",
@@ -41,8 +40,8 @@ __all__ = [
     "litedmdheavycore_checks", "load_config", "local_oscillation",
     "make_weight", "midpoint_levels", "nonuniqueness_gap", "oracle_cost",
     "parse_config", "parse_layers", "rectangle_submodularity_exhaustive",
-    "refine_until", "run_suite", "segment",
-    "serialize_config", "shoot_two_point", "snell_chain", "snell_refract",
+    "run_suite", "segment", "serialize_config", "shoot_two_point",
+    "snell_chain", "snell_refract",
     "stack", "submodularity_check", "three_diamonds_thresholds",
     "trace_error", "trace_layered_ray", "weighted_length",
 ]

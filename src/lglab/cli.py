@@ -25,8 +25,8 @@ from pathlib import Path
 from .analysis import _suite_names, run_suite
 from .config import RunConfig, load_config, parse_layers, serialize_config
 from .paths import Polyline, weighted_length
-from .render import (_level_stride, curves_csv, geodesic_csv, pgm_text,
-                     report_csv, svg_text, write_text)
+from .render import (curves_csv, geodesic_csv, pgm_text, report_csv,
+                     svg_text, write_text)
 from .shooting import shoot_two_point
 from .snell import SolverError
 from .stacker import SwitchPolicy, midpoint_levels, stack
@@ -114,13 +114,12 @@ def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
     s = timed("stack", stack, _build_weight(cfg),
               levels=midpoint_levels(cfg.levels),
               policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
-    stride = _level_stride(len(s.levels))
     timed("write", write_text, outdir / "solution.pgm",
           timed("pgm", pgm_text, s.field))
     timed("write", write_text, outdir / "contours.svg",
           timed("svg", svg_text, s))
     timed("write", write_text, outdir / "curves.csv",
-          timed("csv", curves_csv, s, stride=stride))
+          timed("csv", curves_csv, s))
     timed("write", write_text, outdir / "run.cfg", serialize_config(cfg))
     for name in ("solution.pgm", "contours.svg", "curves.csv", "run.cfg"):
         print(outdir / name)
@@ -142,7 +141,7 @@ def cmd_geodesic(args) -> int:
                     layers=args.layers or "", outdir=args.outdir)
     w = _build_weight(cfg)
     seconds, timed = _stopwatch("shoot", "write")
-    if args.via:
+    if args.via is not None:
         path = Polyline((args.src, *args.via, args.dst))
         length = timed("shoot", weighted_length, path, w)
     else:

@@ -12,23 +12,20 @@ stencil); weights are immutable and the key compares them with ``==``.  A
 query with the held key reuses it; a query with any other key first drops
 the held graph and only then builds its own, so two graphs are never alive
 at once.  Only what a query reads is held, read-only: the CSR matrix, the
-grid's node ids, the disk mask and the 1-D grid axis.  refine_until drops
-the held graph on return, since its resolution ladder never repeats a key.
+grid's node ids, the disk mask and the 1-D grid axis.
 
 Nodes and edges grow with the square of resolution: a 16-neighbor graph at
 resolution 512 has 823k nodes and 6.57M edges, and takes 83 MiB held.  A
 query that builds it peaks 197 MiB above the imported package (279 MB RSS
 for the whole process); one that reuses it adds 88 MiB, mostly the
 transposed copy that scipy's undirected Dijkstra makes.  Each doubling of
-resolution quadruples that, so refine_until stops at 2048 (several GB) and
-routine queries should stay at or below 1024.  Node and edge indices are
-int32: at 2048 there are about 8 * pi * 2048**2 = 1.05e8 edges, well below
-2**31.
+resolution quadruples that, so queries should stay at or below 1024.  Node
+and edge indices are int32: at 2048 there are about 8 * pi * 2048**2 =
+1.05e8 edges, well below 2**31.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +37,6 @@ _STENCILS = {
     8: ((0, 1), (1, -1), (1, 0), (1, 1)),
     16: ((0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1)),
 }
-
-
-@dataclass(frozen=True)
-class RefineResult:
-    cost: float
-    rel_change: float
-    resolution: int
-    converged: bool
 
 
 def _build_graph(w: WeightField, res: int, stencil: int):
@@ -117,12 +106,9 @@ def _graph(w: WeightField, res: int, stencil: int):
 
 
 def _nearest_node(node_id, mask, ax, p):
-    n = node_id.shape[0]
-    res = (n - 1) // 2
+    res = (node_id.shape[0] - 1) // 2
     i = int(round((p[0] + 1.0) * res))
     j = int(round((p[1] + 1.0) * res))
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"point {p} outside the grid")
     if mask[i, j]:
         return node_id[i, j]
     # snap to the closest masked node in a small neighborhood
@@ -147,6 +133,11 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     """Minimum-cost grid path between the nodes nearest a and b."""
     if res < 32:
         raise ValueError("resolution below 32 is meaningless here")
+    for p in (a, b):
+        # false for NaN too
+        if not all(-1.0 <= c <= 1.0 for c in p):
+            raise ValueError(f"endpoint {p} is not a point of the grid "
+                             "square [-1, 1]^2")
     graph, node_id, mask, ax = _graph(w, res, stencil)
     ia = _nearest_node(node_id, mask, ax, a)
     ib = _nearest_node(node_id, mask, ax, b)
@@ -168,24 +159,3 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
 def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:
     return grid_shortest_path(w, res, stencil, a, b)[1]
 
-
-def refine_until(w: WeightField, a, b, rel_tol: float, start_res: int = 128,
-                 max_res: int = 2048) -> RefineResult:
-    """Double a 16-neighbor grid's resolution until costs settle to rel_tol."""
-    global _held
-    if not rel_tol >= 0.002:
-        raise ValueError("rel_tol must be at least 0.002; the grid delivers "
-                         "no better")
-    try:
-        res = start_res
-        prev = oracle_cost(w, res, 16, a, b)
-        while res * 2 <= max_res:
-            res *= 2
-            cur = oracle_cost(w, res, 16, a, b)
-            rel = abs(cur - prev) / max(abs(cur), 1e-300)
-            if rel < rel_tol:
-                return RefineResult(cur, rel, res, True)
-            prev = cur
-        return RefineResult(prev, math.nan, res, False)
-    finally:
-        _held = None

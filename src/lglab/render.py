@@ -198,25 +198,23 @@ def _vertex_text(paths, heads, fmt, sep, end=""):
     return "".join(out)
 
 
-_SOLVE_CURVES = 41  # level curves in solve's contours.svg and curves.csv
+_SOLVE_CURVES = 41  # at most this many level curves in each drawing or list
 
 
-def _level_stride(count: int, max_curves: int = _SOLVE_CURVES) -> int:
-    """Level step from the first of count that samples at most max_curves."""
-    if max_curves < 1:
-        raise ValueError("max_curves must be positive")
-    return max(1, (count - 1) // (max_curves - 1)) if max_curves > 1 \
-        else count
+def _drawn_levels(stack: SolutionStack) -> range:
+    """Indices of the levels that svg_text draws and curves_csv lists: every
+    stride-th from the first, the least stride that keeps _SOLVE_CURVES."""
+    count = len(stack.levels)
+    return range(0, count, max(1, (count - 1) // (_SOLVE_CURVES - 1)))
 
 
-def svg_text(stack: SolutionStack, max_curves: int = _SOLVE_CURVES) -> str:
-    """SVG 1.1 contour plot, one path per sampled level curve.
+def svg_text(stack: SolutionStack) -> str:
+    """SVG 1.1 contour plot, one path per drawn level curve.
 
     Math coordinates go in as-is; a single group transform flips the
     y-axis into screen orientation.  Stroke shade encodes the level,
     darker = lower.
     """
-    stride = _level_stride(len(stack.levels), max_curves)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -225,7 +223,7 @@ def svg_text(stack: SolutionStack, max_curves: int = _SOLVE_CURVES) -> str:
         '<circle cx="0" cy="0" r="1" stroke="#999999" stroke-width="0.003"/>',
     ]
     paths, heads = [], []
-    for i in range(0, len(stack.levels), stride):
+    for i in _drawn_levels(stack):
         shade = int(round(float(stack.levels[i]) / 2.0 * 200.0))
         color = f"#{shade:02x}{shade:02x}{shade:02x}"
         close = '"/>\n' if heads else ""
@@ -238,18 +236,17 @@ def svg_text(stack: SolutionStack, max_curves: int = _SOLVE_CURVES) -> str:
     return "\n".join(out) + "\n"
 
 
-def curves_csv(stack: SolutionStack, stride: int = 1) -> str:
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    picked = range(0, len(stack.levels), stride)
+def curves_csv(stack: SolutionStack) -> str:
+    """level,x,y rows of the vertices of each drawn level curve."""
+    picked = _drawn_levels(stack)
     heads = [(f"{float(stack.levels[i]):.9g},",) * 2 for i in picked]
     paths = [stack.curves[i].path.as_array() for i in picked]
     return "level,x,y\n" + _vertex_text(paths, heads, "%.9g", ",", "\n")
 
 
-def geodesic_csv(path: Polyline, level: float | None = None) -> str:
-    tag = "" if level is None else f"{level:.9g}"
-    return "level,x,y\n" + _vertex_text([path.as_array()], [(tag + ",",) * 2],
+def geodesic_csv(path: Polyline) -> str:
+    """level,x,y rows of the path's vertices, the level left blank."""
+    return "level,x,y\n" + _vertex_text([path.as_array()], [(",", ",")],
                                          "%.9g", ",", "\n")
 
 

@@ -60,11 +60,14 @@ class GridField:
         return np.linspace(-1.0, 1.0, 2 * self.res + 1)
 
     def value_at(self, x, y) -> np.ndarray:
-        """Nearest-node sample."""
-        ix = np.clip(np.rint((np.asarray(x) + 1.0) * self.res), 0,
-                     2 * self.res).astype(int)
-        iy = np.clip(np.rint((np.asarray(y) + 1.0) * self.res), 0,
-                     2 * self.res).astype(int)
+        """Nearest-node sample; a finite point off the grid square takes
+        the value of the nearest edge node."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"value_at needs finite coordinates, got "
+                             f"x={x}, y={y}")
+        ix, iy = (np.clip(np.rint((c + 1.0) * self.res), 0, 2 * self.res)
+                  .astype(int) for c in (x, y))
         return self.values[iy, ix]
 
 
@@ -216,21 +219,17 @@ def _jump_touch_angles(s: SolutionStack) -> list[float]:
     return out
 
 
-def trace_error(s: SolutionStack, n_boundary: int = 720,
-                r: float = 0.05) -> float:
+def trace_error(s: SolutionStack) -> float:
     """Worst mean misfit of u against its boundary value near the circle.
 
-    For each of n_boundary points z on the unit circle, averages
-    |u - (z_y + 1)| over grid samples in the ball B(z, r) inside the disk
-    and returns the maximum over z.  Jump curves legitimately carry their
-    discontinuity out to the circle, so probes angularly close to where
-    such a curve lands are excluded.
+    For each of 720 evenly spaced points z on the unit circle, averages
+    |u - (z_y + 1)| over grid samples in the ball B(z, r), r = 0.05, inside
+    the disk and returns the maximum over z.  Jump curves legitimately
+    carry their discontinuity out to the circle, so probes angularly close
+    to where such a curve lands are excluded.
     """
-    if n_boundary < 64:
-        raise ValueError("n_boundary must be at least 64")
-    if not 0.0 < r < 0.2:
-        raise ValueError("r must lie in (0, 0.2)")
-    phis = np.linspace(0.0, 2.0 * math.pi, n_boundary, endpoint=False)
+    r = 0.05
+    phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     exclude = _jump_touch_angles(s)
     if exclude:
         d = np.abs(((phis[:, None] - np.array(exclude)[None, :] + math.pi)
@@ -256,7 +255,7 @@ def trace_error(s: SolutionStack, n_boundary: int = 720,
                & in_disk[iy0:iy1 + 1, ix0:ix1 + 1])
         if not sel.any():
             raise ValueError(f"no grid samples in B(z, {r:g}) at angle "
-                             f"{phi:.3f}; r is below the grid spacing")
+                             f"{phi:.3f}; the grid is coarser than that")
         misfit = np.abs(u[iy0:iy1 + 1, ix0:ix1 + 1][sel] - (zy + 1.0))
         worst = max(worst, float(misfit.mean()))
     return worst

@@ -43,6 +43,20 @@ def test_geodesic_via_scores_given_route(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(2 ** 0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("via", ["", ";"])
+def test_geodesic_via_without_points_scores_the_segment(via, tmp_path,
+                                                        capsys, monkeypatch):
+    def no_shot(*args):
+        raise AssertionError("shot instead of scoring the given route")
+
+    monkeypatch.setattr(cli, "shoot_two_point", no_shot)
+    code, out, _ = run(["geodesic", "--weight", "heavy_diamond",
+                        "--alpha", "2", "--from=-1,0", "--to", "1,0",
+                        "--via", via, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert "length=3\n" in out
+
+
 def test_solve_is_byte_deterministic(tmp_path, capsys, monkeypatch):
     # identical config both times; only the physical destination differs
     for sub in ("a", "b"):

@@ -18,8 +18,8 @@ import lglab
 SRC = Path(lglab.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).resolve().parent
-READERS = [*SRC.glob("*.py"), *TESTS.glob("*.py"),
-           *(TESTS.parent / "perfbench").glob("*.py")]
+CALLERS = [*SRC.glob("*.py"), *(TESTS.parent / "perfbench").glob("*.py")]
+READERS = [*CALLERS, *TESTS.glob("*.py")]
 
 
 def _tree(path):
@@ -183,15 +183,32 @@ def _passed_params(trees):
     return out
 
 
+# Optional parameters that only tests set, each with the reason a test
+# needs it; every other one must be passed by the program itself.
+TEST_ONLY_PARAMETERS = {
+    "stacker.py:stack(n_shells)": "shrinks the radial sweeps' shell count",
+    "analysis.py:nonuniqueness_gap(res)": "shrinks the gap's field grid",
+    "analysis.py:nonuniqueness_gap(levels)": "shrinks the gap's level count",
+    "analysis.py:rectangle_submodularity_exhaustive(w)":
+        "runs the exhaustive sweep on a custom weight",
+    "analysis.py:rectangle_submodularity_exhaustive(spot_checks)":
+        "shrinks the sweep's brute-force spot checks",
+    "curves.py:_apex_grid(n)": "shrinks the apex sweep's sample grid",
+    "weights.py:make_weight(pieces)": "builds a custom piecewise weight",
+    "weights.py:make_weight(default)": "sets a custom weight's background",
+}
+
+
 def test_optional_parameters_are_passed_somewhere():
     """Every defaulted parameter of a public function, a public method or a
-    module-level private function is passed by a call.
+    module-level private function is passed by a call in src/ or perfbench/,
+    or is listed in TEST_ONLY_PARAMETERS.
 
     Name-based like the check above: a call to any function of the same name
     that passes the parameter by keyword or by position counts.  A bound
     method's positions are counted without self.
     """
-    passed = _passed_params(_tree(p) for p in READERS)
+    passed = _passed_params(_tree(p) for p in CALLERS)
     unpassed = []
     for path in MODULES:
         for node in _tree(path).body:
@@ -211,7 +228,12 @@ def test_optional_parameters_are_passed_somewhere():
                              for i, a in optional
                              if a.arg not in kws and "**" not in kws
                              and not any(n > i for n in pos)]
-    assert not unpassed, f"optional parameters no call passes: {unpassed}"
+    unlisted = sorted(set(unpassed) - set(TEST_ONLY_PARAMETERS))
+    stale = sorted(set(TEST_ONLY_PARAMETERS) - set(unpassed))
+    assert not unlisted, f"optional parameters no program call passes: " \
+                         f"{unlisted}"
+    assert not stale, f"listed as test-only, but passed by the program or " \
+                      f"gone: {stale}"
 
 
 def test_every_tracer_patch_target_exists():

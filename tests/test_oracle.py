@@ -1,5 +1,6 @@
-"""Grid shortest-path oracle: bounds and refinement behaviour."""
+"""Grid shortest-path oracle: bounds, endpoint checks and the held graph."""
 import math
+import re
 import weakref
 
 import numpy as np
@@ -9,8 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from lglab import oracle
 from lglab.curves import BRANCHES, level_curve
-from lglab.oracle import (_build_graph, grid_shortest_path, oracle_cost,
-                          refine_until)
+from lglab.oracle import _build_graph, grid_shortest_path, oracle_cost
 from lglab.paths import Polyline, segment, weighted_length
 from lglab.weights import Region, make_weight
 
@@ -45,18 +45,6 @@ def test_oracle_never_beats_the_true_geodesic():
     cost = oracle_cost(w, 128, 16, (-1.0, 0.0), (1.0, 0.0))
     assert cost >= exact - 1e-9
     assert cost <= exact * 1.03
-
-
-def test_refinement_tightens_the_estimate():
-    w = make_weight("heavy_diamond", 2.0)
-    coarse = oracle_cost(w, 64, 16, (-1.0, 0.0), (1.0, 0.0))
-    r = refine_until(w, (-1.0, 0.0), (1.0, 0.0), rel_tol=5e-3,
-                     start_res=64, max_res=256)
-    assert r.converged
-    assert r.rel_change < 5e-3
-    assert r.resolution > 64
-    assert r.cost <= coarse + 1e-12
-    assert r.cost == pytest.approx(math.sqrt(5.0), rel=0.02)
 
 
 def test_path_endpoints_snap_to_requested_points():
@@ -169,16 +157,6 @@ def test_graph_and_path_match_the_coo_reference(name, stencil, res):
         assert np.array_equal(pts, ref_pts)
 
 
-def test_refine_until_rejects_nan_before_building(monkeypatch):
-    def no_build(*args):
-        raise AssertionError("a graph was built")
-
-    monkeypatch.setattr(oracle, "_build_graph", no_build)
-    with pytest.raises(ValueError, match="rel_tol"):
-        refine_until(make_weight("constant"), (-1.0, 0.0), (1.0, 0.0),
-                     float("nan"))
-
-
 def test_endpoints_on_one_node_rejected_before_dijkstra(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("Dijkstra ran")
@@ -257,11 +235,13 @@ def test_held_arrays_are_read_only(spied):
             arr[0] = arr[0]
 
 
-def test_refine_until_holds_no_graph_on_return(spied):
-    w = make_weight("heavy_diamond", 2.0)
-    refine_until(w, (-1.0, 0.0), (1.0, 0.0), rel_tol=5e-3, start_res=64,
-                 max_res=256)
-    graphs, builds = spied
-    assert len(builds) == len(graphs) >= 2
-    assert all(ref() is None for ref in graphs)
-    assert oracle._held is None
+@pytest.mark.parametrize("bad", [
+    (math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), (0.2, math.nan),
+    (1.0 + 1e-9, 0.0), (0.0, -1.5)], ids=["inf_x", "minus_inf_y", "nan_x",
+                                           "nan_y", "past_edge", "below"])
+def test_bad_endpoints_rejected_before_building(spied, bad):
+    w = make_weight("constant")
+    for a, b in ((bad, (0.5, 0.0)), ((0.5, 0.0), bad)):
+        with pytest.raises(ValueError, match=re.escape(f"endpoint {bad} ")):
+            grid_shortest_path(w, 64, 8, a, b)
+    assert spied[1] == [] and oracle._held is None

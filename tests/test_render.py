@@ -41,25 +41,19 @@ def test_svg_structure(small_stack):
     assert svg.count('transform="scale(1,-1)"') == 1
     assert svg.count("<path ") == 41
     assert "stroke=\"#" in svg
-    with pytest.raises(ValueError):
-        svg_text(small_stack, max_curves=0)
 
 
 def test_curves_csv_format(small_stack):
-    text = curves_csv(small_stack, stride=20)
+    text = curves_csv(small_stack)
     lines = text.splitlines()
     assert lines[0] == "level,x,y"
     level, x, y = lines[1].split(",")
     float(level), float(x), float(y)
-    with pytest.raises(ValueError):
-        curves_csv(small_stack, stride=0)
 
 
 def test_geodesic_csv_blank_level():
     text = geodesic_csv(Polyline(((0.0, -1.0), (0.5, 0.25))))
-    assert text.splitlines()[1] == ",0,-1"
-    tagged = geodesic_csv(Polyline(((0.0, -1.0), (0.5, 0.25))), level=1.25)
-    assert tagged.splitlines()[2] == "1.25,0.5,0.25"
+    assert text.splitlines()[1:] == [",0,-1", ",0.5,0.25"]
 
 
 def test_report_csv_truth_column():
@@ -202,10 +196,13 @@ def test_write_text_writes_long_texts_in_slices(tmp_path):
     assert path.read_bytes() == b""
 
 
-def _reference_svg(stack, max_curves=41) -> str:
+def _reference_stride(stack) -> int:
+    """The step between drawn levels: the least that keeps 41 curves."""
+    return max(1, (len(stack.levels) - 1) // 40)
+
+
+def _reference_svg(stack) -> str:
     """svg_text as one "%.6f %.6f" per vertex: the reference for svg_text."""
-    stride = max(1, (len(stack.levels) - 1) // (max_curves - 1)) \
-        if max_curves > 1 else len(stack.levels)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -213,7 +210,7 @@ def _reference_svg(stack, max_curves=41) -> str:
         '<g transform="scale(1,-1)" fill="none" stroke-width="0.004">',
         '<circle cx="0" cy="0" r="1" stroke="#999999" stroke-width="0.003"/>',
     ]
-    for i in range(0, len(stack.levels), stride):
+    for i in range(0, len(stack.levels), _reference_stride(stack)):
         level = float(stack.levels[i])
         shade = int(round(level / 2.0 * 200.0))
         color = f"#{shade:02x}{shade:02x}{shade:02x}"
@@ -225,20 +222,19 @@ def _reference_svg(stack, max_curves=41) -> str:
     return "\n".join(out) + "\n"
 
 
-def _reference_curves_csv(stack, stride=1) -> str:
+def _reference_curves_csv(stack) -> str:
     """curves_csv as one "%.9g" row format per level: its reference."""
     rows = ["level,x,y"]
-    for i in range(0, len(stack.levels), stride):
+    for i in range(0, len(stack.levels), _reference_stride(stack)):
         row = f"{float(stack.levels[i]):.9g},%.9g,%.9g"
         rows.extend([row % v for v in stack.curves[i].path.vertices])
     return "\n".join(rows) + "\n"
 
 
-def _reference_geodesic_csv(path, level=None) -> str:
+def _reference_geodesic_csv(path) -> str:
     """geodesic_csv as one f-string per vertex: its reference."""
-    tag = "" if level is None else f"{level:.9g}"
     rows = ["level,x,y"]
-    rows.extend(f"{tag},{x:.9g},{y:.9g}" for x, y in path.vertices)
+    rows.extend(f",{x:.9g},{y:.9g}" for x, y in path.vertices)
     return "\n".join(rows) + "\n"
 
 
@@ -254,15 +250,17 @@ def preset_stacks():
 @pytest.mark.parametrize("name", sorted(cli._FIGURES))
 def test_writers_match_the_per_vertex_references(preset_stacks, name):
     s = preset_stacks[name]
-    for max_curves in (41, 5, 2, 1):
-        assert svg_text(s, max_curves) == _reference_svg(s, max_curves)
-    for stride in (1, 2, 7, 100):
-        assert curves_csv(s, stride) == _reference_curves_csv(s, stride)
+    assert svg_text(s) == _reference_svg(s)
+    assert curves_csv(s) == _reference_curves_csv(s)
     for i in (0, 10, 20):
-        path, level = s.curves[i].path, float(s.levels[i])
+        path = s.curves[i].path
         assert geodesic_csv(path) == _reference_geodesic_csv(path)
-        assert geodesic_csv(path, level) == _reference_geodesic_csv(path,
-                                                                    level)
+
+
+def test_writers_match_the_references_at_stride_two(small_stack):
+    assert _reference_stride(small_stack) == 2
+    assert svg_text(small_stack) == _reference_svg(small_stack)
+    assert curves_csv(small_stack) == _reference_curves_csv(small_stack)
 
 
 def test_radial_stacks_span_several_encoder_blocks(preset_stacks):
