@@ -17,7 +17,7 @@ from .curves import (_THREE_DIAMOND_VIAS, _refine, boundary_points,
 from .oracle import grid_shortest_path
 from .paths import Polyline, weighted_length
 from .shooting import shoot_two_point
-from .snell import snell_chain, snell_refract
+from .snell import snell_refract
 from .stacker import SolutionStack, bv_energy, stack
 from .weights import (ConstantWeight, LayeredWeight, MultiDiamondWeight,
                       RadialWeight, WeightField, constant, heavy_diamond,
@@ -465,7 +465,10 @@ def _snell_suite(seed: int) -> ExperimentReport:
                           abs(snell_refract(w2, w1, th2) - th1))
         mids = rng.uniform(max(w1, w2), max(w1, w2) + 4.0,
                            int(rng.integers(1, 5)))
-        chain = snell_chain((w1, *mids, w2), th1)
+        # one refraction per interface, against the two-endpoint angle
+        chain = th1
+        for w_a, w_b in zip((w1, *mids), (*mids, w2)):
+            chain = snell_refract(w_a, w_b, chain)
         worst_chain = max(worst_chain, abs(chain - th2))
     wl = layered_horizontal(((0.2, 1.0), (2.0, 2.0)))
     a, b = (-0.5, 0.3), (0.5, -0.7)

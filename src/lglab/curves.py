@@ -418,14 +418,6 @@ def _diamond_detour(alpha: float, h: float, xb: float,
     return Polyline.from_points(np.array(pts))
 
 
-def _disk_wrap(h: float, xb: float, sign: float) -> Polyline:
-    """Tangent + rim arc + tangent around the half-radius disk."""
-    psi = math.pi - math.asin(sign * h)
-    phi_l = psi - math.pi / 3.0
-    phi_r = math.pi - phi_l
-    return rim_wrap((-xb, h), (xb, h), 0.5, phi_l, phi_r, sign)
-
-
 def _heavy_obstacle_options(w: RadialWeight, h: float,
                             xb: float) -> list[tuple[float, Polyline]]:
     """Heavy diamond or disk: the chord, and detours above and below the
@@ -442,7 +434,8 @@ def _heavy_obstacle_options(w: RadialWeight, h: float,
                       for sign in (1.0, -1.0)
                       if sign * h >= 0.0 or abs(h) <= xb - 0.5]
         else:
-            paths += [_disk_wrap(h, xb, sign) for sign in (1.0, -1.0)]
+            wraps = [rim_wrap((-xb, h), (xb, h), 0.5, s) for s in (1.0, -1.0)]
+            paths += [path for path in wraps if path is not None]
     return [(weighted_length(p, w), p) for p in paths]
 
 

@@ -105,27 +105,23 @@ def _graph(w: WeightField, res: int, stencil: int):
     return _held[1:]
 
 
-def _nearest_node(node_id, mask, ax, p):
-    res = (node_id.shape[0] - 1) // 2
+def _snap(res: int, p):
+    """Grid indices of the node of _build_graph's disk mask nearest p, by
+    the same disk test but without the graph: the nearest mask node (the
+    first in C order on ties) in the smallest square window around the node
+    p rounds to that holds one, out to five steps."""
+    ax = np.linspace(-1.0, 1.0, 2 * res + 1)
     i = int(round((p[0] + 1.0) * res))
     j = int(round((p[1] + 1.0) * res))
-    if mask[i, j]:
-        return node_id[i, j]
-    # snap to the closest masked node in a small neighborhood
-    best = None
-    for r in range(1, 6):
-        ii, jj = np.nonzero(mask[max(0, i - r):i + r + 1,
-                                 max(0, j - r):j + r + 1])
-        if len(ii):
-            ii = ii + max(0, i - r)
-            jj = jj + max(0, j - r)
-            d = (ax[ii] - p[0]) ** 2 + (ax[jj] - p[1]) ** 2
-            k = int(np.argmin(d))
-            best = node_id[ii[k], jj[k]]
-            break
-    if best is None:
-        raise ValueError(f"point {p} is not inside the domain mask")
-    return best
+    for r in range(6):
+        X, Y = np.meshgrid(ax[max(0, i - r):i + r + 1],
+                           ax[max(0, j - r):j + r + 1], indexing="ij")
+        d = np.where(X * X + Y * Y <= 1.0 + 1e-12,
+                     (X - p[0]) ** 2 + (Y - p[1]) ** 2, np.inf)
+        k = np.unravel_index(int(np.argmin(d)), d.shape)
+        if math.isfinite(d[k]):
+            return max(0, i - r) + int(k[0]), max(0, j - r) + int(k[1])
+    raise ValueError(f"point {p} is not inside the domain mask")
 
 
 def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
@@ -138,11 +134,11 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
         if not all(-1.0 <= c <= 1.0 for c in p):
             raise ValueError(f"endpoint {p} is not a point of the grid "
                              "square [-1, 1]^2")
-    graph, node_id, mask, ax = _graph(w, res, stencil)
-    ia = _nearest_node(node_id, mask, ax, a)
-    ib = _nearest_node(node_id, mask, ax, b)
-    if ia == ib:
+    na, nb = _snap(res, a), _snap(res, b)
+    if na == nb:
         raise ValueError(f"endpoints {a} and {b} snap to one grid node")
+    graph, node_id, mask, ax = _graph(w, res, stencil)
+    ia, ib = node_id[na], node_id[nb]
     dist, pred = dijkstra(graph, directed=False, indices=ia,
                           return_predecessors=True)
     cost = float(dist[ib])

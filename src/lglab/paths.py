@@ -75,20 +75,30 @@ def segment(a, b) -> Polyline:
     return Polyline(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))
 
 
-def rim_wrap(a, b, rho, phi_a, phi_b, sign) -> Polyline:
-    """Tangent + rim arc + tangent from a to b around the disk of radius rho.
+def rim_wrap(a, b, rho, sign) -> Polyline | None:
+    """Tangent + rim arc + tangent from a to b around the disk of radius rho,
+    or None when a or b is not outside it or the arc is not in (1e-9, 3pi/2).
 
-    phi_a > phi_b are the polar angles of the two tangent points in the frame
-    mirrored by sign, so sign = +1 wraps clockwise (over the top for a left
-    of b) and sign = -1 counterclockwise.  The arc is sampled every RIM_STEP
-    radians on a circle lifted by the relative RIM_LIFT, more than the
-    5e-7 sagitta of one step, so that its chords stay outside the disk.
+    sign = +1 wraps clockwise (over the top for a left of b), -1
+    counterclockwise.  The arc is sampled every RIM_STEP radians on a circle
+    lifted by the relative RIM_LIFT, more than the 5e-7 sagitta of one step,
+    so that its chords stay outside the disk.
     """
+    ra, rb = math.hypot(*a), math.hypot(*b)
+    if ra <= rho or rb <= rho:
+        return None
+    # the tangent points' polar angles in the frame mirrored by sign
+    phi_a = math.atan2(sign * a[1], a[0]) - math.acos(rho / ra)
+    phi_b = math.atan2(sign * b[1], b[0]) + math.acos(rho / rb)
+    arc = (phi_a - phi_b) % (2.0 * math.pi)
+    if not 1e-9 < arc < 1.5 * math.pi:
+        return None
+    end = phi_a - arc
     r = rho * (1.0 + RIM_LIFT)
-    n_arc = max(2, int(math.ceil((phi_a - phi_b) / RIM_STEP)) + 1)
-    phis = np.linspace(phi_a, phi_b, n_arc)
-    arc = np.column_stack([r * np.cos(phis), sign * r * np.sin(phis)])
-    return Polyline.from_points(np.vstack([[a], arc, [b]]))
+    n_arc = max(2, int(math.ceil((phi_a - end) / RIM_STEP)) + 1)
+    phis = np.linspace(phi_a, end, n_arc)
+    rim = np.column_stack([r * np.cos(phis), sign * r * np.sin(phis)])
+    return Polyline.from_points(np.vstack([[a], rim, [b]]))
 
 
 @lru_cache(maxsize=64)

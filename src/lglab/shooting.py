@@ -109,19 +109,8 @@ def _corner_routes(w, a, b) -> list[Polyline]:
 
 def _rim_wraps(w, a, b) -> list[Polyline]:
     """Tangent-arc-tangent candidates both ways around each slow disk."""
-    ra, rb = math.hypot(*a), math.hypot(*b)
-    out = []
-    for rho in w.rim_radii():
-        if ra <= rho or rb <= rho:
-            continue
-        for sign in (+1.0, -1.0):
-            # tangent-point angles in the frame mirrored by sign
-            phi_a = math.atan2(sign * a[1], a[0]) - math.acos(rho / ra)
-            phi_b = math.atan2(sign * b[1], b[0]) + math.acos(rho / rb)
-            arc = (phi_a - phi_b) % (2.0 * math.pi)
-            if 1e-9 < arc < math.pi * 1.5:
-                out.append(rim_wrap(a, b, rho, phi_a, phi_a - arc, sign))
-    return out
+    wraps = [rim_wrap(a, b, r, s) for r in w.rim_radii() for s in (1.0, -1.0)]
+    return [path for path in wraps if path is not None]
 
 
 def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,

@@ -28,8 +28,8 @@ import numpy as np
 from .curves import _BLOCK, _run
 from .paths import Polyline
 from .snell import SolverError, TotalInternalReflection, snell_refract
-from .weights import (SQRT2, ConstantWeight, LayeredWeight, RadialWeight,
-                      WeightField, circle_hits)
+from .weights import (SQRT2, LayeredWeight, RadialWeight, WeightField,
+                      circle_hits)
 
 DEFAULT_SHELLS = 4096
 _EPS = 1e-12
@@ -98,12 +98,6 @@ def _straight(p, v, t, end=None):
             np.array([end or (p[0] + t * v[0], p[1] + t * v[1])]))
 
 
-def _uniform(theta_0):
-    """No interfaces: the ray is one straight piece, started downward."""
-    return ((math.sin(theta_0), -math.cos(theta_0)),
-            lambda p, v: _straight(p, v, math.inf), None)
-
-
 def _layers(w: LayeredWeight, theta_0):
     """Horizontal layers, crossed downward at the depth lines."""
     if not -math.pi / 2 < theta_0 < math.pi / 2:
@@ -126,7 +120,7 @@ def _layers(w: LayeredWeight, theta_0):
         return q, _refract_direction(v, (0.0, 1.0), ws[k], w_next,
                                      f"depth {depths[k]:g}")
 
-    return _uniform(theta_0)[0], leg, turn
+    return (math.sin(theta_0), -math.cos(theta_0)), leg, turn
 
 
 def _launch_shell(w: RadialWeight, radii, rho):
@@ -310,19 +304,17 @@ def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
     :param n_shells: shell count for discretizing sloped radial profiles.
     :raises ValueError: an unknown stop form or an invalid launch.
     :raises TotalInternalReflection: supercritical incidence at an interface.
-    :raises TraceError: stop condition unreachable.
+    :raises TraceError: stop condition unreachable, or w has no medium.
     """
     stop = _stop_form(stop)
     p = (float(start[0]), float(start[1]))
-    if isinstance(w, ConstantWeight):
-        medium = _uniform(theta_0)
-    elif isinstance(w, LayeredWeight):
+    if isinstance(w, LayeredWeight):
         medium = _layers(w, theta_0)
     elif isinstance(w, RadialWeight):
         shells = _diamonds if w.norm == "l1" else _circles
         medium = shells(w, p, theta_0, n_shells)
     else:
-        raise TraceError(f"{type(w).__name__} has no layered structure; "
+        raise TraceError(f"{type(w).__name__} has no traced medium; "
                          "use the grid oracle")
     return _propagate(p, *medium, stop)
 
@@ -597,9 +589,9 @@ def trace_fan(w: WeightField, start, thetas, stop, n_shells: int):
     One generation traces one leg of every live ray, checks its pieces
     against the stop and turns the rays that go on.  A ray's row is NaN
     where trace_layered_ray raises TraceError or TotalInternalReflection.
-    Only layered and radial weights have a fan.
 
     :raises ValueError: an unknown stop form or an invalid launch.
+    :raises TraceError: w has no medium, as in trace_layered_ray.
     """
     stop = _stop_form(stop)
     p = (float(start[0]), float(start[1]))
@@ -610,7 +602,8 @@ def trace_fan(w: WeightField, start, thetas, stop, n_shells: int):
         shells = _fan_diamonds if w.norm == "l1" else _fan_circles
         ok, st, leg, turn = shells(w, p, thetas, n_shells)
     else:
-        raise TraceError(f"{type(w).__name__} has no traced fan")
+        raise TraceError(f"{type(w).__name__} has no traced medium; "
+                         "use the grid oracle")
     ends = np.full((len(thetas), 2), np.nan)
     rows = np.flatnonzero(ok)
     st = {key: a[rows] for key, a in st.items()}

@@ -317,6 +317,9 @@ class CustomWeight(WeightField):
     default: float = 1.0
     name = "custom_piecewise"
 
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+
     def values(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -413,30 +416,32 @@ def layered_horizontal(layers) -> LayeredWeight:
     return LayeredWeight(tuple((float(d), float(w)) for d, w in layers))
 
 
-# name: (builder, parameter range, one-line behaviour note)
+# name: (builder, the make_weight parameters it takes in the builder's
+# argument order, parameter range, one-line behaviour note)
 _CATALOG = {
-    "constant": (constant, "c > 0, default 1",
+    "constant": (constant, ("alpha",), "c > 0, default 1",
                  "uniform speed; geodesics are straight chords"),
-    "heavy_diamond": (heavy_diamond, "alpha > 1, default sqrt(3/2)",
+    "heavy_diamond": (heavy_diamond, ("alpha",), "alpha > 1, default sqrt(3/2)",
                       "slow diamond of l1 radius 1/2; corner or refracted routes"),
-    "heavy_disk": (heavy_disk, "alpha >= pi/2, default 2",
+    "heavy_disk": (heavy_disk, ("alpha",), "alpha >= pi/2, default 2",
                    "slow disk of radius 1/2; arc-hugging routes"),
-    "light_diamond": (light_diamond, "0 < alpha < 1, default 1/2",
+    "light_diamond": (light_diamond, ("alpha",), "0 < alpha < 1, default 1/2",
                       "fast diamond with a thin ramp shell; gliding level curves"),
-    "light_diamond_tight": (light_diamond_tight, "0 < alpha < 1, default 1/2",
+    "light_diamond_tight": (light_diamond_tight, ("alpha",),
+                            "0 < alpha < 1, default 1/2",
                             "continuous radial interpolation; solution jumps on "
                             "the x-axis"),
-    "lite_dmd_heavy_core": (lite_dmd_heavy_core, "no parameter",
+    "lite_dmd_heavy_core": (lite_dmd_heavy_core, (), "no parameter",
                             "continuous weight, costly center, cheap ring; "
                             "non-unique solutions"),
-    "three_heavy_diamonds": (three_heavy_diamonds,
+    "three_heavy_diamonds": (three_heavy_diamonds, ("alpha",),
                              "alpha >= sqrt(2), default sqrt(2)",
                              "two large and one small slow diamond; level bands "
                              "with tied routes"),
-    "layered_horizontal": (layered_horizontal,
+    "layered_horizontal": (layered_horizontal, ("layers",),
                            "layers = (depth, weight) pairs, depths increasing",
                            "horizontally stratified medium below the x-axis"),
-    "custom_piecewise": (CustomWeight,
+    "custom_piecewise": (CustomWeight, ("pieces", "default"),
                          "pieces over l1/l2 balls and half-planes",
                          "user-defined regional weight, affine in l1 distance"),
 }
@@ -448,23 +453,22 @@ def catalog_names() -> tuple[str, ...]:
 
 def catalog_describe(name: str) -> tuple[str, str]:
     """(parameter range, one-line behaviour note) for a catalog entry."""
-    return _CATALOG[name][1:]
+    return _CATALOG[name][2:]
 
 
-def make_weight(name: str, alpha: float | None = None, *,
-                layers=None, pieces=None, default: float = 1.0) -> WeightField:
-    """Build a catalog weight by name, using defaults for omitted parameters."""
+def make_weight(name: str, alpha: float | None = None, *, layers=None,
+                pieces=None, default: float | None = None) -> WeightField:
+    """Build a catalog weight from the parameters it takes, and no other;
+    alpha and default may be omitted, layers and pieces may not."""
     if name not in _CATALOG:
         raise KeyError(f"unknown weight {name!r}; known: {', '.join(_CATALOG)}")
-    builder = _CATALOG[name][0]
-    if name == "layered_horizontal":
-        if layers is None:
-            raise ValueError("layered_horizontal needs layers=[(depth, weight), ...]")
-        return builder(layers)
-    if name == "custom_piecewise":
-        if pieces is None:
-            raise ValueError("custom_piecewise needs pieces=...")
-        return builder(tuple(pieces), default=default)
-    if name == "lite_dmd_heavy_core" and alpha is not None:
-        raise ValueError("lite_dmd_heavy_core takes no parameter")
-    return builder() if alpha is None else builder(alpha)
+    builder, takes = _CATALOG[name][:2]
+    given = {"alpha": alpha, "layers": layers, "pieces": pieces,
+             "default": default}
+    for key, val in given.items():
+        if val is not None and key not in takes:
+            raise ValueError(f"{name} does not take {key}; it takes "
+                             f"{' and '.join(takes) or 'no parameter'}")
+        if val is None and key in takes and key in ("layers", "pieces"):
+            raise ValueError(f"{name} needs {key}=...")
+    return builder(*(given[key] for key in takes if given[key] is not None))

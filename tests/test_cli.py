@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import lglab.cli as cli
-from lglab import curves, stacker
+from lglab import analysis, curves, stacker
 from lglab.analysis import SUITES, ExperimentReport, Quantity
 from lglab.curves import LevelCurve, level_curve
 from lglab.snell import SolverError
@@ -152,6 +152,25 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "rigged" in err
 
 
+def test_a_drifting_snell_chain_fails_verify(tmp_path, capsys, monkeypatch):
+    # the snell suite's first trial refracts twice between its two end
+    # weights, then enters the chain: its third refraction is the chain's
+    # first interface, whose angle every later interface inherits
+    refract, calls = analysis.snell_refract, []
+
+    def drifting(w_in, w_out, theta_in):
+        calls.append(None)
+        return refract(w_in, w_out, theta_in) + (1e-9 if len(calls) == 3
+                                                 else 0.0)
+
+    monkeypatch.setattr(analysis, "snell_refract", drifting)
+    code, out, _ = run(["verify", "--experiments", "snell",
+                        "--outdir", str(tmp_path)], capsys)
+    assert code == 1
+    assert "[FAIL] snell: chain collapse worst error" in out
+    assert "[PASS] snell: reciprocity worst error" in out
+
+
 def _recording_suites(monkeypatch):
     calls = []
 
@@ -198,6 +217,22 @@ def test_nan_alpha_exits_2_with_the_range_message(argv, message, tmp_path,
                                                   capsys):
     code, out, err = run([*argv, "--alpha", "nan", "--outdir", str(tmp_path)],
                          capsys)
+    assert code == 2 and message in err
+    assert "length=" not in out
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["geodesic", "--weight", "heavy_disk", "--alpha", "2", "--layers",
+      "0.2:1.0", "--from=-0.5,0.3", "--to=0.6,-0.2"], "take layers"),
+    (["solve", "--weight", "heavy_diamond", "--alpha", "2", "--layers",
+      "0.3:2", "--resolution", "32", "--levels", "16"], "take layers"),
+    (["solve", "--weight", "layered_horizontal", "--layers", "0.3:2",
+      "--alpha", "2", "--resolution", "32", "--levels", "16"],
+     "take alpha")], ids=["geodesic", "solve", "layered"])
+def test_a_parameter_the_weight_does_not_take_exits_2(argv, message,
+                                                      tmp_path, capsys):
+    code, out, err = run([*argv, "--outdir", str(tmp_path)], capsys)
     assert code == 2 and message in err
     assert "length=" not in out
     assert not any(tmp_path.iterdir())

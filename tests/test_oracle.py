@@ -157,7 +157,8 @@ def test_graph_and_path_match_the_coo_reference(name, stencil, res):
         assert np.array_equal(pts, ref_pts)
 
 
-def test_endpoints_on_one_node_rejected_before_dijkstra(monkeypatch):
+def test_endpoints_on_one_node_rejected_before_dijkstra(monkeypatch,
+                                                         spied):
     def no_search(*args, **kwargs):
         raise AssertionError("Dijkstra ran")
 
@@ -167,6 +168,62 @@ def test_endpoints_on_one_node_rejected_before_dijkstra(monkeypatch):
     with pytest.raises(ValueError, match="snap to one grid node"):
         grid_shortest_path(make_weight("constant"), 64, 8, (0, 0),
                            (0.004, -0.003))
+    # and before building the graph
+    assert spied[1] == [] and oracle._held is None
+
+
+def _reference_nearest_node(node_id, mask, ax, p):
+    """The snap as it was when it read the built graph's mask."""
+    res = (node_id.shape[0] - 1) // 2
+    i = int(round((p[0] + 1.0) * res))
+    j = int(round((p[1] + 1.0) * res))
+    if mask[i, j]:
+        return node_id[i, j]
+    for r in range(1, 6):
+        ii, jj = np.nonzero(mask[max(0, i - r):i + r + 1,
+                                 max(0, j - r):j + r + 1])
+        if len(ii):
+            ii = ii + max(0, i - r)
+            jj = jj + max(0, j - r)
+            d = (ax[ii] - p[0]) ** 2 + (ax[jj] - p[1]) ** 2
+            k = int(np.argmin(d))
+            return node_id[ii[k], jj[k]]
+    raise ValueError(f"point {p} is not inside the domain mask")
+
+
+@pytest.mark.parametrize("res", [32, 64])
+def test_snap_picks_the_node_the_built_mask_picked(res):
+    _, node_id, X, _, mask = _build_graph(make_weight("constant"), res, 8)
+    ax, h = X[:, 0], 1.0 / res
+    rng = np.random.default_rng(res)
+    # the square, the rim band, and the ring out to where no disk node lies
+    # within the five-step window
+    phi = rng.uniform(0.0, 2.0 * math.pi, 4000)
+    rho = np.concatenate([rng.uniform(1.0 - 2.0 * h, 1.0 + 2.0 * h, 2000),
+                          rng.uniform(1.0 + 4.0 * h, 1.0 + 9.0 * h, 2000)])
+    pts = np.vstack([rng.uniform(-1.0, 1.0, (1000, 2)),
+                     np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])])
+    reached = set()
+    for p in pts[np.all(np.abs(pts) <= 1.0, axis=1)].tolist():
+        try:
+            ref = _reference_nearest_node(node_id, mask, ax, p)
+        except ValueError:
+            with pytest.raises(ValueError, match="not inside the domain"):
+                oracle._snap(res, p)
+            reached.add("outside")
+            continue
+        got = oracle._snap(res, p)
+        assert node_id[got] == ref, p
+        reached.add(max(abs(g - round((c + 1.0) * res))
+                        for g, c in zip(got, p)))
+    assert reached == {0, 1, 2, 3, 4, 5, "outside"}
+
+
+def test_a_point_far_outside_the_disk_is_rejected_before_building(spied):
+    with pytest.raises(ValueError, match="not inside the domain mask"):
+        grid_shortest_path(make_weight("constant"), 64, 8, (0.9, 0.9),
+                           (0.0, 0.0))
+    assert spied[1] == [] and oracle._held is None
 
 
 def _fresh_path(w, res, stencil, a, b):

@@ -11,8 +11,9 @@ from lglab.paths import Polyline, weighted_length
 from lglab.snell import H_of
 from lglab.stacker import (ALL_MAXIMAL, ALL_MINIMAL, GridField,
                            StackNestingError, SwitchPolicy, _check_nesting,
-                           _disk_rows, bv_energy, jump_set, local_oscillation,
-                           midpoint_levels, stack, trace_error)
+                           _disk_rows, _jump_touch_angles, bv_energy,
+                           jump_set, local_oscillation, midpoint_levels,
+                           stack, trace_error)
 from lglab.weights import make_weight
 
 
@@ -109,6 +110,47 @@ def test_trace_error_heavy_diamond(stack_heavy):
 def test_trace_error_tight(stack_tight):
     # jump rays touch the rim at (+-1, 0); those probes are excluded
     assert trace_error(stack_tight) <= 0.1
+
+
+def _reference_trace_error(s):
+    """trace_error as a loop over the probes, one window slice each."""
+    r, res, u, xs = 0.05, s.field.res, s.field.values, s.field.coords
+    phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    exclude = np.array(_jump_touch_angles(s))
+    if exclude.size:
+        d = np.abs(((phis[:, None] - exclude + math.pi) % (2 * math.pi))
+                   - math.pi)
+        phis = phis[np.min(d, axis=1) > 0.05]
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    worst = 0.0
+    for phi in phis:
+        zx, zy = math.cos(phi), math.sin(phi)
+        ix0 = max(0, int(math.floor((zx - r + 1.0) * res)))
+        ix1 = min(2 * res, int(math.ceil((zx + r + 1.0) * res)))
+        iy0 = max(0, int(math.floor((zy - r + 1.0) * res)))
+        iy1 = min(2 * res, int(math.ceil((zy + r + 1.0) * res)))
+        win = slice(iy0, iy1 + 1), slice(ix0, ix1 + 1)
+        bx, by = X[win], Y[win]
+        sel = ((bx - zx) ** 2 + (by - zy) ** 2 < r * r) \
+            & (bx * bx + by * by < 1.0)
+        worst = max(worst, float(np.abs(u[win][sel] - (zy + 1.0)).mean()))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["stack_constant", "stack_heavy",
+                                  "stack_tight", "stack_three_max"])
+def test_trace_error_matches_the_probe_loop(name, request):
+    s = request.getfixturevalue(name)
+    assert trace_error(s) == pytest.approx(_reference_trace_error(s),
+                                           rel=1e-15, abs=0.0)
+
+
+def test_trace_error_needs_samples_near_every_probe():
+    # at res 8 no node lies within 0.05 of (1, 0) and inside the disk
+    s = stack(make_weight("constant"), levels=midpoint_levels(16), res=8)
+    with pytest.raises(ValueError, match=r"no grid samples in B\(z, 0.05\) "
+                                         r"at angle 0.000"):
+        trace_error(s)
 
 
 def test_jump_set_constant_empty(stack_constant):

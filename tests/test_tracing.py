@@ -8,17 +8,8 @@ from lglab.paths import Polyline, weighted_length
 from lglab.tracing import (DEFAULT_SHELLS, TotalInternalReflection,
                            TraceError, _refract_direction, trace_fan,
                            trace_layered_ray)
-from lglab.weights import (ConstantWeight, LayeredWeight, ProfilePiece,
-                           RadialWeight, circle_hits, make_weight)
-
-
-def test_constant_ray_is_straight():
-    w = make_weight("constant")
-    ray = trace_layered_ray(w, (0.0, 0.0), math.pi / 4, ("depth", 1.0))
-    arr = ray.as_array()
-    assert arr.shape == (2, 2)
-    assert arr[1, 1] == pytest.approx(-1.0)
-    assert arr[1, 0] == pytest.approx(1.0)  # 45 degrees from vertical
+from lglab.weights import (LayeredWeight, ProfilePiece, RadialWeight,
+                           circle_hits, make_weight)
 
 
 def test_two_layer_kink_obeys_refraction_law():
@@ -49,8 +40,9 @@ def test_layered_launch_domain():
 
 
 def test_unreachable_stop_is_an_error():
-    w = make_weight("constant")
-    with pytest.raises(TraceError):
+    # launched downward below the stop line
+    w = make_weight("layered_horizontal", layers=((0.5, 1.0), (9.0, 2.0)))
+    with pytest.raises(TraceError, match="did not reach"):
         trace_layered_ray(w, (0.0, -2.0), 0.0, ("depth", 1.0))
 
 
@@ -307,13 +299,6 @@ def _ref_radial_l2(w, start, theta_0, stop, n_shells, max_segments):
 
 def _reference_trace(w, start, theta_0, stop, n_shells=DEFAULT_SHELLS,
                      max_segments=200000):
-    if isinstance(w, ConstantWeight):
-        p = (float(start[0]), float(start[1]))
-        v = (math.sin(theta_0), -math.cos(theta_0))
-        t = _ref_stop_crossing(stop, p, v, 1e6)
-        if t is None:
-            raise TraceError("straight ray never meets the stop condition")
-        return Polyline((p, (p[0] + t * v[0], p[1] + t * v[1])))
     if isinstance(w, LayeredWeight):
         return _ref_layered(w, start, theta_0, stop, max_segments)
     if w.norm == "l1":
@@ -323,7 +308,6 @@ def _reference_trace(w, start, theta_0, stop, n_shells=DEFAULT_SHELLS,
 
 
 _MEDIA = {
-    "constant": lambda: make_weight("constant", 1.3),
     "layered": lambda: make_weight(
         "layered_horizontal", layers=((0.2, 1.0), (0.5, 2.0), (0.9, 1.5))),
     "light_diamond_tight": lambda: make_weight("light_diamond_tight", 0.5),
@@ -347,12 +331,11 @@ def _seeded_launches(w, rng, n):
         n_shells = int(rng.choice([64, 512, 4096]))
         r = float(rng.uniform(0.05, 0.95))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        if not isinstance(w, RadialWeight):
+        if isinstance(w, LayeredWeight):
             theta = float(rng.uniform(-1.7, 1.7))
             x = float(rng.uniform(-1.0, 1.0))
             y = {"interior": float(rng.uniform(-0.3, 0.3)), "axis": 0.0,
-                 "interface": -w.depths()[1]
-                 if isinstance(w, LayeredWeight) else -0.5}[kind]
+                 "interface": -w.depths()[1]}[kind]
             yield (x, y), theta, stop, n_shells, kind
             continue
         theta = float(rng.uniform(-math.pi, math.pi))
@@ -405,7 +388,7 @@ def test_single_loop_matches_the_reference_trace(name):
                       for s in ("circle", "depth", "line")}
 
 
-@pytest.mark.parametrize("name", [n for n in _MEDIA if n != "constant"])
+@pytest.mark.parametrize("name", list(_MEDIA))
 def test_fan_ends_where_each_scalar_ray_ends(name):
     # one lockstep fan per seeded launch against a scalar ray per angle:
     # the same end point to the last bit, NaN where the scalar ray raises
@@ -439,8 +422,12 @@ def test_fan_rejects_what_the_scalar_tracer_rejects():
         trace_fan(layered, (0.0, 0.0), [0.1], "x_axis", 64)
     with pytest.raises(ValueError, match="origin"):
         trace_fan(_MEDIA["heavy_disk"](), (0.0, 0.0), [0.1], "circle", 64)
-    with pytest.raises(TraceError):
-        trace_fan(_MEDIA["constant"](), (0.0, 0.0), [0.1], "circle", 64)
+    # a weight with no medium: the scalar tracer and the fan both raise
+    constant = make_weight("constant", 1.3)
+    with pytest.raises(TraceError, match="no traced medium"):
+        trace_layered_ray(constant, (0.0, 0.0), 0.1, "circle", 64)
+    with pytest.raises(TraceError, match="no traced medium"):
+        trace_fan(constant, (0.0, 0.0), [0.1], "circle", 64)
 
 
 def test_sloped_l2_profile_is_rejected():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lglab import weights
 from lglab.weights import (Region, catalog_describe, catalog_names,
                            make_weight)
 
@@ -115,6 +116,51 @@ def test_nan_layers_fail_the_range_checks(layers):
 def test_unknown_region_shape_is_rejected_when_built():
     with pytest.raises(ValueError, match="unknown region shape"):
         Region("bogus")
+
+
+_PARAMETERS = {"alpha": 2.0, "layers": ((0.3, 2.0), (0.7, 4.0)),
+               "pieces": (), "default": 2.0}
+_TAKES = {"layered_horizontal": ("layers",),
+          "custom_piecewise": ("pieces", "default"),
+          "lite_dmd_heavy_core": ()}
+
+
+def _foreign_pairs():
+    return [(name, key) for name in catalog_names() for key in _PARAMETERS
+            if key not in _TAKES.get(name, ("alpha",))]
+
+
+def test_every_foreign_parameter_is_named_in_the_error():
+    pairs = _foreign_pairs()
+    # layers, pieces and default on the seven weights neither layered nor
+    # custom, alpha, pieces and default on the layered one, alpha and layers
+    # on the custom one, and alpha on the parameterless heavy core
+    assert len(pairs) == 27
+    for name, key in pairs:
+        given = {k: _PARAMETERS[k] for k in ("layers", "pieces")
+                 if k in _TAKES.get(name, ())}
+        given[key] = _PARAMETERS[key]
+        alpha = given.pop("alpha", None)
+        with pytest.raises(ValueError, match=f"{name} does not take {key};"):
+            make_weight(name, alpha, **given)
+
+
+def test_the_parameters_a_weight_takes_build_it():
+    inner = Region("l2", radius=0.5)
+    pieces = [((inner,), 3.0, 0.0, 0.0, 0.0)]
+    assert make_weight("constant", 2.0) == weights.constant(2.0)
+    for name in ("heavy_diamond", "heavy_disk", "three_heavy_diamonds"):
+        assert make_weight(name, 2.0) == getattr(weights, name)(2.0)
+    for name in ("light_diamond", "light_diamond_tight"):
+        assert make_weight(name, 0.25) == getattr(weights, name)(0.25)
+    assert make_weight("layered_horizontal", layers=[(0.3, 2), (0.7, 4)]) \
+        == weights.LayeredWeight(((0.3, 2.0), (0.7, 4.0)))
+    assert make_weight("custom_piecewise", pieces=pieces) \
+        == weights.CustomWeight(tuple(pieces))
+    assert make_weight("custom_piecewise", pieces=pieces, default=9.0) \
+        == weights.CustomWeight(tuple(pieces), default=9.0)
+    with pytest.raises(ValueError, match="needs pieces"):
+        make_weight("custom_piecewise", default=9.0)
 
 
 def test_custom_piecewise():
