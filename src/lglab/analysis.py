@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,10 @@ from .paths import Polyline, weighted_length
 from .shooting import shoot_two_point
 from .snell import snell_refract
 from .stacker import SolutionStack, bv_energy, stack
-from .weights import (ConstantWeight, LayeredWeight, MultiDiamondWeight,
-                      RadialWeight, WeightField, constant, heavy_diamond,
-                      heavy_disk, layered_horizontal, light_diamond,
-                      light_diamond_tight, lite_dmd_heavy_core,
-                      three_heavy_diamonds)
-
-SQRT2 = math.sqrt(2.0)
+from .weights import (SQRT2, STACKABLE, ConstantWeight, LayeredWeight,
+                      MultiDiamondWeight, RadialWeight, WeightField, constant,
+                      heavy_diamond, layered_horizontal, light_diamond_tight,
+                      lite_dmd_heavy_core, make_weight, three_heavy_diamonds)
 
 
 @dataclass(frozen=True)
@@ -85,16 +83,19 @@ def curvature_clearance(w: WeightField, z, r: float) -> float:
     phi = math.atan2(zy, zx)
     p1 = (math.cos(phi - dphi), math.sin(phi - dphi))
     p2 = (math.cos(phi + dphi), math.sin(phi + dphi))
+    path = None
     if abs(zx) < 1e-12 and isinstance(w, (RadialWeight, MultiDiamondWeight)):
-        # at a pole the geodesic is a level curve; pick the branch nearer z
+        # at a pole the geodesic is a level curve, where one is constructed;
+        # pick the branch nearer z
         t = 1.0 + zy * math.cos(dphi)
         branch = "minimal" if zy > 0 else "maximal"
-        path = level_curve(w, t, branch).path
-    elif isinstance(w, (ConstantWeight, RadialWeight, MultiDiamondWeight,
-                        LayeredWeight)):
+        with suppress(NotImplementedError):
+            path = level_curve(w, t, branch).path
+    if path is None and isinstance(w, (ConstantWeight, RadialWeight,
+                                       MultiDiamondWeight, LayeredWeight)):
         path, _ = shoot_two_point(w, p1, p2, tol=1e-7, n_shells=512,
                                   scan_angles=512)
-    else:
+    elif path is None:
         path, _ = grid_shortest_path(w, 256, 16, p1, p2)
     return _point_polyline_distance(np.array([zx, zy]), path.as_array())
 
@@ -161,10 +162,8 @@ def submodularity_check(res: int = 256, trials: int = 1000,
         raise ValueError("res must be at least 64")
     if trials < 1:
         raise ValueError("trials must be positive")
-    weights = (constant(1.0), heavy_diamond(2.0), heavy_disk(2.0),
-               light_diamond(0.5), light_diamond_tight(0.5),
-               lite_dmd_heavy_core(), three_heavy_diamonds(2.0))
-    costs = [_edge_costs(w, res) for w in weights]
+    costs = [_edge_costs(make_weight(name, alpha), res)
+             for name, alpha in STACKABLE]
     c = _cell_centers(res)
     rng = np.random.default_rng(seed)
     passed = 0

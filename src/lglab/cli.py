@@ -30,7 +30,8 @@ from .render import (curves_csv, geodesic_csv, pgm_text, report_csv,
 from .shooting import shoot_two_point
 from .snell import SolverError
 from .stacker import SwitchPolicy, midpoint_levels, stack
-from .weights import catalog_describe, catalog_names, make_weight
+from .weights import (STACKABLE, catalog_describe, catalog_names,
+                      make_weight)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -39,20 +40,10 @@ EXIT_SOLVER = 3
 
 _SOLVER_ERRORS = (SolverError, NotImplementedError)
 
-_FIGURES = {
-    "constant": RunConfig(weight="constant"),
-    "heavy_diamond": RunConfig(weight="heavy_diamond", alpha=2.0),
-    "heavy_disk": RunConfig(weight="heavy_disk", alpha=2.0),
-    "light_diamond": RunConfig(weight="light_diamond", alpha=0.5),
-    "light_diamond_tight": RunConfig(weight="light_diamond_tight", alpha=0.5),
-    "lite_dmd_heavy_core": RunConfig(weight="lite_dmd_heavy_core"),
-    "lite_dmd_heavy_core_maximal": RunConfig(weight="lite_dmd_heavy_core",
-                                             switch_level=2.0),
-    "three_heavy_diamonds": RunConfig(weight="three_heavy_diamonds",
-                                      alpha=2.0),
-    "three_heavy_diamonds_maximal": RunConfig(weight="three_heavy_diamonds",
-                                              alpha=2.0, switch_level=2.0),
-}
+_FIGURES = {name: RunConfig(weight=name, alpha=alpha)
+            for name, alpha in STACKABLE}
+_FIGURES.update({f"{name}_maximal": replace(_FIGURES[name], switch_level=2.0)
+                 for name in ("lite_dmd_heavy_core", "three_heavy_diamonds")})
 
 
 def _point(text: str) -> tuple[float, float]:
@@ -68,10 +59,8 @@ def _via_points(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _resolve_outdir(configured: str) -> Path:
-    out = os.environ.get("LGL_OUT", "").strip() or configured
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """LGL_OUT, or the configured directory; write_text makes it."""
+    return Path(os.environ.get("LGL_OUT", "").strip() or configured)
 
 
 def _build_weight(cfg: RunConfig):
@@ -192,9 +181,7 @@ def cmd_figure(args) -> int:
         preset = replace(preset, levels=args.levels)
     base = _resolve_outdir(args.outdir if args.outdir is not None
                            else preset.outdir)
-    outdir = base / args.name
-    outdir.mkdir(parents=True, exist_ok=True)
-    return _solve(preset, outdir, args.timings)
+    return _solve(preset, base / args.name, args.timings)
 
 
 def build_parser() -> argparse.ArgumentParser:

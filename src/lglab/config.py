@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .analysis import _suite_names
+from .stacker import DEFAULT_LEVELS, DEFAULT_RES
 
 
 @dataclass(frozen=True)
@@ -17,8 +18,8 @@ class RunConfig:
     weight: str = "constant"
     alpha: float | None = None
     layers: str = ""
-    resolution: int = 512
-    levels: int = 401
+    resolution: int = DEFAULT_RES
+    levels: int = DEFAULT_LEVELS
     switch_level: float = 0.0
     outdir: str = "out"
     experiments: str = "all"
@@ -53,11 +54,7 @@ def parse_layers(text: str):
 def _parse_value(name: str, text: str):
     if name == "alpha":
         return None if text.lower() in ("none", "") else float(text)
-    if name in ("resolution", "levels", "seed"):
-        return int(text)
-    if name == "switch_level":
-        return float(text)
-    return text
+    return type(getattr(RunConfig, name))(text)
 
 
 def parse_config(text: str) -> RunConfig:

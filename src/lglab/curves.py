@@ -185,7 +185,7 @@ def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
     kappa each, meet the unit circle."""
     s_out = np.divide(kappa, float(w.pieces[-1].offset))
     c_out = np.sqrt(1.0 - s_out * s_out)
-    v = np.stack([c_out + s_out, c_out - s_out], axis=-1) / math.sqrt(2.0)
+    v = np.stack([c_out + s_out, c_out - s_out], axis=-1) / SQRT2
     t = circle_hits((p[..., 0], p[..., 1]), (v[..., 0], v[..., 1]), 1.0)[2]
     return p + t[..., None] * v
 
@@ -195,7 +195,7 @@ def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
     horizontally: at 45 degrees to the edge normal kappa is w(start)/sqrt(2).
     """
     start = np.asarray(start, dtype=float)
-    kappa = w.values(start[..., 0], start[..., 1]) / math.sqrt(2.0)
+    kappa = w.values(start[..., 0], start[..., 1]) / SQRT2
     return _climb(w, start, kappa, n_shells)
 
 
@@ -211,7 +211,7 @@ def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
     radii = np.concatenate([[a], r[k0::-1] if k0 >= 0 else []])
     weights = wk[k0::-1] if k0 >= 0 else np.array([])
     # horizontal in the discrete launch shell, so the first step cannot sag
-    tir, offsets = _run(radii, weights, weights[0] / math.sqrt(2.0))
+    tir, offsets = _run(radii, weights, weights[0] / SQRT2)
     xs, ys = offsets + [[a], [0.0]]
     n = len(xs)
     i_tir = int(np.argmax(tir)) + 1 if bool(np.any(tir)) else n
@@ -297,7 +297,7 @@ def _apex_grid(w: RadialWeight, lo: float, hi: float,
     (start, shell) pairs; outer starts cross fewer shells, so more fit."""
     y0s = np.linspace(lo, hi, n)
     starts = np.column_stack([np.zeros(n), y0s])
-    kappas = w.profile(y0s) / math.sqrt(2.0)
+    kappas = w.profile(y0s) / SQRT2
     r = w.shell_grid(n_shells)[0]
     shells = len(r) - np.searchsorted(r, y0s)
     exits = np.empty(n)

@@ -23,6 +23,8 @@ coordinate below 1e-4 in magnitude.
 """
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .analysis import ExperimentReport
@@ -266,6 +268,8 @@ _CHUNK = 1 << 20
 
 
 def write_text(path, text: str) -> None:
+    """Write text to path, making its missing parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for at in range(0, len(text), _CHUNK):
             fh.write(text[at:at + _CHUNK])

@@ -62,13 +62,17 @@ class GridField:
     def value_at(self, x, y) -> np.ndarray:
         """Nearest-node sample; a finite point off the grid square takes
         the value of the nearest edge node."""
+        return self.values[self._node(x, y)]
+
+    def _node(self, x, y):
+        """(iy, ix) of the nearest node, clamped to the grid square."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError(f"value_at needs finite coordinates, got "
+            raise ValueError(f"a grid lookup needs finite coordinates, got "
                              f"x={x}, y={y}")
         ix, iy = (np.clip(np.rint((c + 1.0) * self.res), 0, 2 * self.res)
                   .astype(int) for c in (x, y))
-        return self.values[iy, ix]
+        return iy, ix
 
 
 @dataclass
@@ -272,11 +276,8 @@ def _oscillation(u: np.ndarray) -> np.ndarray:
 
 def local_oscillation(s: SolutionStack, x: float, y: float) -> float:
     """Oscillation of u over the 3x3 neighborhood of the nearest grid node."""
-    res = s.field.res
-    ix = int(np.clip(round((x + 1.0) * res), 0, 2 * res))
-    iy = int(np.clip(round((y + 1.0) * res), 0, 2 * res))
-    u = s.field.values
-    win = u[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
+    iy, ix = s.field._node(x, y)
+    win = s.field.values[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
     return float(win.max() - win.min())
 
 

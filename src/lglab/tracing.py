@@ -25,13 +25,12 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .curves import _BLOCK, _run
+from .curves import _BLOCK, SWEEP_SHELLS, _run
 from .paths import Polyline
 from .snell import SolverError, TotalInternalReflection, snell_refract
 from .weights import (SQRT2, LayeredWeight, RadialWeight, WeightField,
                       circle_hits)
 
-DEFAULT_SHELLS = 4096
 _EPS = 1e-12
 _MAX_LEGS = 200000
 
@@ -296,7 +295,7 @@ def _propagate(p, v, leg, turn, stop):
 
 
 def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
-                      n_shells: int = DEFAULT_SHELLS) -> Polyline:
+                      n_shells: int = SWEEP_SHELLS) -> Polyline:
     """Propagate one ray through w from start until the stop condition.
 
     :param stop: 'circle' (the unit circle), ('line', nx, ny, c) for the

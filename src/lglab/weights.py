@@ -445,6 +445,11 @@ _CATALOG = {
                          "pieces over l1/l2 balls and half-planes",
                          "user-defined regional weight, affine in l1 distance"),
 }
+# (name, alpha) of each weight with level curves, at its figure preset's
+# parameter, in catalog order
+STACKABLE = (("constant", None), ("heavy_diamond", 2.0), ("heavy_disk", 2.0),
+             ("light_diamond", 0.5), ("light_diamond_tight", 0.5),
+             ("lite_dmd_heavy_core", None), ("three_heavy_diamonds", 2.0))
 
 
 def catalog_names() -> tuple[str, ...]:

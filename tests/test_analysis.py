@@ -15,9 +15,10 @@ from lglab.analysis import (ExperimentReport, Quantity, SUITES,
                             rectangle_submodularity_exhaustive, run_suite,
                             submodularity_check, three_diamonds_thresholds)
 from lglab.stacker import ALL_MAXIMAL, ALL_MINIMAL, midpoint_levels, stack
-from lglab.weights import (constant, heavy_diamond, heavy_disk, light_diamond,
-                           light_diamond_tight, lite_dmd_heavy_core,
-                           make_weight, three_heavy_diamonds)
+from lglab.weights import (RadialWeight, constant, heavy_diamond, heavy_disk,
+                           light_diamond, light_diamond_tight,
+                           lite_dmd_heavy_core, make_weight,
+                           three_heavy_diamonds)
 
 
 def test_quantity_pass_logic():
@@ -117,6 +118,18 @@ def test_shot_clearance_matches_the_chord_off_the_poles():
         for r in (0.1, 0.3, 0.6):
             got = curvature_clearance(w, (math.cos(phi), math.sin(phi)), r)
             assert got == pytest.approx(r * r / 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("w", [heavy_diamond(2.0), heavy_disk(2.0)],
+                         ids=lambda w: w.name)
+def test_pole_clearance_of_a_weight_with_no_level_curve_is_shot(w):
+    # a renamed twin has no level-curve construction, so at a pole it takes
+    # the shot branch, which must find the catalog weight's level curve
+    twin = RadialWeight("twin", w.norm, w.pieces, alpha=w.alpha)
+    for z in ((0.0, 1.0), (0.0, -1.0)):
+        for r in (0.2, 0.6):
+            assert curvature_clearance(twin, z, r) == pytest.approx(
+                curvature_clearance(w, z, r), abs=1e-12)
 
 
 @pytest.mark.parametrize("z", [(0.0, -1.0), (1.0, 0.0),

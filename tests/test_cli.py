@@ -25,13 +25,15 @@ def test_catalog_stable(capsys):
 
 
 def test_geodesic_prints_length(tmp_path, capsys):
+    # a missing output directory and its parents are made on writing
+    outdir = tmp_path / "geo" / "sub"
     code, out, _ = run(["geodesic", "--weight", "constant",
                         "--from", "0,0", "--to", "0.6,0.8",
-                        "--outdir", str(tmp_path)], capsys)
+                        "--outdir", str(outdir)], capsys)
     assert code == 0
     line = [l for l in out.splitlines() if l.startswith("length=")][0]
     assert float(line.split("=")[1]) == pytest.approx(1.0, abs=1e-12)
-    assert (tmp_path / "geodesic.csv").exists()
+    assert (outdir / "geodesic.csv").exists()
 
 
 def test_geodesic_via_scores_given_route(tmp_path, capsys):
@@ -128,10 +130,13 @@ def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, capsys):
 
 
 def test_solver_failures_exit_3(tmp_path, capsys):
+    # the output directory is made only when a file is written
     code, _, err = run(["solve", "--weight", "layered_horizontal",
                         "--layers", "0.3:2.0", "--resolution", "64",
-                        "--levels", "33", "--outdir", str(tmp_path)], capsys)
+                        "--levels", "33", "--outdir",
+                        str(tmp_path / "cdir" / "sub")], capsys)
     assert code == 3 and "solver failure" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
@@ -232,9 +237,23 @@ def test_nan_alpha_exits_2_with_the_range_message(argv, message, tmp_path,
      "take alpha")], ids=["geodesic", "solve", "layered"])
 def test_a_parameter_the_weight_does_not_take_exits_2(argv, message,
                                                       tmp_path, capsys):
-    code, out, err = run([*argv, "--outdir", str(tmp_path)], capsys)
+    code, out, err = run([*argv, "--outdir", str(tmp_path / "cdir" / "sub")],
+                         capsys)
     assert code == 2 and message in err
     assert "length=" not in out
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_failed_figure_leaves_no_output_directory(tmp_path, capsys,
+                                                    monkeypatch):
+    def failing(*args, **kwargs):
+        raise SolverError("rigged stack failure")
+
+    monkeypatch.setattr(cli, "stack", failing)
+    code, _, err = run(["figure", "heavy_diamond", "--resolution", "32",
+                        "--levels", "16", "--outdir",
+                        str(tmp_path / "cdir")], capsys)
+    assert code == 3 and "rigged stack failure" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -14,7 +14,8 @@ from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _core_geometry,
                           boundary_points, level_curve)
 from lglab.paths import Polyline, weighted_length
 from lglab.stacker import midpoint_levels, stack
-from lglab.weights import ProfilePiece, RadialWeight, make_weight
+from lglab.weights import (STACKABLE, ProfilePiece, RadialWeight,
+                           make_weight)
 
 SQ3 = math.sqrt(3.0)
 RADIAL = [("light_diamond", 0.5), ("light_diamond_tight", 0.5),
@@ -219,10 +220,7 @@ def test_three_diamond_routes_are_distinct():
                                                               (xb, h)))
 
 
-@pytest.mark.parametrize("name,alpha", [
-    ("constant", None), ("heavy_diamond", 2.0), ("heavy_disk", 2.0),
-    ("light_diamond", 0.5), ("light_diamond_tight", 0.5),
-    ("lite_dmd_heavy_core", None), ("three_heavy_diamonds", 2.0)])
+@pytest.mark.parametrize("name,alpha", STACKABLE)
 def test_tied_routes_split_minimal_up_maximal_down(name, alpha):
     # branches may only differ by a tie: then minimal takes the upper curve
     w = make_weight(name, alpha)

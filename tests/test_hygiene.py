@@ -161,14 +161,34 @@ def test_dataclass_fields_are_read_somewhere():
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
+def _catalog_dispatch(tree):
+    """(builder names, call alias) of a module-level _CATALOG table whose
+    entries start with their builder, and the name the builder is unpacked
+    to (make_weight's ``builder, takes = _CATALOG[name][:2]``)."""
+    builders, alias = set(), None
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        if any(getattr(t, "id", "") == "_CATALOG" for t in node.targets):
+            builders.update(v.elts[0].id for v in node.value.values)
+        elif isinstance(node.targets[0], ast.Tuple) and any(
+                getattr(n, "id", "") == "_CATALOG"
+                for n in ast.walk(node.value)):
+            alias = node.targets[0].elts[0].id
+    return builders, alias
+
+
 def _passed_params(trees):
     """{callee name: (positions passed, keywords passed)} over every call.
 
-    A call through functools.partial counts against the function it wraps.
-    A starred argument passes every position, a ** argument every keyword.
+    A call through functools.partial counts against the function it wraps,
+    and a call through the name a _CATALOG builder is unpacked to counts
+    against every builder in the table.  A starred argument passes every
+    position, a ** argument every keyword.
     """
-    out = {}
+    out, dispatch = {}, []
     for tree in trees:
+        dispatch.append(_catalog_dispatch(tree))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -180,6 +200,12 @@ def _passed_params(trees):
             pos.add(math.inf if any(isinstance(a, ast.Starred) for a in args)
                     else len(args))
             kws.update(k.arg or "**" for k in node.keywords)
+    for builders, alias in dispatch:
+        via_pos, via_kws = out.get(alias, ((), ()))
+        for name in builders:
+            pos, kws = out.setdefault(name, (set(), set()))
+            pos.update(via_pos)
+            kws.update(via_kws)
     return out
 
 
@@ -236,6 +262,14 @@ def test_optional_parameters_are_passed_somewhere():
                       f"gone: {stale}"
 
 
+def test_catalog_builders_count_make_weights_starred_call():
+    # make_weight passes alpha to every builder as builder(*args), so a
+    # builder no program calls by name still has its alpha passed
+    passed = _passed_params([_tree(SRC / "weights.py")])
+    for name in ("heavy_disk", "light_diamond", "three_heavy_diamonds"):
+        assert math.inf in passed[name][0], name
+
+
 def test_every_tracer_patch_target_exists():
     # the benchmark's tracer wraps each target in its owner's own namespace;
     # a refactor that drops or moves one would break only a traced run
@@ -247,6 +281,17 @@ def test_every_tracer_patch_target_exists():
     missing = [f"{getattr(p.owner, '__name__', p.owner)}.{p.attr}"
                for p in patches() if p.attr not in vars(p.owner)]
     assert not missing, f"tracer patch targets not found: {missing}"
+
+
+def test_the_benchmarks_stackable_table_matches_the_package():
+    # the benchmark keeps its own copy, since it also runs trees older
+    # than weights.STACKABLE; a drifted copy would time other presets
+    sys.path.insert(0, str(TESTS.parent / "perfbench"))
+    try:
+        from layers import STACKABLE
+    finally:
+        sys.path.pop(0)
+    assert STACKABLE == lglab.weights.STACKABLE
 
 
 def _package_env():

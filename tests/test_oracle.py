@@ -12,7 +12,7 @@ from lglab import oracle
 from lglab.curves import BRANCHES, level_curve
 from lglab.oracle import _build_graph, grid_shortest_path, oracle_cost
 from lglab.paths import Polyline, segment, weighted_length
-from lglab.weights import Region, make_weight
+from lglab.weights import STACKABLE, Region, make_weight
 
 # worst-case metric stretch of the move stencils on a uniform grid
 STENCIL_STRETCH = {8: 1.0824, 16: 1.0196}
@@ -55,10 +55,7 @@ def test_path_endpoints_snap_to_requested_points():
     assert abs(arr[-1, 1] - 0.52) <= 1.0 / 64 + 1e-12
 
 
-@pytest.mark.parametrize("name,alpha", [
-    ("constant", None), ("heavy_diamond", 2.0), ("heavy_disk", 2.0),
-    ("light_diamond", 0.5), ("light_diamond_tight", 0.5),
-    ("lite_dmd_heavy_core", None), ("three_heavy_diamonds", 2.0)])
+@pytest.mark.parametrize("name,alpha", STACKABLE)
 def test_grid_path_never_beats_the_level_curve(name, alpha):
     # any path between a level curve's endpoints is an upper bound on their
     # geodesic distance, so the grid path, re-scored exactly between the

@@ -58,13 +58,16 @@ def test_grid_field_lookup():
 
 @pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.inf),
                                  (-math.inf, math.nan)])
-def test_grid_field_rejects_non_finite_points(x, y):
+def test_grid_field_rejects_non_finite_points(x, y, stack_constant):
     f = GridField(1, np.arange(9.0).reshape(3, 3))
     # the suite turns warnings into errors, so a cast warning fails this
     with pytest.raises(ValueError, match="finite"):
         f.value_at(x, y)
     with pytest.raises(ValueError, match="finite"):
         f.value_at(np.array([0.0, x]), np.array([y, 0.0]))
+    # local_oscillation picks its node by the same rule
+    with pytest.raises(ValueError, match="finite"):
+        local_oscillation(stack_constant, x, y)
 
 
 def test_constant_stack_reproduces_affine_data():

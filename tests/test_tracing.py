@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from lglab.curves import SWEEP_SHELLS
 from lglab.paths import Polyline, weighted_length
-from lglab.tracing import (DEFAULT_SHELLS, TotalInternalReflection,
-                           TraceError, _refract_direction, trace_fan,
-                           trace_layered_ray)
+from lglab.tracing import (TotalInternalReflection, TraceError,
+                           _refract_direction, trace_fan, trace_layered_ray)
 from lglab.weights import (LayeredWeight, ProfilePiece, RadialWeight,
                            circle_hits, make_weight)
 
@@ -297,7 +297,7 @@ def _ref_radial_l2(w, start, theta_0, stop, n_shells, max_segments):
     raise TraceError("segment budget exhausted in circular trace")
 
 
-def _reference_trace(w, start, theta_0, stop, n_shells=DEFAULT_SHELLS,
+def _reference_trace(w, start, theta_0, stop, n_shells=SWEEP_SHELLS,
                      max_segments=200000):
     if isinstance(w, LayeredWeight):
         return _ref_layered(w, start, theta_0, stop, max_segments)
