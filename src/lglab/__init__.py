@@ -8,14 +8,13 @@ solutions.
 """
 
 from .analysis import (ExperimentReport, Quantity, SUITES, curvature_clearance,
-                       disagreement_area, litedmdheavycore_checks,
-                       nonuniqueness_gap, rectangle_submodularity_exhaustive,
-                       run_suite, submodularity_check,
-                       three_diamonds_thresholds)
+                       disagreement_area, nonuniqueness_gap,
+                       rectangle_submodularity_exhaustive, run_suite,
+                       submodularity_check, three_diamonds_thresholds)
 from .config import (RunConfig, load_config, parse_config, parse_layers,
                      serialize_config)
 from .curves import LevelCurve, boundary_points, level_curve
-from .oracle import grid_shortest_path, oracle_cost
+from .oracle import grid_shortest_path
 from .paths import Polyline, segment, weighted_length
 from .shooting import shoot_two_point
 from .snell import (H_of, SolverError, heavy_disk_arc_test, snell_chain,
@@ -36,12 +35,11 @@ __all__ = [
     "TotalInternalReflection", "TraceError", "WeightField",
     "boundary_points", "bv_energy", "catalog_describe", "catalog_names",
     "curvature_clearance", "disagreement_area", "grid_shortest_path",
-    "heavy_disk_arc_test", "jump_set", "level_curve",
-    "litedmdheavycore_checks", "load_config", "local_oscillation",
-    "make_weight", "midpoint_levels", "nonuniqueness_gap", "oracle_cost",
-    "parse_config", "parse_layers", "rectangle_submodularity_exhaustive",
-    "run_suite", "segment", "serialize_config", "shoot_two_point",
-    "snell_chain", "snell_refract",
+    "heavy_disk_arc_test", "jump_set", "level_curve", "load_config",
+    "local_oscillation", "make_weight", "midpoint_levels",
+    "nonuniqueness_gap", "parse_config", "parse_layers",
+    "rectangle_submodularity_exhaustive", "run_suite", "segment",
+    "serialize_config", "shoot_two_point", "snell_chain", "snell_refract",
     "stack", "submodularity_check", "three_diamonds_thresholds",
     "trace_error", "trace_layered_ray", "weighted_length",
 ]

@@ -400,7 +400,7 @@ def _tilt_closed_form(theta: float, eps: float, b: float) -> float:
                    + (c - math.sin(theta)) * eps * eps / (c * c))
 
 
-def litedmdheavycore_checks() -> ExperimentReport:
+def _corelite_suite(seed: int) -> ExperimentReport:
     """Straight-vs-kinked lengths, flat midline crossings, tilt derivative.
 
     The kinked two-segment path beats the straight diameter through the
@@ -471,7 +471,7 @@ def _snell_suite(seed: int) -> ExperimentReport:
         worst_chain = max(worst_chain, abs(chain - th2))
     wl = layered_horizontal(((0.2, 1.0), (2.0, 2.0)))
     a, b = (-0.5, 0.3), (0.5, -0.7)
-    _, shot = shoot_two_point(wl, a, b, n_shells=64, scan_angles=512)
+    _, shot = shoot_two_point(wl, a, b, scan_angles=512)
     # the exact two-segment minimum, where the cost's slope changes sign
     def slope(x):
         return ((x + 0.5) / math.hypot(x + 0.5, 0.5)
@@ -526,10 +526,6 @@ def _clearance_suite(seed: int) -> ExperimentReport:
         Quantity("tight-weight clearance at the south pole positive",
                  min(tight, 1e-3), 1e-3, 0.0),
     ))
-
-
-def _corelite_suite(seed: int) -> ExperimentReport:
-    return litedmdheavycore_checks()
 
 
 def _rectangles_suite(seed: int) -> ExperimentReport:

@@ -58,9 +58,15 @@ def _via_points(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(_point(part) for part in text.split(";") if part.strip())
 
 
-def _resolve_outdir(configured: str) -> Path:
-    """LGL_OUT, or the configured directory; write_text makes it."""
-    return Path(os.environ.get("LGL_OUT", "").strip() or configured)
+def _resolve_outdir(configured: str, *sub: str) -> Path:
+    """LGL_OUT or the configured directory, joined with sub, which write_text
+    makes; ValueError if the nearest existing part of it is no directory."""
+    path = Path(os.environ.get("LGL_OUT", "").strip() or configured, *sub)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"output directory {str(path)!r} cannot be made: "
+                         f"{str(found)!r} is not a directory")
+    return path
 
 
 def _build_weight(cfg: RunConfig):
@@ -128,6 +134,7 @@ def cmd_catalog(args) -> int:
 def cmd_geodesic(args) -> int:
     cfg = RunConfig(weight=args.weight, alpha=args.alpha,
                     layers=args.layers or "", outdir=args.outdir)
+    outdir = _resolve_outdir(cfg.outdir)
     w = _build_weight(cfg)
     seconds, timed = _stopwatch("shoot", "write")
     if args.via is not None:
@@ -135,7 +142,6 @@ def cmd_geodesic(args) -> int:
         length = timed("shoot", weighted_length, path, w)
     else:
         path, length = timed("shoot", shoot_two_point, w, args.src, args.dst)
-    outdir = _resolve_outdir(cfg.outdir)
     timed("write", write_text, outdir / "geodesic.csv", geodesic_csv(path))
     print(outdir / "geodesic.csv")
     print(f"length={length:.17g}")
@@ -151,12 +157,12 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
+    outdir = _resolve_outdir(cfg.outdir)
     reports = [run_suite(name, seed=cfg.seed)
                for name in _suite_names(cfg.experiments)]
     for rep in reports:
         for line in rep.lines():
             print(line)
-    outdir = _resolve_outdir(cfg.outdir)
     write_text(outdir / "report.csv", report_csv(reports))
     print(outdir / "report.csv")
     failing = [f"{rep.name}: {q.label}" for rep in reports
@@ -179,9 +185,9 @@ def cmd_figure(args) -> int:
         preset = replace(preset, resolution=args.resolution)
     if args.levels is not None:
         preset = replace(preset, levels=args.levels)
-    base = _resolve_outdir(args.outdir if args.outdir is not None
-                           else preset.outdir)
-    return _solve(preset, base / args.name, args.timings)
+    outdir = _resolve_outdir(args.outdir if args.outdir is not None
+                             else preset.outdir, args.name)
+    return _solve(preset, outdir, args.timings)
 
 
 def build_parser() -> argparse.ArgumentParser:

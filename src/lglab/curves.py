@@ -36,7 +36,8 @@ from .snell import SolverError
 from .weights import (SQRT2, ConstantWeight, MultiDiamondWeight, RadialWeight,
                       WeightField, circle_hits)
 
-SWEEP_SHELLS = 4096
+SWEEP_SHELLS = 4096  # l1 shells each level-curve sweep crosses
+_APEX_STARTS = 1024  # evenly spaced starts in the apex table
 # (start, shell) pairs per apex-table block: its temporaries, under 1 MB, are
 # reused block to block; at 2^15 pairs the allocator handed them back after
 # each block, and every block page-faulted them in again
@@ -152,7 +153,7 @@ def _run(radii, weights, kappa):
     return tir, offsets
 
 
-def _climb(w: RadialWeight, start, kappa, n_shells: int = SWEEP_SHELLS):
+def _climb(w: RadialWeight, start, kappa):
     """Outward quadrant-1 sweep from start to the unit circle, drifting +x.
 
     start is a point with x, y >= 0 and kappa its conserved quantity, or a
@@ -162,7 +163,7 @@ def _climb(w: RadialWeight, start, kappa, n_shells: int = SWEEP_SHELLS):
     sweep bit for bit.  Raises on total internal reflection, which none of
     the curve families here is allowed to reach.
     """
-    r, wk = w.shell_grid(n_shells)
+    r, wk = w.shell_grid(SWEEP_SHELLS)
     rho0 = start[..., :1] + start[..., 1:]
     k0 = np.searchsorted(r, rho0 + 1e-13, side="right") - 1
     kb = int(k0.min())
@@ -190,23 +191,23 @@ def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
     return p + t[..., None] * v
 
 
-def _depart(w: RadialWeight, start, n_shells: int) -> np.ndarray:
+def _depart(w: RadialWeight, start) -> np.ndarray:
     """Outward sweep leaving start, a point (or block of points) on an axis,
     horizontally: at 45 degrees to the edge normal kappa is w(start)/sqrt(2).
     """
     start = np.asarray(start, dtype=float)
     kappa = w.values(start[..., 0], start[..., 1]) / SQRT2
-    return _climb(w, start, kappa, n_shells)
+    return _climb(w, start, kappa)
 
 
-def _glide_in(w: RadialWeight, a: float, n_shells: int = SWEEP_SHELLS):
+def _glide_in(w: RadialWeight, a: float):
     """Inward quadrant-1 sweep from (a, 0), horizontal launch, drifting up.
 
     Returns (event, y_cross, pts): event is 'ycross' when the path reaches
     the y-axis (y_cross = height there), 'sag' when it turns back down to
     y < 0 first, 'tir' when a shell reflects it.
     """
-    r, wk = w.shell_grid(n_shells)
+    r, wk = w.shell_grid(SWEEP_SHELLS)
     k0 = int(np.searchsorted(r, a - 1e-13, side="left")) - 1
     radii = np.concatenate([[a], r[k0::-1] if k0 >= 0 else []])
     weights = wk[k0::-1] if k0 >= 0 else np.array([])
@@ -257,7 +258,7 @@ def _refine(f, lo, hi, flo, fhi):
 
 
 @lru_cache(maxsize=32)
-def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
+def _core_geometry(w: RadialWeight):
     """Tangency data for the heavy-core weight's shared inner arc.
 
     Finds the departure radius a* whose inward glide crosses the y-axis
@@ -267,7 +268,7 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
     """
 
     def g(a):
-        event, yc, _ = _glide_in(w, a, n_shells)
+        event, yc, _ = _glide_in(w, a)
         if event == "sag":
             return -1.0
         if event == "tir":
@@ -281,7 +282,7 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
         raise SolverError("inner-arc bracket failed")
     a_star = _refine(g, lo, hi, flo, fhi)
     h_star = 2.0 * (0.75 - a_star)
-    _, yc, pts = _glide_in(w, a_star, n_shells)
+    _, yc, pts = _glide_in(w, a_star)
     # the discrete sweep overshoots the crossing height first-order in the
     # shell width; rescale onto the conserved-quantity value, keeping the
     # path smooth instead of notching the apex vertex
@@ -290,44 +291,42 @@ def _core_geometry(w: RadialWeight, n_shells: int = SWEEP_SHELLS):
 
 
 @lru_cache(maxsize=32)
-def _apex_grid(w: RadialWeight, lo: float, hi: float,
-               n_shells: int = SWEEP_SHELLS, n: int = 1024):
-    """Exit heights of _depart(w, (0, y0), n_shells) for n starts y0 evenly
-    spaced over [lo, hi], departing in blocks of at most about _BLOCK
+def _apex_grid(w: RadialWeight, lo: float, hi: float):
+    """Exit heights of _depart(w, (0, y0)) for _APEX_STARTS starts y0
+    evenly spaced over [lo, hi], departing in blocks of at most about _BLOCK
     (start, shell) pairs; outer starts cross fewer shells, so more fit."""
-    y0s = np.linspace(lo, hi, n)
-    starts = np.column_stack([np.zeros(n), y0s])
+    y0s = np.linspace(lo, hi, _APEX_STARTS)
+    starts = np.column_stack([np.zeros_like(y0s), y0s])
     kappas = w.profile(y0s) / SQRT2
-    r = w.shell_grid(n_shells)[0]
+    r = w.shell_grid(SWEEP_SHELLS)[0]
     shells = len(r) - np.searchsorted(r, y0s)
-    exits = np.empty(n)
+    exits = np.empty_like(y0s)
     i = 0
-    while i < n:
+    while i < len(y0s):
         b = slice(i, i + max(1, _BLOCK // int(shells[i])))
-        exits[b] = _climb(w, starts[b], kappas[b], n_shells)[:, -1, 1]
+        exits[b] = _climb(w, starts[b], kappas[b])[:, -1, 1]
         i = b.stop
     return y0s, exits
 
 
 @lru_cache(maxsize=32)
-def _band_ends(w: RadialWeight, lo: float, hi: float,
-               n_shells: int = SWEEP_SHELLS):
+def _band_ends(w: RadialWeight, lo: float, hi: float):
     """Exit heights of the band curves departing the x-axis at lo and hi."""
-    return tuple(_depart(w, (c, 0.0), n_shells)[-1, 1] for c in (lo, hi))
+    return tuple(_depart(w, (c, 0.0))[-1, 1] for c in (lo, hi))
 
 
-def _apex_candidates(w: RadialWeight, h: float, lo: float, hi: float,
-                     n_shells: int) -> list[np.ndarray]:
+def _apex_candidates(w: RadialWeight, h: float, lo: float,
+                     hi: float) -> list[np.ndarray]:
     """All apex curves whose exit height equals h (dense grid + refiner)."""
-    y0s, exits = _apex_grid(w, lo, hi, n_shells)
+    y0s, exits = _apex_grid(w, lo, hi)
     diff = exits - h
-    starts = [_refine(lambda y: _depart(w, (0.0, y), n_shells)[-1, 1] - h,
+    starts = [_refine(lambda y: _depart(w, (0.0, y))[-1, 1] - h,
                       y0s[i], y0s[i + 1], diff[i], diff[i + 1])
               for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
     if not starts and np.min(np.abs(diff)) < 1e-5:
         # h sits in the hairline crack at a family seam: endpoint witness
         starts.append(float(y0s[int(np.argmin(np.abs(diff)))]))
-    return [_depart(w, (0.0, y0), n_shells) for y0 in starts]
+    return [_depart(w, (0.0, y0)) for y0 in starts]
 
 
 def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
@@ -353,14 +352,14 @@ _SWEEP_BOUNDS = {
 }
 
 
-def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
-                    n_shells: int) -> list[tuple[float, Polyline]]:
+def _radial_options(w: RadialWeight, h: float, xb: float,
+                    branch: str) -> list[tuple[float, Polyline]]:
     """Candidates for the continuous l1-radial weights."""
     c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.name]
     is_core = w.name == "lite_dmd_heavy_core"
     inner = np.empty((0, 2))
     if is_core:
-        a_star, h_star, arc = _core_geometry(w, n_shells)
+        a_star, h_star, arc = _core_geometry(w)
         c_lo, y_lo = a_star + c_lo, h_star + y_lo
         # band curves run through the shared inner arc, lifted by the branch
         sign = 1.0 if branch == "minimal" else -1.0
@@ -370,20 +369,20 @@ def _radial_options(w: RadialWeight, h: float, xb: float, branch: str,
     paths = [_chord(h, xb)]
 
     # axis-touching band curve
-    band_top, band_end = _band_ends(w, c_lo + 1e-12, c_hi, n_shells)
+    band_top, band_end = _band_ends(w, c_lo + 1e-12, c_hi)
     in_band = 1e-12 < abs(h) < band_top
     at_seam = band_top <= abs(h) < band_top + 1e-5
     if in_band or at_seam:
         c = c_lo + 1e-12
         if in_band:
             ah = abs(h)
-            c = _refine(lambda cc: _depart(w, (cc, 0.0), n_shells)[-1, 1] - ah,
+            c = _refine(lambda cc: _depart(w, (cc, 0.0))[-1, 1] - ah,
                         c, c_hi, band_top - ah, band_end - ah)
-        paths.append(_assemble_symmetric(_depart(w, (c, 0.0), n_shells),
+        paths.append(_assemble_symmetric(_depart(w, (c, 0.0)),
                                          h, xb, inner))
 
     # apex curves above/below the band
-    for right in _apex_candidates(w, abs(h), y_lo, y_hi, n_shells):
+    for right in _apex_candidates(w, abs(h), y_lo, y_hi):
         paths.append(_assemble_symmetric(right, h, xb))
     if is_core and 1e-12 >= abs(h):
         # exactly level 1: the band curve degenerates to glides plus the arc
@@ -466,8 +465,8 @@ def _three_diamond_options(w: MultiDiamondWeight, h: float,
     return out
 
 
-def level_curve(w: WeightField, t: float, branch: str = "minimal",
-                n_shells: int = SWEEP_SHELLS) -> LevelCurve:
+def level_curve(w: WeightField, t: float,
+                branch: str = "minimal") -> LevelCurve:
     """Weighted-shortest level curve between boundary_points(t).
 
     branch resolves ties between equally short routes: 'minimal' takes the
@@ -484,7 +483,7 @@ def level_curve(w: WeightField, t: float, branch: str = "minimal",
                                                     "heavy_disk"):
         options = _heavy_obstacle_options(w, h, xb)
     elif isinstance(w, RadialWeight) and w.name in _SWEEP_BOUNDS:
-        options = _radial_options(w, h, xb, branch, n_shells)
+        options = _radial_options(w, h, xb, branch)
     else:
         raise NotImplementedError(
             f"no level-curve construction for {type(w).__name__}; "

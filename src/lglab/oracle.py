@@ -151,7 +151,3 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     i, j = np.divmod(np.flatnonzero(mask)[chain], len(ax))
     return Polyline.from_points(np.column_stack([ax[i], ax[j]])), cost
 
-
-def oracle_cost(w: WeightField, res: int, stencil: int, a, b) -> float:
-    return grid_shortest_path(w, res, stencil, a, b)[1]
-

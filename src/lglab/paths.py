@@ -64,12 +64,6 @@ class Polyline:
         steps = np.diff(self._arr, axis=0)
         return float(np.hypot(steps[:, 0], steps[:, 1]).sum())
 
-    def reversed(self) -> "Polyline":
-        return Polyline(self._arr[::-1])
-
-    def mirrored_y(self) -> "Polyline":
-        return Polyline(self._arr * (1.0, -1.0))
-
 
 def segment(a, b) -> Polyline:
     return Polyline(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import SWEEP_SHELLS, LevelCurve, level_curve
+from .curves import LevelCurve, level_curve
 from .paths import weighted_length
 from .snell import SolverError
 from .weights import WeightField
@@ -80,7 +80,7 @@ class SolutionStack:
     weight: WeightField
     levels: np.ndarray
     curves: tuple[LevelCurve, ...]
-    field: GridField = field(repr=False, default=None)
+    field: GridField = field(repr=False)
 
 
 class StackNestingError(SolverError):
@@ -136,8 +136,7 @@ def _disk_rows(xs):
 
 
 def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
-          res: int = DEFAULT_RES,
-          n_shells: int = SWEEP_SHELLS) -> SolutionStack:
+          res: int = DEFAULT_RES) -> SolutionStack:
     """Build the stacked solution field from per-level shortest curves."""
     if levels is None:
         levels = midpoint_levels()
@@ -146,8 +145,8 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
         raise ValueError("need at least 16 levels")
     if np.any(np.diff(levels) <= 0) or levels[0] <= 0 or levels[-1] >= 2:
         raise ValueError("levels must be strictly increasing inside (0, 2)")
-    curves = tuple(level_curve(w, float(t), policy.branch_for(float(t)),
-                               n_shells=n_shells) for t in levels)
+    curves = tuple(level_curve(w, float(t), policy.branch_for(float(t)))
+                   for t in levels)
 
     n = 2 * res + 1
     xs = np.linspace(-1.0, 1.0, n)

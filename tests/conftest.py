@@ -45,7 +45,7 @@ def stack_disk():
 @pytest.fixture(scope="session")
 def stack_tight():
     return stack(make_weight("light_diamond_tight", 0.5), levels=LEVELS,
-                 res=RES, n_shells=2048)
+                 res=RES)
 
 
 @pytest.fixture(scope="session")

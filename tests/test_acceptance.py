@@ -17,7 +17,7 @@ from lglab.analysis import (curvature_clearance, disagreement_area,
                             rectangle_submodularity_exhaustive,
                             submodularity_check, three_diamonds_thresholds)
 from lglab.curves import level_curve
-from lglab.oracle import oracle_cost
+from lglab.oracle import grid_shortest_path
 from lglab.paths import Polyline, weighted_length
 from lglab.snell import H_of, heavy_disk_arc_test, snell_chain, snell_refract
 from lglab.stacker import _check_nesting, bv_energy, local_oscillation
@@ -143,7 +143,7 @@ def test_criterion_2_heavy_diamond_level_one(acceptance_log):
     arr = lc.path.as_array()
     miss = float(np.min(np.hypot(arr[:, 0], arr[:, 1] - 0.5)))
     wl = weighted_length(lc.path, w)
-    oc = oracle_cost(w, 512, 16, (-1.0, 0.0), (1.0, 0.0))
+    oc = grid_shortest_path(w, 512, 16, (-1.0, 0.0), (1.0, 0.0))[1]
 
     checks = [
         ("curve passes within 1e-6 of (0, 0.5)", miss <= 1e-6),

@@ -6,6 +6,7 @@ import lglab.cli as cli
 from lglab import analysis, curves, stacker
 from lglab.analysis import SUITES, ExperimentReport, Quantity
 from lglab.curves import LevelCurve, level_curve
+from lglab.paths import Polyline
 from lglab.snell import SolverError
 from lglab.weights import make_weight
 
@@ -257,6 +258,30 @@ def test_a_failed_figure_leaves_no_output_directory(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, spied, outdir", [
+    (["solve", "--weight", "constant", "--resolution", "32", "--levels",
+      "16"], "stack", "afile"),
+    (["figure", "constant", "--resolution", "32", "--levels", "16"], "stack",
+     "afile"),
+    (["figure", "constant", "--resolution", "32", "--levels", "16"], "stack",
+     "."),
+    (["verify", "--experiments", "corelite"], "run_suite", "afile/sub"),
+    (["geodesic", "--from=-0.5,0.3", "--to=0.6,-0.2"], "shoot_two_point",
+     "afile")], ids=["solve", "figure", "figure-subdir", "verify", "geodesic"])
+def test_an_output_path_through_a_file_exits_2_before_any_work(
+        argv, spied, outdir, tmp_path, capsys, monkeypatch):
+    # the figure's own subdirectory, tmp_path/constant, is the file there
+    afile = tmp_path / ("constant" if outdir == "." else "afile")
+    afile.write_text("kept\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, spied, lambda *a, **k: calls.append(a))
+    code, out, err = run([*argv, "--outdir", str(tmp_path / outdir)], capsys)
+    assert code == 2 and f"{str(afile)!r} is not a directory" in err
+    assert calls == [] and out == ""
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_figure_writes_named_subdir(tmp_path, capsys):
     code, _, _ = run(["figure", "heavy_diamond", "--resolution", "64",
                       "--levels", "33", "--outdir", str(tmp_path)], capsys)
@@ -313,8 +338,7 @@ def sagging_glide(monkeypatch):
     """Every inward glide sags, so the core's inner-arc bracket fails."""
     curves._core_geometry.cache_clear()
     monkeypatch.setattr(curves, "_glide_in",
-                        lambda w, a, n_shells=curves.SWEEP_SHELLS:
-                        ("sag", None, np.empty((0, 2))))
+                        lambda w, a: ("sag", None, np.empty((0, 2))))
     yield
     curves._core_geometry.cache_clear()
 
@@ -334,7 +358,8 @@ def test_nesting_violation_exits_3(monkeypatch, tmp_path, capsys):
     # neighbouring curves cross; a typed error, not an assert
     def falling(w, t, branch, **kwargs):
         lc = level_curve(w, t, branch, **kwargs)
-        return LevelCurve(t, branch, lc.path.mirrored_y())
+        return LevelCurve(t, branch, Polyline(lc.path.as_array()
+                                              * (1.0, -1.0)))
 
     monkeypatch.setattr(stacker, "level_curve", falling)
     code, _, err = run(["solve", "--weight", "constant", "--resolution", "32",

@@ -126,7 +126,7 @@ def test_maximal_branch_mirrors_minimal_at_center_level():
     for name, alpha in (("heavy_diamond", 2.0), ("heavy_disk", 2.0)):
         w = make_weight(name, alpha)
         lo = level_curve(w, 1.0, "maximal").path.as_array()
-        hi = level_curve(w, 1.0, "minimal").path.mirrored_y().as_array()
+        hi = level_curve(w, 1.0, "minimal").path.as_array() * (1.0, -1.0)
         assert np.allclose(np.sort(lo[:, 1]), np.sort(hi[:, 1]), atol=1e-9)
 
 
@@ -157,7 +157,8 @@ def test_maximal_branch_mirrors_minimal_at_every_level(name):
         lambda t: abs(t - 1.0) < 1.0 and (2.0 - t) - 1.0 == 1.0 - t))
     def check(alpha, t):
         w = make_weight(name, alpha)
-        lo = level_curve(w, t, "minimal").path.mirrored_y()
+        lo = Polyline(level_curve(w, t, "minimal").path.as_array()
+                      * (1.0, -1.0))
         hi = level_curve(w, 2.0 - t, "maximal").path
         assert lo.as_array().shape == hi.as_array().shape
         assert np.allclose(lo.as_array(), hi.as_array(), rtol=0.0,
@@ -324,18 +325,17 @@ def _apex_bounds(w):
 def test_apex_table_matches_one_departure_per_start_bit_for_bit(name, alpha):
     w = make_weight(name, alpha)
     y0s, exits = _apex_grid(w, *_apex_bounds(w))
-    ref = np.array([_depart(w, (0.0, y0), curves.SWEEP_SHELLS)[-1, 1]
-                    for y0 in y0s])
+    ref = np.array([_depart(w, (0.0, y0))[-1, 1] for y0 in y0s])
     assert exits.tobytes() == ref.tobytes()
 
 
-def test_apex_table_ignores_the_shells_inside_each_start():
+def test_apex_table_ignores_the_shells_inside_each_start(monkeypatch):
     # one block holds starts in the light core and high on its ramp, where
     # the core's shell would reflect the ramp start's horizontal kappa
     w = make_weight("light_diamond", 0.5)
-    y0s, exits = _apex_grid.__wrapped__(w, 0.49, 0.549, n=7)
-    ref = np.array([_depart(w, (0.0, y0), curves.SWEEP_SHELLS)[-1, 1]
-                    for y0 in y0s])
+    monkeypatch.setattr(curves, "_APEX_STARTS", 7)
+    y0s, exits = _apex_grid.__wrapped__(w, 0.49, 0.549)
+    ref = np.array([_depart(w, (0.0, y0))[-1, 1] for y0 in y0s])
     assert exits.tobytes() == ref.tobytes()
 
 
@@ -343,7 +343,7 @@ def test_apex_table_raises_on_total_internal_reflection():
     # near the core's center the horizontal kappa exceeds the ring's weight
     w = make_weight("lite_dmd_heavy_core")
     with pytest.raises(ValueError, match="total internal reflection"):
-        _depart(w, (0.0, 0.05), curves.SWEEP_SHELLS)
+        _depart(w, (0.0, 0.05))
     with pytest.raises(ValueError, match="total internal reflection"):
         _apex_grid.__wrapped__(w, 0.05, 0.7)
 
@@ -439,7 +439,10 @@ def _same(a, b):
 
 @pytest.mark.parametrize("n_shells", [4096, 1024, 128])
 @pytest.mark.parametrize("name,alpha", RADIAL)
-def test_departures_match_the_frozen_sweep_bit_for_bit(name, alpha, n_shells):
+def test_departures_match_the_frozen_sweep_bit_for_bit(monkeypatch, name,
+                                                      alpha, n_shells):
+    # _depart caches nothing, so the patched shell count stays in this test
+    monkeypatch.setattr(curves, "SWEEP_SHELLS", n_shells)
     w = make_weight(name, alpha)
     r, _ = w.shell_grid(n_shells)
     rng = np.random.default_rng(n_shells)
@@ -450,22 +453,24 @@ def test_departures_match_the_frozen_sweep_bit_for_bit(name, alpha, n_shells):
                 ref = _reference_depart(w, start, n_shells)
             except ValueError as err:
                 with pytest.raises(ValueError, match=str(err)):
-                    curves._depart(w, start, n_shells)
+                    curves._depart(w, start)
                 outcomes.add("tir")
                 continue
-            assert _same(curves._depart(w, start, n_shells), ref), start
+            assert _same(curves._depart(w, start), ref), start
             outcomes.add("exit")
     assert "exit" in outcomes
 
 
 @pytest.mark.parametrize("name,alpha", RADIAL)
-def test_block_departures_repeat_each_start_then_match_its_own(name, alpha):
+def test_block_departures_repeat_each_start_then_match_its_own(monkeypatch,
+                                                              name, alpha):
     w = make_weight(name, alpha)
     n_shells = 1024
+    monkeypatch.setattr(curves, "SWEEP_SHELLS", n_shells)
     rng = np.random.default_rng(3)
     ys = np.sort(rng.uniform(0.2, 0.9, 5))
     starts = np.column_stack([np.zeros_like(ys), ys])
-    block = curves._depart(w, starts, n_shells)
+    block = curves._depart(w, starts)
     for row, y0 in zip(block, ys):
         own = _reference_depart(w, (0.0, y0), n_shells)
         lead = len(row) - len(own)
@@ -487,7 +492,10 @@ def _thin_light_shell():
 
 @pytest.mark.parametrize("n_shells", [4096, 1024, 128])
 @pytest.mark.parametrize("name,alpha", [*RADIAL, ("thin_light_shell", None)])
-def test_glides_match_the_frozen_sweep_bit_for_bit(name, alpha, n_shells):
+def test_glides_match_the_frozen_sweep_bit_for_bit(monkeypatch, name, alpha,
+                                                  n_shells):
+    # _glide_in caches nothing, so the patched shell count stays in this test
+    monkeypatch.setattr(curves, "SWEEP_SHELLS", n_shells)
     w = _thin_light_shell() if name == "thin_light_shell" \
         else make_weight(name, alpha)
     r, _ = w.shell_grid(n_shells)
@@ -495,7 +503,7 @@ def test_glides_match_the_frozen_sweep_bit_for_bit(name, alpha, n_shells):
     events = set()
     for a in [0.6, 0.95] + _sweep_radii(r, rng):
         ref = _reference_glide(w, a, n_shells)
-        got = curves._glide_in(w, a, n_shells)
+        got = curves._glide_in(w, a)
         assert got[:2] == ref[:2], a
         assert _same(got[2], ref[2]), a
         events.add(ref[0])

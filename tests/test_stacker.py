@@ -177,7 +177,7 @@ def test_tight_jump_set_contains_the_axis_points():
     # at threshold 2 H(0.9) the set also picks up steep smooth regions;
     # the claim is containment of the jump points, not exclusivity
     w = make_weight("light_diamond_tight", 0.5)
-    s = stack(w, levels=midpoint_levels(2001), res=256, n_shells=512)
+    s = stack(w, levels=midpoint_levels(2001), res=256)
     thresh = 2.0 * H_of(0.9)
     pts = jump_set(s, thresh)
     assert len(pts) > 0
