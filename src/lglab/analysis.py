@@ -488,10 +488,9 @@ def _snell_suite(seed: int) -> ExperimentReport:
 
 def _thresholds_suite(seed: int) -> ExperimentReport:
     t0, t1 = three_diamonds_thresholds(SQRT2)
-    spread0 = max(abs(three_diamonds_thresholds(a)[0] - t0)
-                  for a in (2.0, 5.0))
-    spread1 = max(abs(three_diamonds_thresholds(a)[1] - t1)
-                  for a in (2.0, 5.0))
+    others = [three_diamonds_thresholds(a) for a in (2.0, 5.0)]
+    spread0 = max(abs(o[0] - t0) for o in others)
+    spread1 = max(abs(o[1] - t1) for o in others)
     # t1's route-equality root is tangential (quadratic on one side), so its
     # conditioning is ~sqrt of t0's; hence the looser spread bar
     return ExperimentReport("thresholds", (

@@ -423,15 +423,13 @@ def _heavy_obstacle_options(w: RadialWeight, h: float,
     obstacle when the chord meets it (|h| < 1/2).
 
     Each route is charged its weighted length, since the rim wrap is lifted
-    off the disk.  Once |h| > xb - 1/2 the diamond detour away from h
-    would cross the diamond to reach its edge, so it is not proposed.
+    off the disk.
     """
     paths = [_chord(h, xb)]
     if abs(h) < 0.5:
         if w.name == "heavy_diamond":
-            paths += [_diamond_detour(w.alpha, h, xb, sign)
-                      for sign in (1.0, -1.0)
-                      if sign * h >= 0.0 or abs(h) <= xb - 0.5]
+            paths += [_diamond_detour(w.pieces[0].offset, h, xb, sign)
+                      for sign in (1.0, -1.0)]
         else:
             wraps = [rim_wrap((-xb, h), (xb, h), 0.5, s) for s in (1.0, -1.0)]
             paths += [path for path in wraps if path is not None]
@@ -458,10 +456,7 @@ def _three_diamond_options(w: MultiDiamondWeight, h: float,
         if via and all(y == h for _, y in via):
             continue  # the chord itself, with collinear vertices on it
         poly = Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
-        cost = weighted_length(poly, w)
-        if via and cost > poly.euclidean_length() + 1e-9:
-            continue  # a detour route crossing a diamond interior is never it
-        out.append((cost, poly))
+        out.append((weighted_length(poly, w), poly))
     return out
 
 

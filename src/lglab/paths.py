@@ -60,10 +60,6 @@ class Polyline:
     def as_array(self) -> np.ndarray:
         return self._arr
 
-    def euclidean_length(self) -> float:
-        steps = np.diff(self._arr, axis=0)
-        return float(np.hypot(steps[:, 0], steps[:, 1]).sum())
-
 
 def segment(a, b) -> Polyline:
     return Polyline(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))
@@ -156,7 +152,8 @@ def weighted_length(path: Polyline, w: WeightField) -> float:
     an l1 circle's centre, affine on every piece by now, crosses the
     radius, then at both roots of each l2 circle's quadratic; one midpoint
     prices each piece.  A cost too large for a float (a huge weight) is
-    inf, without a warning; callers drop options priced at inf.
+    inf, without a warning; the callers that take the cheapest option
+    pass over it.
     """
     lines, l1, l2 = _interfaces(w)
     pts = path.as_array()

@@ -16,18 +16,10 @@ class SolverError(RuntimeError):
 
 
 class TotalInternalReflection(SolverError):
-    """Raised when sin(theta_out) would exceed 1 at an interface.
-
-    Carries the offending interface data so tracing callers can report where
-    the ray died.
-    """
+    """Raised when sin(theta_out) would exceed 1 at an interface."""
 
     def __init__(self, w_in: float, w_out: float, theta_in: float,
                  where: str = ""):
-        self.w_in = w_in
-        self.w_out = w_out
-        self.theta_in = theta_in
-        self.where = where
         msg = (f"total internal reflection: sin = "
                f"{w_in / w_out * math.sin(theta_in):.6g} > 1")
         if where:

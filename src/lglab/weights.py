@@ -131,7 +131,6 @@ class RadialWeight(WeightField):
     name: str = field()  # field(): required, not WeightField's default
     norm: str  # "l1" or "l2"
     pieces: tuple[ProfilePiece, ...]
-    alpha: float = float("nan")
 
     def __post_init__(self):
         if self.norm not in ("l1", "l2"):
@@ -351,7 +350,7 @@ def heavy_diamond(alpha: float = math.sqrt(1.5)) -> RadialWeight:
     return RadialWeight("heavy_diamond", "l1", (
         ProfilePiece(0.0, 0.5, alpha, 0.0),
         ProfilePiece(0.5, math.inf, 1.0, 0.0),
-    ), alpha=alpha)
+    ))
 
 
 def heavy_disk(alpha: float = 2.0) -> RadialWeight:
@@ -365,7 +364,7 @@ def heavy_disk(alpha: float = 2.0) -> RadialWeight:
     return RadialWeight("heavy_disk", "l2", (
         ProfilePiece(0.0, 0.5, alpha, 0.0),
         ProfilePiece(0.5, math.inf, 1.0, 0.0),
-    ), alpha=alpha)
+    ))
 
 
 def light_diamond(alpha: float = 0.5) -> RadialWeight:
@@ -378,7 +377,7 @@ def light_diamond(alpha: float = 0.5) -> RadialWeight:
         ProfilePiece(0.0, 0.5, alpha, 0.0),
         ProfilePiece(0.5, 0.55, alpha - 0.5 * ramp, ramp),
         ProfilePiece(0.55, math.inf, 1.0, 0.0),
-    ), alpha=alpha)
+    ))
 
 
 def light_diamond_tight(alpha: float = 0.5) -> RadialWeight:
@@ -388,7 +387,7 @@ def light_diamond_tight(alpha: float = 0.5) -> RadialWeight:
     return RadialWeight("light_diamond_tight", "l1", (
         ProfilePiece(0.0, 1.0, alpha, 1.0 - alpha),
         ProfilePiece(1.0, math.inf, 1.0, 0.0),
-    ), alpha=alpha)
+    ))
 
 
 def lite_dmd_heavy_core() -> RadialWeight:

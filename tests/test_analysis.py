@@ -125,7 +125,7 @@ def test_shot_clearance_matches_the_chord_off_the_poles():
 def test_pole_clearance_of_a_weight_with_no_level_curve_is_shot(w):
     # a renamed twin has no level-curve construction, so at a pole it takes
     # the shot branch, which must find the catalog weight's level curve
-    twin = RadialWeight("twin", w.norm, w.pieces, alpha=w.alpha)
+    twin = RadialWeight("twin", w.norm, w.pieces)
     for z in ((0.0, 1.0), (0.0, -1.0)):
         for r in (0.2, 0.6):
             assert curvature_clearance(twin, z, r) == pytest.approx(

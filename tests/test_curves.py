@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lglab import curves
 from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _core_geometry,
-                          _depart, _heavy_obstacle_options, _refine,
+                          _depart, _heavy_obstacle_options, _pick, _refine,
                           _SWEEP_BOUNDS, _three_diamond_options,
                           boundary_points, level_curve)
 from lglab.paths import Polyline, weighted_length
@@ -97,7 +97,7 @@ def test_interior_diamond_detour_obeys_snell_at_the_edge(alpha):
     for t in midpoint_levels(101):
         (_, h), (xb, _) = boundary_points(t)
         for sign in (1.0, -1.0):
-            if abs(h) >= 0.5 or (sign * h < 0.0 and abs(h) > xb - 0.5):
+            if abs(h) >= 0.5:
                 continue  # the detours _heavy_obstacle_options proposes
             arr = curves._diamond_detour(alpha, h, xb, sign).as_array()
             s = sign * arr[1, 1] if len(arr) == 4 else 0.5
@@ -203,6 +203,48 @@ def test_heavy_options_cost_their_weighted_length(name):
                 m = max(0.0, 0.5 - abs(h))
                 assert options[0][0] == pytest.approx(
                     2.0 * (xb - m) + 2.0 * alpha * m, abs=1e-12)
+
+
+# Frozen copies of the two route filters that ran before _pick: a
+# three-diamond detour costing more than its Euclidean length was skipped,
+# and a heavy-diamond detour away from h was withheld once |h| > xb - 1/2.
+def _three_diamond_filter(options, h, xb):
+    out = []
+    for cost, path in options:
+        steps = np.diff(path.as_array(), axis=0)
+        if len(steps) > 1 and cost > np.hypot(*steps.T).sum() + 1e-9:
+            continue
+        out.append((cost, path))
+    return out
+
+
+def _heavy_diamond_filter(options, h, xb):
+    options = list(options)
+    if len(options) == 3 and abs(h) > xb - 0.5:
+        del options[2 if h > 0.0 else 1]  # detours come as (above, below)
+    return options
+
+
+@pytest.mark.parametrize("name,alphas,options,old_filter", [
+    ("three_heavy_diamonds", (math.sqrt(2.0), 2.0, 5.0),
+     _three_diamond_options, _three_diamond_filter),
+    ("heavy_diamond", (1.05, 1.3, 2.0, 5.0), _heavy_obstacle_options,
+     _heavy_diamond_filter),
+], ids=["three_heavy_diamonds", "heavy_diamond"])
+def test_pick_rejects_every_route_the_old_filters_dropped(name, alphas,
+                                                          options,
+                                                          old_filter):
+    dropped = 0
+    for alpha in alphas:
+        w = make_weight(name, alpha)
+        for t in midpoint_levels(401):
+            _, (xb, h) = boundary_points(float(t))
+            every = options(w, h, xb)
+            kept = old_filter(every, h, xb)
+            dropped += len(every) - len(kept)
+            for branch in BRANCHES:
+                assert _pick(every, branch) == _pick(kept, branch), (alpha, t)
+    assert dropped > 0
 
 
 def test_three_diamond_routes_are_distinct():

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -347,3 +348,26 @@ def test_figure_runs_without_loading_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "heavy_diamond" / "solution.pgm").exists()
+
+
+def test_a_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
+    # on failure hypothesis imports libcst to print a patch; under the
+    # warnings-as-errors config that import's DeprecationWarning used to end
+    # the session with INTERNALERROR (exit 3) before the next test ran
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+
+        def test_passes():
+            pass
+        """))
+    config = TESTS.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -83,7 +83,7 @@ def test_radial_ray_conserves_snell_invariant():
             assert np.ptp(inv) <= 1e-11
         # cost of the traced ray stays within the global weight bounds
         cost = weighted_length(ray, w)
-        e = ray.euclidean_length()
+        e = weighted_length(ray, make_weight("constant"))
         assert 0.5 * e <= cost <= 1.0 * e + 1e-9
 
 

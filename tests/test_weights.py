@@ -1,5 +1,6 @@
 """Weight-field catalog: values, symmetry, and parameter validation."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -260,3 +261,14 @@ def test_vectorized_shapes():
     xs = np.linspace(-1, 1, 7).reshape(1, 7)
     ys = np.linspace(-1, 1, 5).reshape(5, 1)
     assert w.values(xs, ys).shape == (5, 7)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_pickled_weight_compares_and_hashes_equal(name):
+    # weights key the oracle's held graph and the interface and sweep
+    # caches, so a copy must find the original's entries
+    given = {k: _PARAMETERS[k] for k in ("layers", "pieces")
+             if k in _TAKES.get(name, ())}
+    w = make_weight(name, **given)
+    copy = pickle.loads(pickle.dumps(w))
+    assert copy == w and hash(copy) == hash(w)
