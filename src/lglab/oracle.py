@@ -15,13 +15,13 @@ at once.  Only what a query reads is held, read-only: the CSR matrix, the
 grid's node ids, the disk mask and the 1-D grid axis.
 
 Nodes and edges grow with the square of resolution: a 16-neighbor graph at
-resolution 512 has 823k nodes and 6.57M edges, and takes 83 MiB held.  A
-query that builds it peaks 197 MiB above the imported package (279 MB RSS
-for the whole process); one that reuses it adds 88 MiB, mostly the
-transposed copy that scipy's undirected Dijkstra makes.  Each doubling of
-resolution quadruples that, so queries should stay at or below 1024.  Node
-and edge indices are int32: at 2048 there are about 8 * pi * 2048**2 =
-1.05e8 edges, well below 2**31.
+resolution 512 has 823k nodes and 13.1M directed edges (each edge is stored
+in both directions), and takes 159 MiB held.  A query that builds it peaks
+192 MiB above the imported package (256 MB RSS for the whole process); one
+that reuses it adds 16 MiB, the distances, predecessors and Dijkstra's own
+work arrays.  Each doubling of resolution quadruples that, so queries
+should stay at or below 1024.  Node and edge indices are int32: at 2048
+there are about 16 * pi * 2048**2 = 2.1e8 edges, below 2**31.
 """
 from __future__ import annotations
 
@@ -32,7 +32,10 @@ import numpy as np
 from .paths import Polyline
 from .weights import WeightField
 
-# forward offsets only, in lexicographic order (see _build_graph)
+# nodes whose edges _build_graph fills per step
+_BLOCK = 1 << 13
+
+# forward offsets; _build_graph adds their negations
 _STENCILS = {
     8: ((0, 1), (1, -1), (1, 0), (1, 1)),
     16: ((0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -1), (2, 1)),
@@ -40,12 +43,14 @@ _STENCILS = {
 
 
 def _build_graph(w: WeightField, res: int, stencil: int):
-    """Sparse undirected cost matrix + node coordinates on the disk mask.
+    """Sparse symmetric cost matrix + node coordinates on the disk mask.
 
-    Each node stores its forward edges only (Dijkstra runs undirected).
-    Node ids run in C order over the masked grid and the stencil offsets in
-    lexicographic order, so each node's edges are gathered in slot order and
-    already sorted by target: the CSR arrays are written directly.
+    Each node stores its edges to every stencil neighbor, so Dijkstra runs
+    directed and never copies the graph.  Node ids run in C order over the
+    masked grid and the offsets in lexicographic order, so each node's edges
+    come out sorted by target, and the CSR arrays are filled node-major, a
+    block of nodes at a time.  An edge and its reverse both cost
+    (W_neighbor + W_self) * |o| * h / 2, equal bit for bit.
     """
     if stencil not in _STENCILS:
         raise ValueError("stencil must be 8 or 16")
@@ -56,27 +61,36 @@ def _build_graph(w: WeightField, res: int, stencil: int):
     ax = np.linspace(-1.0, 1.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     mask = X * X + Y * Y <= 1.0 + 1e-12
-    Wv = w.values(X, Y)
-    m = int(mask.sum())
+    Wn = w.values(X[mask], Y[mask])
+    m = len(Wn)
 
-    # padded by the stencil reach, so every offset is a plain slice; each
-    # slot is gathered into a contiguous row and read back node-major
+    # padded by the stencil reach, so in the flattened padded grid each
+    # neighbor of a node lies a fixed step away, and reads -1 off the disk
     nid = np.full((n + 4, n + 4), -1, dtype=np.int32)
     nid[2:-2, 2:-2][mask] = np.arange(m, dtype=np.int32)
-    Wp = np.pad(Wv, 2)
-    offsets = _STENCILS[stencil]
-    dst = np.empty((len(offsets), m), dtype=np.int32)
-    cost = np.empty((len(offsets), m))
-    for k, (di, dj) in enumerate(offsets):
-        shifted = slice(2 + di, 2 + di + n), slice(2 + dj, 2 + dj + n)
-        dst[k] = nid[shifted][mask]
-        cost[k] = Wp[shifted][mask]
-    cost += Wv[mask]
-    cost *= np.array([[math.hypot(di, dj) * h * 0.5] for di, dj in offsets])
-    ok = dst >= 0
+    offsets = sorted({o for di, dj in _STENCILS[stencil]
+                      for o in ((di, dj), (-di, -dj))})
+    step = np.array([di * (n + 4) + dj for di, dj in offsets])
+    scale = np.array([math.hypot(di, dj) * h * 0.5 for di, dj in offsets])
+    # degrees summed as bytes: at most 16, and fast to add
+    inside = (nid >= 0).view(np.uint8)
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(ok.sum(axis=0), out=indptr[1:])
-    graph = csr_matrix((cost.T[ok.T], dst.T[ok.T], indptr), shape=(m, m))
+    np.cumsum(sum(inside[2 + di:2 + di + n, 2 + dj:2 + dj + n]
+                  for di, dj in offsets)[mask], out=indptr[1:])
+    ids, at = nid.ravel(), np.flatnonzero(inside)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for k in range(0, m, _BLOCK):
+        dst = ids.take(at[k:k + _BLOCK, None] + step)
+        # a -1 target clips to node 0; its slot is dropped below
+        cost = Wn.take(dst, mode="clip")
+        cost += Wn[k:k + _BLOCK, None]
+        cost *= scale
+        ok = dst >= 0
+        slots = slice(indptr[k], indptr[min(k + _BLOCK, m)])
+        indices[slots] = dst[ok]
+        data[slots] = cost[ok]
+    graph = csr_matrix((data, indices, indptr), shape=(m, m))
     return graph, nid[2:-2, 2:-2], X, Y, mask
 
 
@@ -139,7 +153,7 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
         raise ValueError(f"endpoints {a} and {b} snap to one grid node")
     graph, node_id, mask, ax = _graph(w, res, stencil)
     ia, ib = node_id[na], node_id[nb]
-    dist, pred = dijkstra(graph, directed=False, indices=ia,
+    dist, pred = dijkstra(graph, directed=True, indices=ia,
                           return_predecessors=True)
     cost = float(dist[ib])
     if not math.isfinite(cost):

@@ -1,6 +1,7 @@
 """Grid shortest-path oracle: bounds, endpoint checks and the held graph."""
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -73,9 +74,10 @@ def test_grid_path_never_beats_the_level_curve(name, alpha):
                 t, branch)
 
 
-# The oracle graph as it was first assembled: an edge list per stencil
-# offset, handed to scipy as COO and converted to CSR.  _build_graph writes
-# the CSR arrays directly and must reproduce this one exactly.
+# The oracle graph as it was first assembled: an edge list per forward
+# stencil offset, handed to scipy as COO and converted to CSR.  _build_graph
+# writes the CSR arrays of its symmetric closure g + g.T directly and must
+# reproduce them exactly.
 _REFERENCE_STENCILS = {
     8: ((1, 0), (0, 1), (1, 1), (1, -1)),
     16: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2)),
@@ -141,9 +143,12 @@ def test_graph_and_path_match_the_coo_reference(name, stencil, res):
     w = _frozen_weight(name)
     graph, node_id, _, _, _ = _build_graph(w, res, stencil)
     ref, _, _ = _reference_graph(w, res, stencil)
+    ref = (ref + ref.T).tocsr()
     assert np.array_equal(graph.indptr, ref.indptr)
     assert np.array_equal(graph.indices, ref.indices)
     assert np.array_equal(graph.data, ref.data)
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    assert not np.any(graph.indices == rows)
     for a, b in (((-0.9, -0.3), (0.8, 0.45)), ((0.0, -1.0), (0.1, 0.95))):
         path, cost = grid_shortest_path(w, res, stencil, a, b)
         pts = path.as_array()
@@ -228,7 +233,7 @@ def _fresh_path(w, res, stencil, a, b):
     graph, node_id, X, Y, mask = _build_graph(w, res, stencil)
     ia, ib = (node_id[round((p[0] + 1.0) * res), round((p[1] + 1.0) * res)]
               for p in (a, b))
-    dist, pred = dijkstra(graph, directed=False, indices=ia,
+    dist, pred = dijkstra(graph, directed=True, indices=ia,
                           return_predecessors=True)
     chain = [int(ib)]
     while chain[-1] != ia:
@@ -275,6 +280,22 @@ def test_interleaved_queries_match_fresh_graphs(stencil, res, spied):
     assert builds == [[], [False, False], [False, False, False]]
     assert [ref() is not None for ref in graphs] == [False, False, False,
                                                      True]
+
+
+def test_a_query_on_the_held_graph_does_not_copy_it():
+    w = make_weight("heavy_disk", 2.0)
+    a, b = (-0.9, 0.1), (0.8, 0.3)
+    grid_shortest_path(w, 256, 16, a, b)
+    graph = oracle._held[1]
+    tracemalloc.start()
+    try:
+        grid_shortest_path(w, 256, 16, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle._held[1] is graph
+    # a copy of the graph's edges would take their nbytes or more
+    assert peak < 0.5 * (graph.data.nbytes + graph.indices.nbytes)
 
 
 def test_held_arrays_are_read_only(spied):

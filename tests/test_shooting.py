@@ -137,6 +137,26 @@ def test_heavy_disk_shot_matches_level_curve(t, branch):
                                  abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.3, 0.7, 1.0, 1.05, 1.3, 1.7])
+@pytest.mark.parametrize("name,alpha", [("heavy_diamond", 2.0),
+                                        ("three_heavy_diamonds", math.sqrt(2))])
+def test_diamond_shot_matches_level_curve(name, alpha, t):
+    w = make_weight(name, alpha)
+    _, cost = shoot_two_point(w, *boundary_points(t), scan_angles=64,
+                              n_shells=64)
+    assert cost == weighted_length(level_curve(w, t).path, w)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the shot takes the chord, 1.6395917942265426; the level curve costs "
+    "1.5610488537765514"))
+def test_tight_l1_shot_matches_level_curve():
+    w = make_weight("light_diamond_tight", 0.5)
+    _, cost = shoot_two_point(w, *boundary_points(0.8), scan_angles=64,
+                              n_shells=64)
+    assert cost == weighted_length(level_curve(w, 0.8).path, w)
+
+
 def test_l1_shot_with_a_normal_incidence_ray():
     # the theta = -pi scan ray leaves along the inward l1 normal of
     # quadrant 3; it must cross the shells, not bounce on the first one
