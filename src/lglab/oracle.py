@@ -11,14 +11,14 @@ The module holds at most one built graph, keyed by (weight, resolution,
 stencil); weights are immutable and the key compares them with ``==``.  A
 query with the held key reuses it; a query with any other key first drops
 the held graph and only then builds its own, so two graphs are never alive
-at once.  Only what a query reads is held, read-only: the CSR matrix, the
-grid's node ids, the disk mask and the 1-D grid axis.
+at once.  Only what a query reads is held, read-only: the CSR matrix and
+each node's flat index in the grid, which maps nodes to grid points.
 
 Nodes and edges grow with the square of resolution: a 16-neighbor graph at
 resolution 512 has 823k nodes and 13.1M directed edges (each edge is stored
-in both directions), and takes 159 MiB held.  A query that builds it peaks
-192 MiB above the imported package (256 MB RSS for the whole process); one
-that reuses it adds 16 MiB, the distances, predecessors and Dijkstra's own
+in both directions), and takes 157 MiB held.  A query that builds it peaks
+179 MiB above the imported package (258 MB RSS for the whole process); one
+that reuses it adds 12.5 MiB, the distances, predecessors and Dijkstra's own
 work arrays.  Each doubling of resolution quadruples that, so queries
 should stay at or below 1024.  Node and edge indices are int32: at 2048
 there are about 16 * pi * 2048**2 = 2.1e8 edges, below 2**31.
@@ -43,7 +43,7 @@ _STENCILS = {
 
 
 def _build_graph(w: WeightField, res: int, stencil: int):
-    """Sparse symmetric cost matrix + node coordinates on the disk mask.
+    """Sparse symmetric cost matrix + each node's grid index i*(2*res+1) + j.
 
     Each node stores its edges to every stencil neighbor, so Dijkstra runs
     directed and never copies the graph.  Node ids run in C order over the
@@ -59,9 +59,9 @@ def _build_graph(w: WeightField, res: int, stencil: int):
     n = 2 * res + 1
     h = 1.0 / res
     ax = np.linspace(-1.0, 1.0, n)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    mask = X * X + Y * Y <= 1.0 + 1e-12
-    Wn = w.values(X[mask], Y[mask])
+    mask = ax[:, None] * ax[:, None] + ax * ax <= 1.0 + 1e-12
+    cells = np.flatnonzero(mask).astype(np.int32)
+    Wn = w.values(*ax.take(np.divmod(cells, n)))
     m = len(Wn)
 
     # padded by the stencil reach, so in the flattened padded grid each
@@ -91,7 +91,7 @@ def _build_graph(w: WeightField, res: int, stencil: int):
         indices[slots] = dst[ok]
         data[slots] = cost[ok]
     graph = csr_matrix((data, indices, indptr), shape=(m, m))
-    return graph, nid[2:-2, 2:-2], X, Y, mask
+    return graph, cells
 
 
 def dijkstra(graph, **kwargs):
@@ -102,20 +102,20 @@ def dijkstra(graph, **kwargs):
     return csgraph_dijkstra(graph, **kwargs)
 
 
-# the one graph kept between queries: (key, graph, node_id, mask, ax)
+# the one graph kept between queries: (key, graph, cells)
 _held = None
 
 
 def _graph(w: WeightField, res: int, stencil: int):
-    """The held (graph, node_id, mask, ax) for this key, else a new one."""
+    """The held (graph, cells) for this key, else a new one."""
     global _held
     key = (w, res, stencil)
     if _held is None or _held[0] != key:
         _held = None  # drop the old graph before building the new one
-        graph, node_id, X, _, mask = _build_graph(w, res, stencil)
-        _held = (key, graph, node_id, mask, X[:, 0].copy())
-        for arr in (graph.data, graph.indices, graph.indptr, *_held[2:]):
+        graph, cells = _build_graph(w, res, stencil)
+        for arr in (graph.data, graph.indices, graph.indptr, cells):
             arr.setflags(write=False)
+        _held = (key, graph, cells)
     return _held[1:]
 
 
@@ -151,8 +151,9 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     na, nb = _snap(res, a), _snap(res, b)
     if na == nb:
         raise ValueError(f"endpoints {a} and {b} snap to one grid node")
-    graph, node_id, mask, ax = _graph(w, res, stencil)
-    ia, ib = node_id[na], node_id[nb]
+    graph, cells = _graph(w, res, stencil)
+    n = 2 * res + 1
+    ia, ib = (int(np.searchsorted(cells, i * n + j)) for i, j in (na, nb))
     dist, pred = dijkstra(graph, directed=True, indices=ia,
                           return_predecessors=True)
     cost = float(dist[ib])
@@ -161,7 +162,6 @@ def grid_shortest_path(w: WeightField, res: int, stencil: int, a, b
     chain = [int(ib)]
     while chain[-1] != ia:
         chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    i, j = np.divmod(np.flatnonzero(mask)[chain], len(ax))
-    return Polyline.from_points(np.column_stack([ax[i], ax[j]])), cost
+    xy = np.linspace(-1.0, 1.0, n).take(np.divmod(cells[chain[::-1]], n)).T
+    return Polyline.from_points(xy), cost
 

@@ -30,7 +30,7 @@ def _aim(a, b):
     d = (b[0] - a[0], b[1] - a[1])
     nrm = math.hypot(*d)
     u = (d[0] / nrm, d[1] / nrm)
-    return u, ("line", u[0], u[1], u[0] * b[0] + u[1] * b[1])
+    return u, (u[0], u[1], u[0] * b[0] + u[1] * b[1])
 
 
 def _miss(e, a, b, u):

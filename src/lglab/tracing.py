@@ -14,9 +14,9 @@ live ray at a time, with the same arithmetic, and returns their end points.
 
 Angle convention: theta is measured from the interface normal.  For layered
 media the ray starts downward, tilted by theta_0 toward +x.  For radial media
-the ray starts outward, rotated by the signed theta_0 from the outward normal
-of the quadrant containing the start (counterclockwise positive); a start on
-the positive x-axis is treated as the limit from the upper quadrant.
+it starts outward, turned counterclockwise by theta_0 from the normal: the
+start's quadrant normal for l1 (from the upper quadrant on the +x axis), the
+radial normal for l2, and +x at the centre, where every direction is outward.
 """
 from __future__ import annotations
 
@@ -39,14 +39,12 @@ class TraceError(SolverError):
     """Ray failed to reach the stop condition within the leg budget."""
 
 
-def _stop_form(stop):
-    """stop as 'circle' or ('line', nx, ny, c); ('depth', d) is y = -d."""
-    if isinstance(stop, tuple) and stop[0] == "depth":
-        stop = ("line", 0.0, 1.0, -stop[1])
-    if stop != "circle" and not (isinstance(stop, tuple)
-                                 and stop[0] == "line"):
-        raise ValueError(f"unknown stop condition {stop!r}")
-    return stop
+def _line(stop):
+    """The stop line nx*x + ny*y = c as the floats (nx, ny, c)."""
+    if isinstance(stop, tuple) and len(stop) == 3 and all(
+            isinstance(x, (int, float)) for x in stop):
+        return tuple(map(float, stop))
+    raise ValueError(f"unknown stop {stop!r}: not a line (nx, ny, c)")
 
 
 def _stop_crossing(stop, p, v, t_max):
@@ -54,23 +52,14 @@ def _stop_crossing(stop, p, v, t_max):
 
     p and v are arrays of points and directions, (..., 2), and t_max an
     array of their pieces' lengths.  Returns the parameters and a mask of
-    the pieces that reach the stop.  stop is 'circle' (the unit circle) or
-    ('line', nx, ny, c) for nx*x + ny*y = c.
+    the pieces that reach the stop line (nx, ny, c): nx*x + ny*y = c.
     """
-    def reach(t):
-        return (t > _EPS) & (t <= t_max + _EPS)
-
-    if stop == "circle":
-        disc, t_near, t_far = circle_hits(np.moveaxis(p, -1, 0),
-                                          np.moveaxis(v, -1, 0), 1.0)
-        near, far = reach(t_near), reach(t_far)
-        return np.where(near, t_near, t_far), (disc >= 0) & (near | far)
-    _, nx, ny, c = stop
+    nx, ny, c = stop
     den = nx * v[..., 0] + ny * v[..., 1]
     # den == 0 (parallel to the line) gives NaN, which reaches nothing
     t = (c - nx * p[..., 0] - ny * p[..., 1]) / np.where(den == 0, np.nan,
                                                          den)
-    return t, reach(t)
+    return t, (t > _EPS) & (t <= t_max + _EPS)
 
 
 def _refract_direction(v, n, w_in, w_out, where):
@@ -78,8 +67,7 @@ def _refract_direction(v, n, w_in, w_out, where):
     vn = v[0] * n[0] + v[1] * n[1]
     tx, ty = v[0] - vn * n[0], v[1] - vn * n[1]
     tlen = math.hypot(tx, ty)
-    sin_in = min(tlen, 1.0)
-    theta_in = math.asin(sin_in)
+    theta_in = math.asin(min(tlen, 1.0))
     try:
         theta_out = snell_refract(w_in, w_out, theta_in)
     except TotalInternalReflection:
@@ -236,9 +224,7 @@ def _circles(w: RadialWeight, p, theta_0, n_shells):
     grid, ws = w.shell_grid(n_shells)
     radii, shell_w = grid[1:].tolist(), ws.tolist()
     r = math.hypot(*p)
-    if r < _EPS:
-        raise ValueError("radial launch from the origin is ambiguous")
-    n0 = (p[0] / r, p[1] / r)
+    n0 = (p[0] / r, p[1] / r) if r >= _EPS else (1.0, 0.0)
     v = (math.cos(theta_0) * n0[0] - math.sin(theta_0) * n0[1],
          math.cos(theta_0) * n0[1] + math.sin(theta_0) * n0[0])
     j, v = _launch(w, radii, shell_w, r, v, n0, v[0] * n0[0] + v[1] * n0[1])
@@ -289,8 +275,7 @@ def _propagate(p, v, leg, turn, stop):
         if not math.isfinite(t[-1]):
             raise TraceError("ray did not reach the stop condition")
         verts.append(q)
-        p, v = tuple(q[-1].tolist()), tuple(u[-1].tolist())
-        p, v = turn(p, v)
+        p, v = turn(tuple(q[-1].tolist()), tuple(u[-1].tolist()))
     raise TraceError("ray did not reach the stop condition")
 
 
@@ -298,14 +283,13 @@ def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
                       n_shells: int = SWEEP_SHELLS) -> Polyline:
     """Propagate one ray through w from start until the stop condition.
 
-    :param stop: 'circle' (the unit circle), ('line', nx, ny, c) for the
-        line nx*x + ny*y = c, or ('depth', d) for the line y = -d.
+    :param stop: the line (nx, ny, c), nx*x + ny*y = c.
     :param n_shells: shell count for discretizing sloped radial profiles.
-    :raises ValueError: an unknown stop form or an invalid launch.
+    :raises ValueError: a stop that is no line, or an invalid launch.
     :raises TotalInternalReflection: supercritical incidence at an interface.
     :raises TraceError: stop condition unreachable, or w has no medium.
     """
-    stop = _stop_form(stop)
+    stop = _line(stop)
     p = (float(start[0]), float(start[1]))
     if isinstance(w, LayeredWeight):
         medium = _layers(w, theta_0)
@@ -545,9 +529,7 @@ def _fan_circles(w: RadialWeight, p, thetas, n_shells):
     grid, ws = w.shell_grid(n_shells)
     n_radii = len(grid) - 1
     r = math.hypot(*p)
-    if r < _EPS:
-        raise ValueError("radial launch from the origin is ambiguous")
-    n0 = (p[0] / r, p[1] / r)
+    n0 = (p[0] / r, p[1] / r) if r >= _EPS else (1.0, 0.0)
     v = _rotated_rows(n0, thetas)
     j, v, ok = _launch_rows(w, grid, ws, r, v, np.tile(n0, (len(v), 1)),
                             v[:, 0] * n0[0] + v[:, 1] * n0[1])
@@ -589,10 +571,11 @@ def trace_fan(w: WeightField, start, thetas, stop, n_shells: int):
     against the stop and turns the rays that go on.  A ray's row is NaN
     where trace_layered_ray raises TraceError or TotalInternalReflection.
 
-    :raises ValueError: an unknown stop form or an invalid launch.
+    :param stop: the line (nx, ny, c), nx*x + ny*y = c.
+    :raises ValueError: a stop that is no line, or an invalid launch.
     :raises TraceError: w has no medium, as in trace_layered_ray.
     """
-    stop = _stop_form(stop)
+    stop = _line(stop)
     p = (float(start[0]), float(start[1]))
     thetas = np.asarray(thetas, dtype=float)
     if isinstance(w, LayeredWeight):

@@ -114,11 +114,11 @@ def test_criterion_1_snell_identities_and_layered_shot(acceptance_log):
     med = make_weight("layered_horizontal", layers=((1.0, 1.0), (9.0, 2.0)))
 
     def end_err(theta):
-        ray = trace_layered_ray(med, (0.0, 0.0), theta, ("depth", 2.0))
+        ray = trace_layered_ray(med, (0.0, 0.0), theta, (0.0, 1.0, -2.0))
         return ray.vertices[-1][0] - 1.0
 
     theta = brentq(end_err, 0.05, 1.2, xtol=1e-13)
-    ray = trace_layered_ray(med, (0.0, 0.0), theta, ("depth", 2.0))
+    ray = trace_layered_ray(med, (0.0, 0.0), theta, (0.0, 1.0, -2.0))
     kinks = [v for v in ray.vertices if abs(v[1] + 1.0) < 1e-9]
     cost = weighted_length(ray, med)
 

@@ -46,6 +46,20 @@ def test_geodesic_via_scores_given_route(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(2 ** 0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, b", [("0,0", "0.5,0.5"), ("0,0", "-0.3,0.8")])
+def test_geodesic_from_the_disk_centre_costs_the_same_both_ways(
+        a, b, tmp_path, capsys):
+    # an l2 shot may start at the centre, where every direction is outward
+    lines = []
+    for p, q in ((a, b), (b, a)):
+        code, out, _ = run(["geodesic", "--weight", "heavy_disk", "--alpha",
+                            "2", f"--from={p}", f"--to={q}",
+                            "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        lines += [l for l in out.splitlines() if l.startswith("length=")]
+    assert len(lines) == 2 and lines[0] == lines[1]
+
+
 @pytest.mark.parametrize("via", ["", ";"])
 def test_geodesic_via_without_points_scores_the_segment(via, tmp_path,
                                                         capsys, monkeypatch):

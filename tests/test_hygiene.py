@@ -92,6 +92,15 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts, so the package raises typed errors instead
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts on lines {lines}"
+
+
 def test_private_helpers_are_referenced_and_do_work():
     trees = {p.name: _tree(p) for p in [SRC / "__init__.py", *MODULES]}
     used = set().union(*(_used_names(t) for t in trees.values()))

@@ -122,6 +122,15 @@ def _reference_path(w, res, stencil, ia, ib):
     return np.column_stack([xs[chain], ys[chain]]), float(dist[ib])
 
 
+def _node_grid(cells, res):
+    """The (n, n) grid of node ids, -1 off the disk, from the flat grid
+    index of each node that _build_graph returns."""
+    n = 2 * res + 1
+    node_id = np.full(n * n, -1)
+    node_id[cells] = np.arange(len(cells))
+    return node_id.reshape(n, n)
+
+
 def _frozen_weight(name):
     if name == "layered_horizontal":
         return make_weight(name, layers=((0.2, 1.0), (0.5, 2.0), (0.8, 1.5)))
@@ -141,7 +150,8 @@ def _frozen_weight(name):
     "layered_horizontal", "custom_piecewise"])
 def test_graph_and_path_match_the_coo_reference(name, stencil, res):
     w = _frozen_weight(name)
-    graph, node_id, _, _, _ = _build_graph(w, res, stencil)
+    graph, cells = _build_graph(w, res, stencil)
+    node_id = _node_grid(cells, res)
     ref, _, _ = _reference_graph(w, res, stencil)
     ref = (ref + ref.T).tocsr()
     assert np.array_equal(graph.indptr, ref.indptr)
@@ -195,8 +205,10 @@ def _reference_nearest_node(node_id, mask, ax, p):
 
 @pytest.mark.parametrize("res", [32, 64])
 def test_snap_picks_the_node_the_built_mask_picked(res):
-    _, node_id, X, _, mask = _build_graph(make_weight("constant"), res, 8)
-    ax, h = X[:, 0], 1.0 / res
+    node_id = _node_grid(_build_graph(make_weight("constant"), res, 8)[1],
+                         res)
+    mask, h = node_id >= 0, 1.0 / res
+    ax = np.linspace(-1.0, 1.0, 2 * res + 1)
     rng = np.random.default_rng(res)
     # the square, the rim band, and the ring out to where no disk node lies
     # within the five-step window
@@ -230,7 +242,8 @@ def test_a_point_far_outside_the_disk_is_rejected_before_building(spied):
 
 def _fresh_path(w, res, stencil, a, b):
     """A query on a graph built for it alone, run through scipy's Dijkstra."""
-    graph, node_id, X, Y, mask = _build_graph(w, res, stencil)
+    graph, cells = _build_graph(w, res, stencil)
+    node_id = _node_grid(cells, res)
     ia, ib = (node_id[round((p[0] + 1.0) * res), round((p[1] + 1.0) * res)]
               for p in (a, b))
     dist, pred = dijkstra(graph, directed=True, indices=ia,
@@ -238,7 +251,9 @@ def _fresh_path(w, res, stencil, a, b):
     chain = [int(ib)]
     while chain[-1] != ia:
         chain.append(int(pred[chain[-1]]))
-    return np.column_stack([X[mask], Y[mask]])[chain[::-1]], float(dist[ib])
+    ax = np.linspace(-1.0, 1.0, 2 * res + 1)
+    i, j = np.nonzero(node_id >= 0)
+    return np.column_stack([ax[i], ax[j]])[chain[::-1]], float(dist[ib])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from lglab.weights import (LayeredWeight, ProfilePiece, RadialWeight,
 def test_two_layer_kink_obeys_refraction_law():
     w = make_weight("layered_horizontal", layers=((0.5, 1.0), (9.0, 2.0)))
     th1 = 0.6
-    ray = trace_layered_ray(w, (0.0, 0.0), th1, ("depth", 1.5))
+    ray = trace_layered_ray(w, (0.0, 0.0), th1, (0.0, 1.0, -1.5))
     arr = ray.as_array()
     # vertex on the interface, then the refracted slope below it
     kink = arr[np.isclose(arr[:, 1], -0.5)][0]
@@ -30,20 +30,20 @@ def test_layered_tir_raised():
     # entering the faster lower layer too steeply
     w = make_weight("layered_horizontal", layers=((0.5, 2.0), (9.0, 1.0)))
     with pytest.raises(TotalInternalReflection):
-        trace_layered_ray(w, (0.0, 0.0), 0.7, ("depth", 1.0))
+        trace_layered_ray(w, (0.0, 0.0), 0.7, (0.0, 1.0, -1.0))
 
 
 def test_layered_launch_domain():
     w = make_weight("layered_horizontal", layers=((0.5, 1.0), (9.0, 2.0)))
     with pytest.raises(ValueError):
-        trace_layered_ray(w, (0.0, 0.0), 2.0, ("depth", 1.0))
+        trace_layered_ray(w, (0.0, 0.0), 2.0, (0.0, 1.0, -1.0))
 
 
 def test_unreachable_stop_is_an_error():
     # launched downward below the stop line
     w = make_weight("layered_horizontal", layers=((0.5, 1.0), (9.0, 2.0)))
     with pytest.raises(TraceError, match="did not reach"):
-        trace_layered_ray(w, (0.0, -2.0), 0.0, ("depth", 1.0))
+        trace_layered_ray(w, (0.0, -2.0), 0.0, (0.0, 1.0, -1.0))
 
 
 def _snell_invariants(arr, w, n_shells):
@@ -69,14 +69,16 @@ def test_radial_ray_conserves_snell_invariant():
     while len(rays) < 4:
         r, phi = rng.uniform(0.05, 0.9), rng.uniform(0.0, 2.0 * math.pi)
         start = (r * math.cos(phi), r * math.sin(phi))
+        # the unit circle's tangent line at the start's angle
+        stop = (math.cos(phi), math.sin(phi), 1.0)
         try:
-            rays.append(trace_layered_ray(w, start, rng.uniform(-3.1, 3.1),
-                                          "circle", n_shells=4096))
-        except TotalInternalReflection:
+            rays.append((stop, trace_layered_ray(
+                w, start, rng.uniform(-3.1, 3.1), stop, n_shells=4096)))
+        except (TotalInternalReflection, TraceError):
             continue
-    for ray in rays:
+    for (nx, ny, c), ray in rays:
         arr = ray.as_array()
-        assert np.hypot(*arr[-1]) == pytest.approx(1.0, abs=1e-12)
+        assert nx * arr[-1, 0] + ny * arr[-1, 1] == pytest.approx(c, abs=1e-12)
         runs = _snell_invariants(arr, w, 4096)
         assert sum(map(len, runs)) > 1000
         for inv in runs:
@@ -111,27 +113,12 @@ _EPS = 1e-12
 def _ref_stop_crossing(stop, p, v, t_max):
     px, py = p
     vx, vy = v
-    if isinstance(stop, tuple) and stop[0] == "depth":
-        target = -stop[1]
-        if vy == 0:
-            return None
-        t = (target - py) / vy
-        return t if _EPS < t <= t_max + _EPS else None
-    if isinstance(stop, tuple) and stop[0] == "line":
-        _, nx, ny, c = stop
-        den = nx * vx + ny * vy
-        if den == 0:
-            return None
-        t = (c - nx * px - ny * py) / den
-        return t if _EPS < t <= t_max + _EPS else None
-    assert stop == "circle"
-    disc, t_near, t_far = circle_hits(p, v, 1.0)
-    if disc < 0:
+    nx, ny, c = stop
+    den = nx * vx + ny * vy
+    if den == 0:
         return None
-    for t in (t_near, t_far):
-        if _EPS < t <= t_max + _EPS:
-            return t
-    return None
+    t = (c - nx * px - ny * py) / den
+    return t if _EPS < t <= t_max + _EPS else None
 
 
 def _ref_stops_first(t_stop, t_next):
@@ -319,15 +306,20 @@ _MEDIA = {
 
 
 def _seeded_launches(w, rng, n):
-    """(start, theta_0, stop, n_shells, launch kind) for n seeded rays."""
+    """(start, theta_0, stop, n_shells, launch kind, stop kind) for n seeded
+    rays.  The stop lines are the unit circle's tangent at a seeded angle
+    a, y = -depth, and a line through a point low in the disk, which
+    downward rays reach."""
     for i in range(n):
         kind = ("interior", "axis", "interface")[i % 3]
-        # a line through a point low in the disk, which downward rays reach
         a = float(rng.uniform(0.0, 2.0 * math.pi))
         c = math.cos(a) * rng.uniform(-1.0, 1.0) \
             + math.sin(a) * rng.uniform(-1.0, -0.6)
-        stop = ("circle", ("depth", float(rng.uniform(0.1, 1.0))),
-                ("line", math.cos(a), math.sin(a), float(c)))[(i // 3) % 3]
+        stops = {"tangent": (math.cos(a), math.sin(a), 1.0),
+                 "depth": (0.0, 1.0, -float(rng.uniform(0.1, 1.0))),
+                 "line": (math.cos(a), math.sin(a), float(c))}
+        stop_kind = list(stops)[(i // 3) % 3]
+        stop = stops[stop_kind]
         n_shells = int(rng.choice([64, 512, 4096]))
         r = float(rng.uniform(0.05, 0.95))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -336,7 +328,7 @@ def _seeded_launches(w, rng, n):
             x = float(rng.uniform(-1.0, 1.0))
             y = {"interior": float(rng.uniform(-0.3, 0.3)), "axis": 0.0,
                  "interface": -w.depths()[1]}[kind]
-            yield (x, y), theta, stop, n_shells, kind
+            yield (x, y), theta, stop, n_shells, kind, stop_kind
             continue
         theta = float(rng.uniform(-math.pi, math.pi))
         if kind == "axis":
@@ -353,7 +345,7 @@ def _seeded_launches(w, rng, n):
                 start = (rr * math.cos(phi), rr * math.sin(phi))
         else:
             start = (r * math.cos(phi), r * math.sin(phi))
-        yield start, theta, stop, n_shells, kind
+        yield start, theta, stop, n_shells, kind, stop_kind
 
 
 def _outcome(trace, *args):
@@ -369,7 +361,8 @@ def test_single_loop_matches_the_reference_trace(name):
     w = _MEDIA[name]()
     rng = np.random.default_rng(sum(map(ord, name)))
     traced = set()
-    for start, theta, stop, n_shells, kind in _seeded_launches(w, rng, 90):
+    for start, theta, stop, n_shells, kind, stop_kind in _seeded_launches(
+            w, rng, 180):
         args = (w, start, theta, stop, n_shells)
         got = _outcome(trace_layered_ray, *args)
         ref = _outcome(_reference_trace, *args)
@@ -380,12 +373,12 @@ def test_single_loop_matches_the_reference_trace(name):
                 assert np.max(np.abs(got - ref)) <= 1e-11, args
             else:
                 assert got.tobytes() == ref.tobytes(), args
-            traced.add((kind, stop if isinstance(stop, str) else stop[0]))
+            traced.add((kind, stop_kind))
         else:
             assert got is ref, (args, got, ref)
-    # every launch kind and stop form produced rays, not only errors
+    # every launch kind and stop line produced rays, not only errors
     assert traced == {(k, s) for k in ("interior", "axis", "interface")
-                      for s in ("circle", "depth", "line")}
+                      for s in ("tangent", "depth", "line")}
 
 
 @pytest.mark.parametrize("name", list(_MEDIA))
@@ -395,7 +388,8 @@ def test_fan_ends_where_each_scalar_ray_ends(name):
     w = _MEDIA[name]()
     rng = np.random.default_rng(sum(map(ord, name)) + 1)
     reached = set()
-    for start, _, stop, n_shells, kind in _seeded_launches(w, rng, 12):
+    for start, _, stop, n_shells, kind, stop_kind in _seeded_launches(
+            w, rng, 12):
         if isinstance(w, LayeredWeight):
             thetas = rng.uniform(-1.5, 1.5, 16)
         else:
@@ -406,28 +400,45 @@ def test_fan_ends_where_each_scalar_ray_ends(name):
                            n_shells)
             if isinstance(ref, np.ndarray):
                 assert end.tobytes() == ref[-1].tobytes(), (start, theta)
-                reached.add((kind, stop if isinstance(stop, str) else stop[0]))
+                reached.add((kind, stop_kind))
             else:
                 assert np.isnan(end).all() and ref is not ValueError
-    # every launch kind and stop form had rays that reached the stop
+    # every launch kind and stop line had rays that reached the stop
     assert reached == {(k, s) for k in ("interior", "axis", "interface")
-                       for s in ("circle", "depth", "line")}
+                       for s in ("tangent", "depth", "line")}
 
 
 def test_fan_rejects_what_the_scalar_tracer_rejects():
     layered = _MEDIA["layered"]()
     with pytest.raises(ValueError, match="subcritical"):
-        trace_fan(layered, (0.0, 0.0), [0.1, 2.0], ("depth", 1.0), 64)
+        trace_fan(layered, (0.0, 0.0), [0.1, 2.0], (0.0, 1.0, -1.0), 64)
     with pytest.raises(ValueError, match="unknown stop"):
         trace_fan(layered, (0.0, 0.0), [0.1], "x_axis", 64)
-    with pytest.raises(ValueError, match="origin"):
-        trace_fan(_MEDIA["heavy_disk"](), (0.0, 0.0), [0.1], "circle", 64)
     # a weight with no medium: the scalar tracer and the fan both raise
     constant = make_weight("constant", 1.3)
     with pytest.raises(TraceError, match="no traced medium"):
-        trace_layered_ray(constant, (0.0, 0.0), 0.1, "circle", 64)
+        trace_layered_ray(constant, (0.0, 0.0), 0.1, (1.0, 0.0, 1.0), 64)
     with pytest.raises(TraceError, match="no traced medium"):
-        trace_fan(constant, (0.0, 0.0), [0.1], "circle", 64)
+        trace_fan(constant, (0.0, 0.0), [0.1], (1.0, 0.0, 1.0), 64)
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0), (1e-13, -1e-13)])
+def test_l2_launch_from_the_centre_leaves_along_x(start):
+    # every direction is outward at the centre: theta counts from +x, and
+    # the fan's rays end where the scalar rays end, to the last bit
+    w = _MEDIA["heavy_disk"]()
+    thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+    stop = (0.6, -0.8, 0.9)
+    ends = trace_fan(w, start, thetas, stop, 64)
+    for theta, end in zip(thetas, ends):
+        ref = _outcome(trace_layered_ray, w, start, float(theta), stop, 64)
+        if isinstance(ref, np.ndarray):
+            assert end.tobytes() == ref[-1].tobytes(), theta
+        else:
+            assert np.isnan(end).all() and ref is not ValueError
+    assert np.isfinite(ends).all(axis=1).sum() > 16
+    ray = trace_layered_ray(w, start, 0.0, (1.0, 0.0, 0.9), 64)
+    assert ray.as_array()[-1] == pytest.approx([0.9, 0.0], abs=1e-12)
 
 
 def test_sloped_l2_profile_is_rejected():
@@ -437,9 +448,15 @@ def test_sloped_l2_profile_is_rejected():
             ProfilePiece(0.5, math.inf, 1.5, 0.0)))
 
 
-@pytest.mark.parametrize("stop", ["diamond_edge", "x_axis", "y_axis",
-                                  lambda p: p[1] < -0.5])
+@pytest.mark.parametrize("stop", [
+    "diamond_edge", "x_axis", "y_axis", lambda p: p[1] < -0.5, "circle",
+    ("depth", 1.0), ("line", 0.0, 1.0, -1.0), (0.0, 1.0), (0.0, 1.0, "-1"),
+    "123", None])
 def test_dropped_stop_forms_are_rejected(stop):
-    w = make_weight("light_diamond_tight", 0.5)
-    with pytest.raises(ValueError, match="unknown stop"):
-        trace_layered_ray(w, (0.2, 0.0), 0.3, stop)
+    # both entry points, before tracing: a constant weight has no medium,
+    # so tracing it would raise TraceError
+    for w in (make_weight("light_diamond_tight", 0.5), make_weight("constant")):
+        with pytest.raises(ValueError, match="unknown stop"):
+            trace_layered_ray(w, (0.2, 0.0), 0.3, stop)
+        with pytest.raises(ValueError, match="unknown stop"):
+            trace_fan(w, (0.2, 0.0), [0.3, -0.2], stop, 64)
