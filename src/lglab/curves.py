@@ -13,7 +13,11 @@ candidates, and one rule picks among them for every weight:
 * continuous l1-radial weights (light diamond, tight interpolation, heavy
   core with light ring): curves assembled from refracted quadrant sweeps,
   from three candidate families (chord, axis-touching band curve, apex
-  curve) solved per level by an exit-height root search.
+  curve) solved per level by an exit-height root search.  Band curves
+  exit at heights up to that of the innermost departure, apex curves down
+  to the lowest exit in the apex table; a level in the gap between those
+  two heights takes both family ends, that innermost band curve and the
+  apex curve with the lowest exit.
 
 The pick keeps the cheapest candidates; among tied ones the branch decides
 (see _pick).
@@ -315,20 +319,6 @@ def _band_ends(w: RadialWeight, lo: float, hi: float):
     return tuple(_depart(w, (c, 0.0))[-1, 1] for c in (lo, hi))
 
 
-def _apex_candidates(w: RadialWeight, h: float, lo: float,
-                     hi: float) -> list[np.ndarray]:
-    """All apex curves whose exit height equals h (dense grid + refiner)."""
-    y0s, exits = _apex_grid(w, lo, hi)
-    diff = exits - h
-    starts = [_refine(lambda y: _depart(w, (0.0, y))[-1, 1] - h,
-                      y0s[i], y0s[i + 1], diff[i], diff[i + 1])
-              for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
-    if not starts and np.min(np.abs(diff)) < 1e-5:
-        # h sits in the hairline crack at a family seam: endpoint witness
-        starts.append(float(y0s[int(np.argmin(np.abs(diff)))]))
-    return [_depart(w, (0.0, y0)) for y0 in starts]
-
-
 def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
                         inner: np.ndarray = np.empty((0, 2))) -> Polyline:
     """Full graph curve from a first-quadrant right half.
@@ -367,24 +357,27 @@ def _radial_options(w: RadialWeight, h: float, xb: float,
         inner = np.vstack([arc_thin * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
                            arc_thin[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
     paths = [_chord(h, xb)]
-
-    # axis-touching band curve
+    ah = abs(h)
     band_top, band_end = _band_ends(w, c_lo + 1e-12, c_hi)
-    in_band = 1e-12 < abs(h) < band_top
-    at_seam = band_top <= abs(h) < band_top + 1e-5
-    if in_band or at_seam:
-        c = c_lo + 1e-12
-        if in_band:
-            ah = abs(h)
-            c = _refine(lambda cc: _depart(w, (cc, 0.0))[-1, 1] - ah,
-                        c, c_hi, band_top - ah, band_end - ah)
-        paths.append(_assemble_symmetric(_depart(w, (c, 0.0)),
+    y0s, exits = _apex_grid(w, y_lo, y_hi)
+    if band_top <= ah <= exits.min():
+        # in the gap between the families: both family ends compete
+        starts = [y0s[np.argmin(exits)]]
+        paths.append(_assemble_symmetric(_depart(w, (c_lo + 1e-12, 0.0)),
                                          h, xb, inner))
-
-    # apex curves above/below the band
-    for right in _apex_candidates(w, abs(h), y_lo, y_hi):
-        paths.append(_assemble_symmetric(right, h, xb))
-    if is_core and 1e-12 >= abs(h):
+    else:
+        if 1e-12 < ah < band_top:  # the axis-touching band curve
+            c = _refine(lambda cc: _depart(w, (cc, 0.0))[-1, 1] - ah,
+                        c_lo + 1e-12, c_hi, band_top - ah, band_end - ah)
+            paths.append(_assemble_symmetric(_depart(w, (c, 0.0)),
+                                             h, xb, inner))
+        diff = exits - ah  # every apex curve whose exit height is ah
+        starts = [_refine(lambda y: _depart(w, (0.0, y))[-1, 1] - ah,
+                          y0s[i], y0s[i + 1], diff[i], diff[i + 1])
+                  for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
+    paths += [_assemble_symmetric(_depart(w, (0.0, y0)), h, xb)
+              for y0 in starts]
+    if is_core and ah <= 1e-12:
         # exactly level 1: the band curve degenerates to glides plus the arc
         paths.append(_assemble_symmetric(np.array([(xb, h)]), h, xb, inner))
     return [(weighted_length(p, w), p) for p in paths]

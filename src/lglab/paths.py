@@ -67,7 +67,8 @@ def segment(a, b) -> Polyline:
 
 def rim_wrap(a, b, rho, sign) -> Polyline | None:
     """Tangent + rim arc + tangent from a to b around the disk of radius rho,
-    or None when a or b is not outside it or the arc is not in (1e-9, 3pi/2).
+    or None when a or b lies inside it or the arc is not in (1e-9, 3pi/2).
+    An end on the rim, to a relative 1e-12, starts or ends on the arc.
 
     sign = +1 wraps clockwise (over the top for a left of b), -1
     counterclockwise.  The arc is sampled every RIM_STEP radians on a circle
@@ -75,11 +76,11 @@ def rim_wrap(a, b, rho, sign) -> Polyline | None:
     so that its chords stay outside the disk.
     """
     ra, rb = math.hypot(*a), math.hypot(*b)
-    if ra <= rho or rb <= rho:
+    if min(ra, rb) < rho * (1.0 - 1e-12):
         return None
     # the tangent points' polar angles in the frame mirrored by sign
-    phi_a = math.atan2(sign * a[1], a[0]) - math.acos(rho / ra)
-    phi_b = math.atan2(sign * b[1], b[0]) + math.acos(rho / rb)
+    phi_a = math.atan2(sign * a[1], a[0]) - math.acos(min(1.0, rho / ra))
+    phi_b = math.atan2(sign * b[1], b[0]) + math.acos(min(1.0, rho / rb))
     arc = (phi_a - phi_b) % (2.0 * math.pi)
     if not 1e-9 < arc < 1.5 * math.pi:
         return None

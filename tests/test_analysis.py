@@ -150,6 +150,20 @@ def test_clearance_validates_the_center():
         curvature_clearance(make_weight("constant"), (math.nan, 0.0), 0.2)
 
 
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_clearance_validates_the_radius(r):
+    with pytest.raises(ValueError, match="r must lie"):
+        curvature_clearance(make_weight("constant"), (1.0, 0.0), r)
+
+
+@pytest.mark.parametrize("res, trials, message", [
+    (63, 1, "res must be"), (64, 0, "trials must be")],
+    ids=["res", "trials"])
+def test_submodularity_check_validates_its_sizes(res, trials, message):
+    with pytest.raises(ValueError, match=message):
+        submodularity_check(res=res, trials=trials)
+
+
 def test_submodularity_random_pairs():
     assert submodularity_check(res=128, trials=60, seed=3) == 60
 

@@ -144,6 +144,14 @@ def test_flags_a_command_does_not_read_exit_2(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_malformed_point_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["geodesic", "--from=abc", "--to=0,0",
+                  "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected x,y, got 'abc'" in capsys.readouterr().err
+
+
 def test_solver_failures_exit_3(tmp_path, capsys):
     # the output directory is made only when a file is written
     code, _, err = run(["solve", "--weight", "layered_horizontal",
@@ -152,6 +160,15 @@ def test_solver_failures_exit_3(tmp_path, capsys):
                         str(tmp_path / "cdir" / "sub")], capsys)
     assert code == 3 and "solver failure" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_a_core_level_between_the_sweep_families_solves(tmp_path, capsys):
+    # the 832-level grid puts levels inside the core's gap between its band
+    # and apex families, where the chord would cross its neighbours
+    code, _, err = run(["solve", "--weight", "lite_dmd_heavy_core",
+                        "--levels", "832", "--resolution", "32",
+                        "--outdir", str(tmp_path)], capsys)
+    assert code == 0, err
 
 
 def test_verify_exit_codes(tmp_path, capsys, monkeypatch):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lglab import curves
-from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _core_geometry,
-                          _depart, _heavy_obstacle_options, _pick, _refine,
-                          _SWEEP_BOUNDS, _three_diamond_options,
-                          boundary_points, level_curve)
+from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _band_ends,
+                          _core_geometry, _depart, _heavy_obstacle_options,
+                          _pick, _refine, _SWEEP_BOUNDS,
+                          _three_diamond_options, boundary_points,
+                          level_curve)
 from lglab.paths import Polyline, weighted_length
 from lglab.stacker import midpoint_levels, stack
 from lglab.weights import (STACKABLE, ProfilePiece, RadialWeight,
@@ -361,6 +362,27 @@ def _apex_bounds(w):
     if w.name == "lite_dmd_heavy_core":
         lo += _core_geometry(w)[1]
     return lo, hi
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_levels_between_the_sweep_families_cost_between_their_ends(name,
+                                                                   alpha):
+    # band curves exit up to band_top, apex curves down to the lowest
+    # tabled exit; across the gap between the two (8.8e-5 wide on the
+    # core) the cost runs from one family end to the other, where the
+    # chord would cost 2.39% more on the core
+    w = make_weight(name, alpha)
+    c_lo, c_hi, _, _ = _SWEEP_BOUNDS[name]
+    if name == "lite_dmd_heavy_core":
+        c_lo += _core_geometry(w)[0]
+    band_top = _band_ends(w, c_lo + 1e-12, c_hi)[0]
+    lowest = _apex_grid(w, *_apex_bounds(w))[1].min()
+    for sign, branch in itertools.product((1.0, -1.0), BRANCHES):
+        top, mid, low = (weighted_length(level_curve(
+            w, 1.0 + sign * h, branch).path, w)
+            for h in (band_top, 0.5 * (band_top + lowest), lowest))
+        assert mid == pytest.approx(0.5 * (top + low), rel=1e-6,
+                                    abs=0.0), (sign, branch)
 
 
 @pytest.mark.parametrize("name,alpha", RADIAL)

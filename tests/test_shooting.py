@@ -22,6 +22,14 @@ def test_constant_weight_returns_chord():
     assert cost == 2.0892582415776175  # frozen weighted_length of the chord
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ((1.0, 0.1), (0.0, 0.0), "closed unit disk"),
+    ((0.3, -0.2), (0.3, -0.2), "coincide")], ids=["outside", "coincident"])
+def test_shots_reject_bad_endpoints(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        shoot_two_point(make_weight("constant"), a, b)
+
+
 def _reference_corner_routes(w, a, b):
     """_corner_routes as it was written with an x-order filter and a guard
     around each route: the reference for the plain list."""
@@ -135,6 +143,27 @@ def test_heavy_disk_shot_matches_level_curve(t, branch):
     curve = level_curve(w, t, branch)
     assert cost == pytest.approx(weighted_length(curve.path, w), rel=0.0,
                                  abs=1e-12)
+
+
+@pytest.mark.parametrize("b, arc", [((-0.5, 0.0), math.pi / 2),
+                                    ((0.0, 0.5), math.pi / 4)],
+                         ids=["half", "quarter"])
+def test_a_shot_between_rim_points_runs_along_the_rim(b, arc):
+    # the slow disk's rim costs 1 a unit length, its chord 2
+    w = make_weight("heavy_disk", 2.0)
+    _, cost = shoot_two_point(w, (0.5, 0.0), b, scan_angles=64, n_shells=64)
+    assert cost == pytest.approx(arc, rel=1e-5, abs=0.0)
+
+
+def test_a_shot_from_a_rim_point_that_rounds_inside_starts_on_the_arc():
+    w = make_weight("heavy_disk", 2.0)
+    phi = 0.3454  # 0.5 (cos phi, sin phi) has a radius below 0.5
+    on, off = ((r * math.cos(phi), r * math.sin(phi)) for r in (0.5,
+                                                                0.5 + 1e-9))
+    assert math.hypot(*on) < 0.5 < math.hypot(*off)
+    costs = [shoot_two_point(w, a, (-0.9, 0.1), scan_angles=64,
+                             n_shells=64)[1] for a in (on, off)]
+    assert costs[0] == pytest.approx(costs[1], rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7, 1.0, 1.05, 1.3, 1.7])

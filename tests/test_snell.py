@@ -33,6 +33,20 @@ def test_total_internal_reflection_raised():
         snell_refract(2.0, 1.0, 1.2)
 
 
+def test_a_chain_needs_a_weight():
+    with pytest.raises(ValueError, match="at least one weight"):
+        snell_chain([], 0.3)
+
+
+def test_a_chain_reflects_end_to_end_where_its_steps_round_through():
+    # asin(0.6) rounded up: each interface passes the ray, while the
+    # two-endpoint sine 2.5 sin(theta) / 1.5 rounds above 1
+    theta = 0.6435011087932845
+    snell_refract(2.0, 1.5, snell_refract(2.5, 2.0, theta))
+    with pytest.raises(TotalInternalReflection):
+        snell_chain([2.5, 2.0, 1.5], theta)
+
+
 def test_refract_rejects_bad_inputs():
     with pytest.raises(ValueError):
         snell_refract(-1.0, 2.0, 0.3)

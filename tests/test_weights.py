@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lglab import weights
-from lglab.weights import (Region, catalog_describe, catalog_names,
-                           make_weight)
+from lglab.weights import (ProfilePiece, RadialWeight, Region,
+                           catalog_describe, catalog_names, make_weight)
 
 DISK_XY = st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
 
@@ -25,6 +25,17 @@ def test_catalog_is_stable():
 def test_unknown_name_rejected():
     with pytest.raises(KeyError):
         make_weight("no_such_weight")
+
+
+@pytest.mark.parametrize("norm, pieces, message", [
+    ("linf", ((0.0, math.inf),), "norm must be"),
+    ("l1", ((0.0, 0.5), (0.6, math.inf)), "must tile"),
+    ("l1", ((0.0, 0.5),), "must be unbounded")],
+    ids=["norm", "tiling", "bounded"])
+def test_radial_weights_reject_bad_profiles(norm, pieces, message):
+    with pytest.raises(ValueError, match=message):
+        RadialWeight("bad", norm, tuple(ProfilePiece(lo, hi, 1.0, 0.0)
+                                        for lo, hi in pieces))
 
 
 def test_heavy_diamond_values():
