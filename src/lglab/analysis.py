@@ -333,7 +333,7 @@ def three_diamonds_thresholds(alpha: float = SQRT2) -> tuple[float, float]:
     a diamond would be penalized; the returned roots are alpha-free.
     """
     w = three_heavy_diamonds(alpha)
-    _, under, over, _, apex, _ = _THREE_DIAMOND_VIAS
+    under, over, _, apex, _ = _THREE_DIAMOND_VIAS
 
     def cost(t, verts):
         left, right = boundary_points(t)

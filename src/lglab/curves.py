@@ -1,26 +1,24 @@
 """Level curves of the stacked solution for boundary data f(x, y) = y + 1.
 
 The level-t curve connects the two boundary points at height t - 1 by a
-weighted-shortest path.  Each catalog weight proposes explicit (cost, path)
-candidates, and one rule picks among them for every weight:
+weighted-shortest path.  level_curve proposes the straight chord, each
+catalog family adds its own routes, and _pick alone prices them and keeps
+the cheapest, the branch deciding among tied ones:
 
-* constant: the straight chord.
-* heavy diamond: chord, or a route kinked at an edge entry point or at the
-  top/bottom tip, minimized over the entry-height family.
-* heavy disk: chord, or tangent + rim arc + tangent around the slow disk.
+* constant: the chord alone.
+* heavy diamond: a route kinked at an edge entry point or at the top/bottom
+  tip, minimized over the entry-height family.
+* heavy disk: tangent + rim arc + tangent around the slow disk.
 * three diamonds: piecewise-affine routes through diamond tips, with a level
   band where the route over the small diamond ties the route under it.
 * continuous l1-radial weights (light diamond, tight interpolation, heavy
   core with light ring): curves assembled from refracted quadrant sweeps,
-  from three candidate families (chord, axis-touching band curve, apex
-  curve) solved per level by an exit-height root search.  Band curves
-  exit at heights up to that of the innermost departure, apex curves down
-  to the lowest exit in the apex table; a level in the gap between those
-  two heights takes both family ends, that innermost band curve and the
-  apex curve with the lowest exit.
-
-The pick keeps the cheapest candidates; among tied ones the branch decides
-(see _pick).
+  from two families (axis-touching band curve, apex curve) solved per
+  level by an exit-height root search.  Band curves exit at heights up to
+  that of the innermost departure, apex curves down to the lowest exit in
+  the apex table; a level in the gap between those two heights takes both
+  family ends, that innermost band curve and the apex curve with the
+  lowest exit.
 
 Sweeps work in the first quadrant on a shell grid: crossing a shell of
 signed width dr (negative moving inward) at angle theta from the edge normal
@@ -102,19 +100,21 @@ def _chord(h: float, xb: float) -> Polyline:
     return Polyline(((-xb, h), (xb, h)))
 
 
-def _pick(options, branch: str) -> Polyline:
-    """The path of the cheapest (cost, path) option.
+def _pick(w: WeightField, paths: list[Polyline], branch: str) -> Polyline:
+    """The cheapest of the candidate paths, each priced once by its
+    weighted length; a sole candidate is returned unpriced.
 
-    Options within _TIE_TOL of the cheapest are tied.  Among them the
+    Paths within _TIE_TOL of the cheapest are tied.  Among them the
     minimal branch takes the path highest at x = 0 (the smaller superlevel
     set), the maximal branch the lowest; list order breaks any remaining tie.
     """
-    best = min(cost for cost, _ in options)
-    tied = [path for cost, path in options if cost <= best + _TIE_TOL]
-    if len(tied) == 1:
-        return tied[0]
+    if len(paths) > 1:
+        costs = [weighted_length(path, w) for path in paths]
+        best = min(costs)
+        paths = [path for cost, path in zip(costs, paths)
+                 if cost <= best + _TIE_TOL]
     sign = 1.0 if branch == "minimal" else -1.0
-    return max(tied, key=lambda path: sign * np.interp(
+    return max(paths, key=lambda path: sign * np.interp(
         0.0, *path.as_array().T))
 
 
@@ -342,9 +342,9 @@ _SWEEP_BOUNDS = {
 }
 
 
-def _radial_options(w: RadialWeight, h: float, xb: float,
-                    branch: str) -> list[tuple[float, Polyline]]:
-    """Candidates for the continuous l1-radial weights."""
+def _radial_paths(w: RadialWeight, h: float, xb: float,
+                  branch: str) -> list[Polyline]:
+    """Band and apex routes for the continuous l1-radial weights."""
     c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.name]
     is_core = w.name == "lite_dmd_heavy_core"
     inner = np.empty((0, 2))
@@ -356,7 +356,7 @@ def _radial_options(w: RadialWeight, h: float, xb: float,
         arc_thin = _decimate(arc)
         inner = np.vstack([arc_thin * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
                            arc_thin[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
-    paths = [_chord(h, xb)]
+    paths = []
     ah = abs(h)
     band_top, band_end = _band_ends(w, c_lo + 1e-12, c_hi)
     y0s, exits = _apex_grid(w, y_lo, y_hi)
@@ -380,13 +380,13 @@ def _radial_options(w: RadialWeight, h: float, xb: float,
     if is_core and ah <= 1e-12:
         # exactly level 1: the band curve degenerates to glides plus the arc
         paths.append(_assemble_symmetric(np.array([(xb, h)]), h, xb, inner))
-    return [(weighted_length(p, w), p) for p in paths]
+    return paths
 
 
 # ------------------------------------------------------- heavy obstacles ----
 
 def _diamond_detour(alpha: float, h: float, xb: float,
-                    sign: float) -> Polyline:
+                    sign: float) -> Polyline | None:
     """Cheapest route kinked at the diamond's upper (sign = 1) or lower edge.
 
     The route enters the edge at (-(1/2 - s), sign s), crosses horizontally,
@@ -396,6 +396,7 @@ def _diamond_detour(alpha: float, h: float, xb: float,
     horizontal.  So for alpha < sqrt(2) the minimum is where Snell's law
     holds at the edge, cos p + sin p = alpha, at the root below pi/4 since
     the segment is flatter than the edge; for larger alpha it is the tip.
+    None when that minimum is the chord's own entry.
     """
     hh = sign * h
     best_s = 0.5
@@ -404,36 +405,29 @@ def _diamond_detour(alpha: float, h: float, xb: float,
         s = (hh + tan_p * (xb - 0.5)) / (1.0 - tan_p)
         best_s = min(max(s, hh, 0.0), 0.5)
     if hh > 0 and abs(best_s - hh) < 1e-9:
-        return _chord(h, xb)
+        return None
     pts = [(-xb, h), (-(0.5 - best_s), sign * best_s),
            ((0.5 - best_s), sign * best_s), (xb, h)]
     return Polyline.from_points(np.array(pts))
 
 
-def _heavy_obstacle_options(w: RadialWeight, h: float,
-                            xb: float) -> list[tuple[float, Polyline]]:
-    """Heavy diamond or disk: the chord, and detours above and below the
-    obstacle when the chord meets it (|h| < 1/2).
-
-    Each route is charged its weighted length, since the rim wrap is lifted
-    off the disk.
-    """
-    paths = [_chord(h, xb)]
-    if abs(h) < 0.5:
-        if w.name == "heavy_diamond":
-            paths += [_diamond_detour(w.pieces[0].offset, h, xb, sign)
-                      for sign in (1.0, -1.0)]
-        else:
-            wraps = [rim_wrap((-xb, h), (xb, h), 0.5, s) for s in (1.0, -1.0)]
-            paths += [path for path in wraps if path is not None]
-    return [(weighted_length(p, w), p) for p in paths]
+def _heavy_obstacle_paths(w: RadialWeight, h: float,
+                          xb: float) -> list[Polyline]:
+    """Heavy diamond or disk: detours above and below the obstacle when the
+    chord meets it (|h| < 1/2).  _pick charges each its weighted length,
+    since the rim wrap is lifted off the disk."""
+    if abs(h) >= 0.5:
+        return []
+    paths = [rim_wrap((-xb, h), (xb, h), 0.5, s) if w.name == "heavy_disk"
+             else _diamond_detour(w.pieces[0].offset, h, xb, s)
+             for s in (1.0, -1.0)]
+    return [path for path in paths if path is not None]
 
 
 # Piecewise-affine three-diamond routes between the boundary points, in
-# order: chord, under everything, over the large tips and then over or
-# under the small diamond, and straight to its top or bottom tip.
+# order: under everything, over the large tips and then over or under the
+# small diamond, and straight to its top or bottom tip.
 _THREE_DIAMOND_VIAS = (
-    (),
     ((-0.5, -0.25), (0.5, -0.25)),
     ((-0.5, 0.25), (0.0, 0.375), (0.5, 0.25)),
     ((-0.5, 0.25), (0.0, 0.125), (0.5, 0.25)),
@@ -442,15 +436,10 @@ _THREE_DIAMOND_VIAS = (
 )
 
 
-def _three_diamond_options(w: MultiDiamondWeight, h: float,
-                           xb: float) -> list[tuple[float, Polyline]]:
-    out = []
-    for via in _THREE_DIAMOND_VIAS:
-        if via and all(y == h for _, y in via):
-            continue  # the chord itself, with collinear vertices on it
-        poly = Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
-        out.append((weighted_length(poly, w), poly))
-    return out
+def _three_diamond_paths(h: float, xb: float) -> list[Polyline]:
+    # a via level with h would be the chord itself, with collinear vertices
+    return [Polyline.from_points(np.array([(-xb, h), *via, (xb, h)]))
+            for via in _THREE_DIAMOND_VIAS if any(y != h for _, y in via)]
 
 
 def level_curve(w: WeightField, t: float,
@@ -464,16 +453,16 @@ def level_curve(w: WeightField, t: float,
         raise ValueError(f"branch must be one of {BRANCHES}")
     _, (xb, h) = boundary_points(t)
     if isinstance(w, ConstantWeight):
-        return LevelCurve(t, branch, _chord(h, xb))
-    if isinstance(w, MultiDiamondWeight):
-        options = _three_diamond_options(w, h, xb)
+        routes = []
+    elif isinstance(w, MultiDiamondWeight):
+        routes = _three_diamond_paths(h, xb)
     elif isinstance(w, RadialWeight) and w.name in ("heavy_diamond",
                                                     "heavy_disk"):
-        options = _heavy_obstacle_options(w, h, xb)
+        routes = _heavy_obstacle_paths(w, h, xb)
     elif isinstance(w, RadialWeight) and w.name in _SWEEP_BOUNDS:
-        options = _radial_options(w, h, xb, branch)
+        routes = _radial_paths(w, h, xb, branch)
     else:
         raise NotImplementedError(
             f"no level-curve construction for {type(w).__name__}; "
             "use the grid oracle")
-    return LevelCurve(t, branch, _pick(options, branch))
+    return LevelCurve(t, branch, _pick(w, [_chord(h, xb), *routes], branch))

@@ -207,7 +207,7 @@ def _drawn_levels(stack: SolutionStack) -> range:
     """Indices of the levels that svg_text draws and curves_csv lists: every
     stride-th from the first, the least stride that keeps _SOLVE_CURVES."""
     count = len(stack.levels)
-    return range(0, count, max(1, (count - 1) // (_SOLVE_CURVES - 1)))
+    return range(0, count, (count - 1) // _SOLVE_CURVES + 1)
 
 
 def svg_text(stack: SolutionStack) -> str:

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from lglab import curves
 from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _band_ends,
-                          _core_geometry, _depart, _heavy_obstacle_options,
-                          _pick, _refine, _SWEEP_BOUNDS,
-                          _three_diamond_options, boundary_points,
-                          level_curve)
+                          _chord, _core_geometry, _depart,
+                          _heavy_obstacle_paths, _pick, _refine,
+                          _SWEEP_BOUNDS, _three_diamond_paths,
+                          boundary_points, level_curve)
 from lglab.paths import Polyline, weighted_length
 from lglab.stacker import midpoint_levels, stack
 from lglab.weights import (STACKABLE, ProfilePiece, RadialWeight,
@@ -99,9 +99,12 @@ def test_interior_diamond_detour_obeys_snell_at_the_edge(alpha):
         (_, h), (xb, _) = boundary_points(t)
         for sign in (1.0, -1.0):
             if abs(h) >= 0.5:
-                continue  # the detours _heavy_obstacle_options proposes
-            arr = curves._diamond_detour(alpha, h, xb, sign).as_array()
-            s = sign * arr[1, 1] if len(arr) == 4 else 0.5
+                continue  # the detours _heavy_obstacle_paths proposes
+            path = curves._diamond_detour(alpha, h, xb, sign)
+            if path is None:
+                continue  # the chord's own entry
+            arr = path.as_array()
+            s = sign * arr[1, 1]
             if not max(sign * h, 0.0) < s < 0.5:
                 continue
             interior += 1
@@ -195,56 +198,62 @@ def test_heavy_options_cost_their_weighted_length(name):
         w = make_weight(name, alpha)
         for t in midpoint_levels(41):
             _, (xb, h) = boundary_points(float(t))
-            options = _heavy_obstacle_options(w, h, xb)
-            for cost, path in options:
-                assert cost == pytest.approx(weighted_length(path, w),
-                                             abs=1e-12)
+            costs = [weighted_length(path, w) for path in
+                     (_chord(h, xb), *_heavy_obstacle_paths(w, h, xb))]
+            for branch in BRANCHES:
+                path = level_curve(w, float(t), branch).path
+                assert weighted_length(path, w) == pytest.approx(
+                    min(costs), abs=1e-12)
             if name == "heavy_diamond":
                 # the chord crosses the l1 ball over |x| < 1/2 - |h|
                 m = max(0.0, 0.5 - abs(h))
-                assert options[0][0] == pytest.approx(
+                assert costs[0] == pytest.approx(
                     2.0 * (xb - m) + 2.0 * alpha * m, abs=1e-12)
 
 
 # Frozen copies of the two route filters that ran before _pick: a
 # three-diamond detour costing more than its Euclidean length was skipped,
 # and a heavy-diamond detour away from h was withheld once |h| > xb - 1/2.
-def _three_diamond_filter(options, h, xb):
+def _three_diamond_filter(w, paths, h, xb):
     out = []
-    for cost, path in options:
+    for path in paths:
         steps = np.diff(path.as_array(), axis=0)
-        if len(steps) > 1 and cost > np.hypot(*steps.T).sum() + 1e-9:
+        if len(steps) > 1 and (weighted_length(path, w)
+                               > np.hypot(*steps.T).sum() + 1e-9):
             continue
-        out.append((cost, path))
+        out.append(path)
     return out
 
 
-def _heavy_diamond_filter(options, h, xb):
-    options = list(options)
-    if len(options) == 3 and abs(h) > xb - 0.5:
-        del options[2 if h > 0.0 else 1]  # detours come as (above, below)
-    return options
+def _heavy_diamond_filter(w, paths, h, xb):
+    # at x = 0 the detour away from h lies on the x-axis or across it,
+    # while the chord and the detour toward h lie on h's side
+    if abs(h) <= xb - 0.5:
+        return list(paths)
+    return [path for path in paths
+            if h * np.interp(0.0, *path.as_array().T) > 0.0]
 
 
-@pytest.mark.parametrize("name,alphas,options,old_filter", [
+@pytest.mark.parametrize("name,alphas,routes,old_filter", [
     ("three_heavy_diamonds", (math.sqrt(2.0), 2.0, 5.0),
-     _three_diamond_options, _three_diamond_filter),
-    ("heavy_diamond", (1.05, 1.3, 2.0, 5.0), _heavy_obstacle_options,
+     lambda w, h, xb: _three_diamond_paths(h, xb), _three_diamond_filter),
+    ("heavy_diamond", (1.05, 1.3, 2.0, 5.0), _heavy_obstacle_paths,
      _heavy_diamond_filter),
 ], ids=["three_heavy_diamonds", "heavy_diamond"])
 def test_pick_rejects_every_route_the_old_filters_dropped(name, alphas,
-                                                          options,
+                                                          routes,
                                                           old_filter):
     dropped = 0
     for alpha in alphas:
         w = make_weight(name, alpha)
         for t in midpoint_levels(401):
             _, (xb, h) = boundary_points(float(t))
-            every = options(w, h, xb)
-            kept = old_filter(every, h, xb)
+            every = [_chord(h, xb), *routes(w, h, xb)]
+            kept = old_filter(w, every, h, xb)
             dropped += len(every) - len(kept)
             for branch in BRANCHES:
-                assert _pick(every, branch) == _pick(kept, branch), (alpha, t)
+                assert _pick(w, every, branch) == _pick(w, kept, branch), (
+                    alpha, t)
     assert dropped > 0
 
 
@@ -254,7 +263,7 @@ def test_three_diamond_routes_are_distinct():
         _, (xb, h) = boundary_points(float(t))
         xs = np.linspace(-xb, xb, 101)
         profiles = [np.interp(xs, *path.as_array().T)
-                    for _, path in _three_diamond_options(w, h, xb)]
+                    for path in (_chord(h, xb), *_three_diamond_paths(h, xb))]
         for a, b in itertools.combinations(profiles, 2):
             assert np.abs(a - b).max() > 1e-9, t
     # h = -1/4: the route under everything is the chord itself

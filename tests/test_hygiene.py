@@ -101,6 +101,17 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} asserts on lines {lines}"
 
 
+def test_only_pick_prices_level_curve_routes():
+    # the families propose routes and _pick alone prices them
+    callers = [getattr(top, "name", f"line {top.lineno}")
+               for top in _tree(SRC / "curves.py").body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and "weighted_length" in (
+                   getattr(node.func, "id", None),
+                   getattr(node.func, "attr", None))]
+    assert callers == ["_pick"], f"curves.py prices routes in {callers}"
+
+
 def test_private_helpers_are_referenced_and_do_work():
     trees = {p.name: _tree(p) for p in [SRC / "__init__.py", *MODULES]}
     used = set().union(*(_used_names(t) for t in trees.values()))

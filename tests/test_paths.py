@@ -313,3 +313,12 @@ def test_a_diamond_exit_at_its_tip_is_a_cut():
     half = 0.5 * math.sqrt(0.4)
     got = weighted_length(segment((-0.55, -0.1), (0.05, 0.1)), w)
     assert got == pytest.approx(half * (w.alpha + 1.0), rel=1e-14)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a piece on a diamond edge is priced by the side its midpoint rounds "
+    "to: 0.682842712474619, not the inf of the one-sided limits"))
+def test_a_segment_along_a_diamond_edge_costs_the_inf_of_its_limits():
+    w = make_weight("three_heavy_diamonds", math.sqrt(2.0))
+    got = weighted_length(segment((-0.7, 0.45), (-0.3, 0.05)), w)
+    assert got == pytest.approx(0.565685424949238, rel=0.0, abs=1e-12)

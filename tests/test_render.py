@@ -1,6 +1,7 @@
 """Artifact writers must be format-correct and byte-stable."""
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_write_text_writes_long_texts_in_slices(tmp_path):
 
 def _reference_stride(stack) -> int:
     """The step between drawn levels: the least that keeps 41 curves."""
-    return max(1, (len(stack.levels) - 1) // 40)
+    return (len(stack.levels) - 1) // 41 + 1
 
 
 def _reference_svg(stack) -> str:
@@ -255,6 +256,16 @@ def test_writers_match_the_per_vertex_references(preset_stacks, name):
     for i in (0, 10, 20):
         path = s.curves[i].path
         assert geodesic_csv(path) == _reference_geodesic_csv(path)
+
+
+def test_the_least_stride_that_keeps_41_curves_is_drawn():
+    # a stride of floor((count - 1) / 40) drew 60 curves at 60 levels
+    for count in range(16, 2002):
+        s = SimpleNamespace(levels=np.empty(count))
+        drawn = render._drawn_levels(s)
+        assert drawn.start == 0 and len(drawn) <= 41, count
+        assert drawn.step == 1 or len(range(0, count, drawn.step - 1)) > 41
+        assert drawn.step == _reference_stride(s), count
 
 
 def test_writers_match_the_references_at_stride_two(small_stack):
