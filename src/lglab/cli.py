@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
 failure.  The LGL_OUT environment variable overrides any configured
-output directory.  solve, figure and geodesic take --timings, which
-prints the seconds spent stacking or shooting, rendering and writing to
-stderr only, so stdout and the artifacts stay byte-identical.
+output directory.  solve, figure and geodesic take --timings: the seconds
+spent building sweep tables, stacking or shooting, rendering and writing
+go to stderr only, so stdout and the artifacts stay byte-identical.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .analysis import _suite_names, run_suite
 from .config import RunConfig, load_config, parse_layers, serialize_config
+from .curves import sweep_tables
 from .paths import Polyline, weighted_length
 from .render import (curves_csv, geodesic_csv, pgm_text, report_csv,
                      svg_text, write_text)
@@ -105,9 +106,11 @@ def _solve(cfg: RunConfig, outdir: Path, timings: bool = False) -> int:
 
     With timings, the seconds of each stage go to stderr.
     """
-    seconds, timed = _stopwatch("stack", "pgm", "svg", "csv", "write")
-    s = timed("stack", stack, _build_weight(cfg),
-              levels=midpoint_levels(cfg.levels),
+    seconds, timed = _stopwatch("tables", "stack", "pgm", "svg", "csv",
+                                "write")
+    w = _build_weight(cfg)
+    timed("tables", sweep_tables, w)
+    s = timed("stack", stack, w, levels=midpoint_levels(cfg.levels),
               policy=SwitchPolicy(cfg.switch_level), res=cfg.resolution)
     timed("write", write_text, outdir / "solution.pgm",
           timed("pgm", pgm_text, s.field))

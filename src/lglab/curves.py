@@ -23,7 +23,9 @@ the cheapest, the branch deciding among tied ones:
 Sweeps work in the first quadrant on a shell grid: crossing a shell of
 signed width dr (negative moving inward) at angle theta from the edge normal
 advances by (dr/2)(1 + tan, 1 - tan), and sin(theta) in each shell is the
-conserved kappa over the shell weight (see _run).
+conserved kappa over the shell weight (see _shell_step).  Tables and root
+searches read only where sweeps exit, as running sums of those steps (see
+_exits); a sweep's path is built only for a curve that is drawn.
 """
 from __future__ import annotations
 
@@ -40,9 +42,9 @@ from .weights import (SQRT2, ConstantWeight, MultiDiamondWeight, RadialWeight,
 
 SWEEP_SHELLS = 4096  # l1 shells each level-curve sweep crosses
 _APEX_STARTS = 1024  # evenly spaced starts in the apex table
-# (start, shell) pairs per apex-table block: its temporaries, under 1 MB, are
-# reused block to block; at 2^15 pairs the allocator handed them back after
-# each block, and every block page-faulted them in again
+# (start, shell) pairs per temporary of a blocked sweep (an _exits chunk, a
+# tracer leg), 96 KiB: at 2^15 pairs the allocator handed the temporaries
+# back after each block, and every block page-faulted them in again
 _BLOCK = 12288
 
 BRANCHES = ("minimal", "maximal")
@@ -122,31 +124,33 @@ def _decimate(pts: np.ndarray) -> np.ndarray:
     """Thin a dense sweep polyline, always keeping both endpoints."""
     if len(pts) <= _DECIMATE_TARGET:
         return pts
-    stride = max(1, len(pts) // _DECIMATE_TARGET)
-    idx = list(range(0, len(pts) - 1, stride))
-    idx.append(len(pts) - 1)
-    return pts[idx]
+    return pts[[*range(0, len(pts) - 1, len(pts) // _DECIMATE_TARGET), -1]]
 
 
 # ---------------------------------------------------------------- sweeps ----
+
+def _shell_step(s):
+    """(tir, tan): the shells that reflect a sweep and tan(theta) in each,
+    in place on s = sin(theta) = kappa / weight, clipped below 1."""
+    tir = s >= 1.0 - 1e-13
+    np.minimum(s, 1.0 - 1e-13, out=s)
+    tan = np.multiply(s, s)
+    np.sqrt(np.subtract(1.0, tan, out=tan), out=tan)
+    return tir, np.divide(s, tan, out=tan)
+
 
 def _run(radii, weights, kappa):
     """Offsets from its start of a monotone run across l1 shells.
 
     radii[..., k] are the shell radii in the order crossed, rising outward
     and falling inward; weights[..., k] is the weight between radii k and
-    k + 1.  sin(theta) = kappa / weight for kappa >= 0, clipped below 1 on
-    the shells that reflect the run; a shell of signed width dr moves it
-    (dr/2)(1 + tan, 1 - tan).  Returns (tir, offsets): the reflecting
+    k + 1.  A shell of signed width dr moves the run (dr/2)(1 + tan,
+    1 - tan), tan from _shell_step.  Returns (tir, offsets): the reflecting
     shells, and the x and y offsets at each radius, summed in shell order.
     """
     # in place, so that a block's temporaries stay few (see _BLOCK)
     s = kappa / weights
-    tir = s >= 1.0 - 1e-13
-    np.minimum(s, 1.0 - 1e-13, out=s)
-    tan = np.multiply(s, s)
-    np.sqrt(np.subtract(1.0, tan, out=tan), out=tan)
-    np.divide(s, tan, out=tan)
+    tir, tan = _shell_step(s)
     half = np.subtract(radii[..., 1:], radii[..., :-1])
     half *= 0.5
     offsets = np.zeros((2, *radii.shape))
@@ -158,31 +162,18 @@ def _run(radii, weights, kappa):
 
 
 def _climb(w: RadialWeight, start, kappa):
-    """Outward quadrant-1 sweep from start to the unit circle, drifting +x.
-
-    start is a point with x, y >= 0 and kappa its conserved quantity, or a
-    block of points (m, 2) with m kappas.  A block crosses the shells from
-    its innermost start on; a shell inside a row's start has zero width and
-    infinite weight, so the row repeats its start, then matches its own
-    sweep bit for bit.  Raises on total internal reflection, which none of
-    the curve families here is allowed to reach.
-    """
+    """Outward quadrant-1 sweep from start (x, y >= 0) to the unit circle,
+    drifting +x, at conserved kappa.  Raises on total internal reflection,
+    which no curve family here may reach."""
     r, wk = w.shell_grid(SWEEP_SHELLS)
-    rho0 = start[..., :1] + start[..., 1:]
-    k0 = np.searchsorted(r, rho0 + 1e-13, side="right") - 1
-    kb = int(k0.min())
+    rho0 = start[0] + start[1]
+    k0 = int(np.searchsorted(r, rho0 + 1e-13, side="right")) - 1
     # clip the partial first shell; the sweep ends at the outermost radius
-    inside = np.arange(kb, len(r)) <= k0
-    radii = np.where(inside, rho0, r[kb:])
-    weights = np.where(inside[..., 1:], np.inf, wk[kb:-1])
-    tir, offsets = _run(radii, weights, kappa[..., None])
+    tir, offsets = _run(np.append(rho0, r[k0 + 1:]), wk[k0:-1], kappa)
     if np.any(tir):
         raise ValueError("sweep hit total internal reflection")
-    pts = np.empty((*radii.shape[:-1], radii.shape[-1] + 1, 2))
-    for j in (0, 1):
-        np.add(start[..., j, None], offsets[j], out=pts[..., :-1, j])
-    pts[..., -1, :] = _rim_step(pts[..., -2, :], kappa, w)
-    return pts
+    pts = start + offsets.T
+    return np.vstack([pts, _rim_step(pts[-1], kappa, w)])
 
 
 def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
@@ -195,13 +186,45 @@ def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
     return p + t[..., None] * v
 
 
-def _depart(w: RadialWeight, start) -> np.ndarray:
-    """Outward sweep leaving start, a point (or block of points) on an axis,
-    horizontally: at 45 degrees to the edge normal kappa is w(start)/sqrt(2).
-    """
+def _exits(w: RadialWeight, start, kappa) -> np.ndarray:
+    """Last point of _climb(w, start, kappa), bit for bit, with no path; a
+    block's starts must rise in l1 radius.  Row 0 of a shells-major buffer
+    holds the running offsets; np.add.reduce adds the next shells' steps
+    below it row by row, as cumsum does (a lone column it adds pairwise)."""
+    r, wk = w.shell_grid(SWEEP_SHELLS)
+    starts, kappas = start.reshape(-1, 2), kappa.reshape(-1)
+    rho0 = starts[:, 0] + starts[:, 1]
+    k0 = np.searchsorted(r, rho0 + 1e-13, side="right") - 1
+    rows = max(2, min(_BLOCK // len(k0), len(r) - int(k0[0])))
+    buf = np.zeros((2, rows, len(k0)))
+    for k in range(int(k0[0]), len(r) - 1, rows - 1):
+        n = min(rows, len(r) - k)  # radii k .. k + n - 1
+        # columns [:p] started below these shells, [p:m] start among them
+        p, m = k0.searchsorted([k - 1, k + n - 2], side="right")
+        inside = np.arange(k, k + n)[:, None] <= k0[p:m]
+        radii = np.where(inside, rho0[p:m], r[k:k + n, None])
+        s = kappas[:m] / wk[k:k + n - 1, None]
+        np.copyto(s[:, p:], 0.0, where=inside[1:])  # no reflection inside
+        tir, tan = _shell_step(s)
+        if tir.any():
+            raise ValueError("sweep hit total internal reflection")
+        sums = buf[:, :n, :m]
+        np.add(1.0, tan, out=sums[0, 1:])
+        np.subtract(1.0, tan, out=sums[1, 1:])
+        sums[:, 1:, :p] *= (r[k + 1:k + n] - r[k:k + n - 1])[:, None] * 0.5
+        sums[:, 1:, p:] *= (radii[1:] - radii[:-1]) * 0.5
+        sums[:, 0] = (np.add.reduce(sums, axis=1) if m > 1
+                      else np.cumsum(sums, axis=1)[:, -1])
+    return _rim_step(start + buf[:, 0].T.reshape(start.shape), kappa, w)
+
+
+def _depart(w: RadialWeight, start, exits: bool = False) -> np.ndarray:
+    """Outward sweep leaving start, a point on an axis (or with exits, only
+    the exits of a point or block): horizontally, at 45 degrees to the edge
+    normal, so kappa is w(start)/sqrt(2)."""
     start = np.asarray(start, dtype=float)
     kappa = w.values(start[..., 0], start[..., 1]) / SQRT2
-    return _climb(w, start, kappa)
+    return (_exits if exits else _climb)(w, start, kappa)
 
 
 def _glide_in(w: RadialWeight, a: float):
@@ -297,26 +320,16 @@ def _core_geometry(w: RadialWeight):
 @lru_cache(maxsize=32)
 def _apex_grid(w: RadialWeight, lo: float, hi: float):
     """Exit heights of _depart(w, (0, y0)) for _APEX_STARTS starts y0
-    evenly spaced over [lo, hi], departing in blocks of at most about _BLOCK
-    (start, shell) pairs; outer starts cross fewer shells, so more fit."""
+    evenly spaced over [lo, hi], from running shell sums, with no paths."""
     y0s = np.linspace(lo, hi, _APEX_STARTS)
-    starts = np.column_stack([np.zeros_like(y0s), y0s])
-    kappas = w.profile(y0s) / SQRT2
-    r = w.shell_grid(SWEEP_SHELLS)[0]
-    shells = len(r) - np.searchsorted(r, y0s)
-    exits = np.empty_like(y0s)
-    i = 0
-    while i < len(y0s):
-        b = slice(i, i + max(1, _BLOCK // int(shells[i])))
-        exits[b] = _climb(w, starts[b], kappas[b])[:, -1, 1]
-        i = b.stop
-    return y0s, exits
+    return y0s, _depart(w, y0s[:, None] * (0.0, 1.0), exits=True)[:, 1]
 
 
 @lru_cache(maxsize=32)
 def _band_ends(w: RadialWeight, lo: float, hi: float):
-    """Exit heights of the band curves departing the x-axis at lo and hi."""
-    return tuple(_depart(w, (c, 0.0))[-1, 1] for c in (lo, hi))
+    """Exit heights of the band curves departing the x-axis at lo and hi,
+    from running shell sums, with no paths."""
+    return tuple(_depart(w, [(lo, 0.0), (hi, 0.0)], exits=True)[:, 1])
 
 
 def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
@@ -342,37 +355,46 @@ _SWEEP_BOUNDS = {
 }
 
 
+def sweep_tables(w: WeightField):
+    """Build the cached sweep data of a continuous l1-radial weight, and
+    return its band range, band ends and apex table; None for others."""
+    if not (isinstance(w, RadialWeight) and w.name in _SWEEP_BOUNDS):
+        return None
+    c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.name]
+    if w.name == "lite_dmd_heavy_core":
+        a_star, h_star, _ = _core_geometry(w)
+        c_lo, y_lo = a_star + c_lo, h_star + y_lo
+    band = (c_lo + 1e-12, c_hi)
+    return band, _band_ends(w, *band), _apex_grid(w, y_lo, y_hi)
+
+
 def _radial_paths(w: RadialWeight, h: float, xb: float,
                   branch: str) -> list[Polyline]:
     """Band and apex routes for the continuous l1-radial weights."""
-    c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.name]
+    (c_lo, c_hi), (band_top, band_end), (y0s, exits) = sweep_tables(w)
     is_core = w.name == "lite_dmd_heavy_core"
     inner = np.empty((0, 2))
     if is_core:
-        a_star, h_star, arc = _core_geometry(w)
-        c_lo, y_lo = a_star + c_lo, h_star + y_lo
         # band curves run through the shared inner arc, lifted by the branch
         sign = 1.0 if branch == "minimal" else -1.0
-        arc_thin = _decimate(arc)
+        arc_thin = _decimate(_core_geometry(w)[2])
         inner = np.vstack([arc_thin * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
                            arc_thin[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
     paths = []
     ah = abs(h)
-    band_top, band_end = _band_ends(w, c_lo + 1e-12, c_hi)
-    y0s, exits = _apex_grid(w, y_lo, y_hi)
     if band_top <= ah <= exits.min():
         # in the gap between the families: both family ends compete
         starts = [y0s[np.argmin(exits)]]
-        paths.append(_assemble_symmetric(_depart(w, (c_lo + 1e-12, 0.0)),
+        paths.append(_assemble_symmetric(_depart(w, (c_lo, 0.0)),
                                          h, xb, inner))
     else:
         if 1e-12 < ah < band_top:  # the axis-touching band curve
-            c = _refine(lambda cc: _depart(w, (cc, 0.0))[-1, 1] - ah,
-                        c_lo + 1e-12, c_hi, band_top - ah, band_end - ah)
+            c = _refine(lambda cc: _depart(w, (cc, 0.0), exits=True)[1] - ah,
+                        c_lo, c_hi, band_top - ah, band_end - ah)
             paths.append(_assemble_symmetric(_depart(w, (c, 0.0)),
                                              h, xb, inner))
         diff = exits - ah  # every apex curve whose exit height is ah
-        starts = [_refine(lambda y: _depart(w, (0.0, y))[-1, 1] - ah,
+        starts = [_refine(lambda y: _depart(w, (0.0, y), exits=True)[1] - ah,
                           y0s[i], y0s[i + 1], diff[i], diff[i + 1])
                   for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
     paths += [_assemble_symmetric(_depart(w, (0.0, y0)), h, xb)

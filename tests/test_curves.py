@@ -351,19 +351,23 @@ def test_refiner_without_a_sign_change_returns_the_collapse_end():
 @pytest.mark.parametrize("name,alpha", RADIAL)
 def test_radial_stack_sweep_count(monkeypatch, name, alpha):
     # a warm 21-level stack made about 960 quadrant sweeps with 45-step
-    # bisection and makes about 150 with the refiner
+    # bisection and makes about 150 with the refiner; the root searches
+    # read only exits, and only drawn curves climb along their paths
     w = make_weight(name, alpha)
     stack(w, midpoint_levels(21))
     calls = []
-    climb = curves._climb
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return climb(*args, **kwargs)
+    def counting(sweep):
+        def counted(*args, **kwargs):
+            calls.append(sweep.__name__)
+            return sweep(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(curves, "_climb", counting)
+    for sweep in ("_climb", "_exits"):
+        monkeypatch.setattr(curves, sweep, counting(getattr(curves, sweep)))
     stack(w, midpoint_levels(21))
-    assert 0 < len(calls) <= 300
+    assert 0 < calls.count("_climb") < calls.count("_exits")
+    assert len(calls) <= 300
 
 
 def _apex_bounds(w):
@@ -402,6 +406,39 @@ def test_apex_table_matches_one_departure_per_start_bit_for_bit(name, alpha):
     assert exits.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n_starts", [1024, 7])
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_apex_table_matches_the_frozen_blocked_table(monkeypatch, name,
+                                                     alpha, n_starts):
+    w = make_weight(name, alpha)
+    monkeypatch.setattr(curves, "_APEX_STARTS", n_starts)
+    for bounds in (_apex_bounds(w), (0.49, 0.549)):
+        y0s, exits = _apex_grid.__wrapped__(w, *bounds)
+        ref_y0s, ref = _reference_apex_grid(w, *bounds)
+        assert _same(y0s, ref_y0s) and _same(exits, ref), bounds
+
+
+@pytest.mark.parametrize("name,alpha", STACKABLE)
+def test_sweep_tables_hold_all_that_the_level_curves_read(name, alpha):
+    w = make_weight(name, alpha)
+    tables = (_apex_grid, _band_ends, _core_geometry)
+    for table in tables:
+        table.cache_clear()
+    got = curves.sweep_tables(w)
+    built = [table.cache_info() for table in tables]
+    if name not in _SWEEP_BOUNDS:
+        assert got is None and all(info.currsize == 0 for info in built)
+        return
+    band, (band_top, band_end), (y0s, exits) = got
+    assert (band_top, band_end) == _band_ends(w, *band)
+    assert _same(exits, _apex_grid(w, *_apex_bounds(w))[1])
+    for t in (0.3, 0.99, 1.0, 1.4):
+        for branch in BRANCHES:
+            level_curve(w, t, branch)
+    assert [table.cache_info().misses for table in tables] == [
+        info.misses for info in built]
+
+
 def test_apex_table_ignores_the_shells_inside_each_start(monkeypatch):
     # one block holds starts in the light core and high on its ramp, where
     # the core's shell would reflect the ramp start's horizontal kappa
@@ -422,17 +459,24 @@ def test_apex_table_raises_on_total_internal_reflection():
 
 
 def test_cold_apex_table_stays_small():
-    # (starts x shells) blocks of about 2**15 elements, not one 1024 x 4096
-    # array of 32 MB per temporary
-    w = make_weight("light_diamond", 0.5)
-    tracemalloc.start()
-    try:
-        w.shell_grid.__wrapped__(w, curves.SWEEP_SHELLS)
-        _apex_grid.__wrapped__(w, *_apex_bounds(w))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+    # chunks of about curves._BLOCK (start, shell) pairs, not one 1024 x
+    # 4096 array of 32 MB per temporary: the traced peaks, shell grid
+    # included, read 775, 710 and 645 KiB.  A chunk's temporaries take
+    # 96 KiB and the running-sum buffer 192 KiB, the sizes of the old
+    # blocked climb's: freeing much larger blocks moved the allocator state
+    # that perfbench's speed probe times with its 800 KB arrays, and so
+    # every probe-scaled metric.
+    for name, alpha in RADIAL:
+        w = make_weight(name, alpha)
+        bounds = _apex_bounds(w)
+        tracemalloc.start()
+        try:
+            w.shell_grid.__wrapped__(w, curves.SWEEP_SHELLS)
+            _apex_grid.__wrapped__(w, *bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2 ** 17, name
 
 
 # ----------------------------------------------- frozen shell-step sweeps ----
@@ -497,6 +541,44 @@ def _reference_depart(w, start, n_shells):
     return _reference_climb(w, start, kappa, n_shells)
 
 
+def _reference_block_climb(w, start, kappa):
+    """Last points of the outward sweeps from a block of starts (m, 2), as
+    the blocked climb built the apex table before exits were running sums:
+    the block crosses the shells from its innermost start on, and a shell
+    inside a row's start has zero width and infinite weight."""
+    r, wk = w.shell_grid(curves.SWEEP_SHELLS)
+    rho0 = start[:, :1] + start[:, 1:]
+    k0 = np.searchsorted(r, rho0 + 1e-13, side="right") - 1
+    kb = int(k0.min())
+    inside = np.arange(kb, len(r)) <= k0
+    radii = np.where(inside, rho0, r[kb:])
+    s = kappa[:, None] / np.where(inside[:, 1:], np.inf, wk[kb:-1])
+    if np.any(s >= 1.0 - 1e-13):
+        raise ValueError("sweep hit total internal reflection")
+    tan = s / np.sqrt(1.0 - s * s)
+    half = (radii[:, 1:] - radii[:, :-1]) * 0.5
+    ends = np.column_stack([np.cumsum(half * (1.0 + tan), axis=1)[:, -1],
+                            np.cumsum(half * (1.0 - tan), axis=1)[:, -1]])
+    return curves._rim_step(start + ends, kappa, w)
+
+
+def _reference_apex_grid(w, lo, hi):
+    """The apex table as it was built from blocked climbs of about
+    curves._BLOCK (start, shell) pairs each."""
+    y0s = np.linspace(lo, hi, curves._APEX_STARTS)
+    starts = np.column_stack([np.zeros_like(y0s), y0s])
+    kappas = w.profile(y0s) / math.sqrt(2.0)
+    r = w.shell_grid(curves.SWEEP_SHELLS)[0]
+    shells = len(r) - np.searchsorted(r, y0s)
+    exits = np.empty_like(y0s)
+    i = 0
+    while i < len(y0s):
+        b = slice(i, i + max(1, curves._BLOCK // int(shells[i])))
+        exits[b] = _reference_block_climb(w, starts[b], kappas[b])[:, 1]
+        i = b.stop
+    return y0s, exits
+
+
 def _sweep_radii(r, rng, k=12):
     """Seeded radii in (0, 1): random ones, shell radii themselves and
     radii within 1e-13 of a shell radius, on both sides."""
@@ -534,22 +616,67 @@ def test_departures_match_the_frozen_sweep_bit_for_bit(monkeypatch, name,
     assert "exit" in outcomes
 
 
+def _exit_starts(w):
+    """Seeded starts on both axes, each axis's rising in l1 radius: random
+    radii, shell radii and radii 1e-13 off them, the outermost shell radius
+    and radii beyond it, where no finite shell is left to cross, and 0.05,
+    from where the core weight's horizontal sweep reflects."""
+    r, _ = w.shell_grid(curves.SWEEP_SHELLS)
+    rhos = sorted(_sweep_radii(r, np.random.default_rng(30)) + [0.05]
+                  + [r[-1] + d for d in (-1e-13, 0.0, 1e-13, 0.01)
+                     if r[-1] + d < 1.0])
+    return [[(rho, 0.0) for rho in rhos], [(0.0, rho) for rho in rhos]]
+
+
 @pytest.mark.parametrize("name,alpha", RADIAL)
-def test_block_departures_repeat_each_start_then_match_its_own(monkeypatch,
-                                                              name, alpha):
+def test_exits_match_the_departures_last_point_bit_for_bit(monkeypatch,
+                                                          name, alpha):
     w = make_weight(name, alpha)
-    n_shells = 1024
-    monkeypatch.setattr(curves, "SWEEP_SHELLS", n_shells)
-    rng = np.random.default_rng(3)
-    ys = np.sort(rng.uniform(0.2, 0.9, 5))
-    starts = np.column_stack([np.zeros_like(ys), ys])
-    block = curves._depart(w, starts)
-    for row, y0 in zip(block, ys):
-        own = _reference_depart(w, (0.0, y0), n_shells)
-        lead = len(row) - len(own)
-        assert lead >= 0
-        assert np.all(row[:lead + 1] == (0.0, y0))
-        assert _same(row[lead:], own)
+    r, _ = w.shell_grid(curves.SWEEP_SHELLS)
+    outcomes = set()
+    # a _BLOCK of 5 runs the shells in chunks of four
+    for block in (curves._BLOCK, 5):
+        monkeypatch.setattr(curves, "_BLOCK", block)
+        for start in itertools.chain(*_exit_starts(w)):
+            try:
+                ref = _depart(w, start)[-1]
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    _depart(w, start, exits=True)
+                outcomes.add("tir")
+                continue
+            got = _depart(w, start, exits=True)
+            assert _same(got, ref), (block, start)
+            assert _same(_depart(w, [start], exits=True)[0], ref), start
+            outcomes.add("beyond" if sum(start) + 1e-13 >= r[-1] < 1.0
+                         else "exit")
+    assert "exit" in outcomes
+    assert ("tir" in outcomes) == (name == "lite_dmd_heavy_core")
+    assert ("beyond" in outcomes) == (name == "light_diamond")
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_block_exits_match_each_start_alone(monkeypatch, name, alpha):
+    # a block crosses the shells from its innermost start on, each start
+    # joining at its own shell; a _BLOCK of 64 runs one shell per chunk
+    w = make_weight(name, alpha)
+    for block in (curves._BLOCK, 64):
+        monkeypatch.setattr(curves, "_BLOCK", block)
+        for starts in _exit_starts(w):
+            alone, reflecting = [], []
+            for start in starts:
+                try:
+                    alone.append((start, _depart(w, start)[-1]))
+                except ValueError:
+                    reflecting.append(start)
+            got = _depart(w, [s for s, _ in alone], exits=True)
+            assert _same(got, np.array([ref for _, ref in alone])), block
+            if reflecting:
+                # one reflecting start fails its whole block
+                with pytest.raises(ValueError,
+                                   match="total internal reflection"):
+                    _depart(w, sorted(reflecting + [alone[-1][0]],
+                                      key=sum), exits=True)
 
 
 def _thin_light_shell():
