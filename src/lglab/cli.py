@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
 failure.  The LGL_OUT environment variable overrides any configured
-output directory.  solve, figure and geodesic take --timings: the seconds
-spent building sweep tables, stacking or shooting, rendering and writing
+output directory.  solve, figure, geodesic and verify take --timings: the
+seconds of each stage (tables, stack or shoot, rendering, write) or suite
 go to stderr only, so stdout and the artifacts stay byte-identical.
 """
 from __future__ import annotations
@@ -161,13 +161,17 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _merge_config(args)
     outdir = _resolve_outdir(cfg.outdir)
-    reports = [run_suite(name, seed=cfg.seed)
-               for name in _suite_names(cfg.experiments)]
+    names = _suite_names(cfg.experiments)
+    seconds, timed = _stopwatch(*names)
+    reports = [timed(name, lambda: run_suite(name, seed=cfg.seed))
+               for name in names]
     for rep in reports:
         for line in rep.lines():
             print(line)
     write_text(outdir / "report.csv", report_csv(reports))
     print(outdir / "report.csv")
+    if args.timings:
+        _print_timings(seconds)
     failing = [f"{rep.name}: {q.label}" for rep in reports
                for q in rep.quantities if not q.passed]
     if failing:
@@ -235,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'all' or comma-joined suite names")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--outdir", default=None)
+    verify.add_argument("--timings", action="store_true", help=timings_help)
 
     fig = sub.add_parser("figure", help="preset solves by weight name")
     fig.add_argument("name")

@@ -103,15 +103,15 @@ def _chord(h: float, xb: float) -> Polyline:
 
 
 def _pick(w: WeightField, paths: list[Polyline], branch: str) -> Polyline:
-    """The cheapest of the candidate paths, each priced once by its
-    weighted length; a sole candidate is returned unpriced.
+    """The cheapest of the candidate paths, all priced by their weighted
+    lengths in one pass; a sole candidate is returned unpriced.
 
     Paths within _TIE_TOL of the cheapest are tied.  Among them the
     minimal branch takes the path highest at x = 0 (the smaller superlevel
     set), the maximal branch the lowest; list order breaks any remaining tie.
     """
     if len(paths) > 1:
-        costs = [weighted_length(path, w) for path in paths]
+        costs = weighted_length(paths, w)
         best = min(costs)
         paths = [path for cost, path in zip(costs, paths)
                  if cost <= best + _TIE_TOL]
@@ -181,7 +181,8 @@ def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
     kappa each, meet the unit circle."""
     s_out = np.divide(kappa, float(w.pieces[-1].offset))
     c_out = np.sqrt(1.0 - s_out * s_out)
-    v = np.stack([c_out + s_out, c_out - s_out], axis=-1) / SQRT2
+    # c + (-s) is c - s exactly
+    v = (c_out[..., None] + s_out[..., None] * (1.0, -1.0)) / SQRT2
     t = circle_hits((p[..., 0], p[..., 1]), (v[..., 0], v[..., 1]), 1.0)[2]
     return p + t[..., None] * v
 

@@ -5,7 +5,7 @@ Each weight declares its interfaces (WeightField.interfaces): lines off
 which it is affine, and the l1 and l2 circles it jumps or kinks on.  Cut at
 those, the integrand along every piece is affine in arc length, so one
 midpoint per piece is exact up to floating point.  weighted_length makes
-the cuts for the whole polyline at once, one array pass per interface kind.
+the cuts for a polyline, or a whole list of them, in one pass per kind.
 """
 from __future__ import annotations
 
@@ -145,19 +145,25 @@ def _cut_circles(pts, cx, cy, r):
     return _cut(pts, i[inside], s[inside])
 
 
-def weighted_length(path: Polyline, w: WeightField) -> float:
-    """Line integral of w along the polyline.
+def weighted_length(path: Polyline | list[Polyline],
+                    w: WeightField) -> float | list[float]:
+    """Line integral of w along the polyline, or the list of them along a
+    list of polylines, each bit for bit its own call's.
 
     Exact (up to floating point) for every catalog weight.  The polyline is
     cut where it crosses an interface line, then where the l1 distance to
     an l1 circle's centre, affine on every piece by now, crosses the
     radius, then at both roots of each l2 circle's quadratic; one midpoint
-    prices each piece.  A cost too large for a float (a huge weight) is
-    inf, without a warning; the callers that take the cheapest option
-    pass over it.
+    prices each piece.  A list is priced in one pass, joined by NaN rows,
+    which fail every interface test.  A cost too large for a float (a huge
+    weight) is inf, without a warning; the callers that take the cheapest
+    option pass over it.
     """
     lines, l1, l2 = _interfaces(w)
-    pts = path.as_array()
+    many = isinstance(path, list)
+    gap = np.full((1, 2), np.nan)
+    pts = (np.concatenate([a for r in path for a in (gap, r.as_array())][1:])
+           if many else path.as_array())
     if lines.size:
         nx, ny, c = lines
         pts = _cut_sign_changes(pts, nx * pts[:, 0] + ny * pts[:, 1] - c)
@@ -169,6 +175,11 @@ def weighted_length(path: Polyline, w: WeightField) -> float:
         pts = _cut_circles(pts, *l2)
     d = np.diff(pts, axis=0)
     mid = pts[:-1] + 0.5 * d
-    with np.errstate(over="ignore"):
-        return float((w.values(mid[:, 0], mid[:, 1])
-                      * np.hypot(d[:, 0], d[:, 1])).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = w.values(mid[:, 0], mid[:, 1]) * np.hypot(d[:, 0], d[:, 1])
+        if not many:
+            return float(cost.sum())
+        # polyline k: pieces from past gap k - 1 to the vertex before gap k
+        gaps = np.flatnonzero(np.isnan(pts[:, 0])).tolist()
+        return [float(cost[a:b - 1].sum()) for a, b in
+                zip([0, *(g + 1 for g in gaps)], [*gaps, len(pts)])]

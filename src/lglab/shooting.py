@@ -133,6 +133,6 @@ def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,
                   *_rim_wraps(w, a, b)]
     if isinstance(w, (RadialWeight, LayeredWeight)):
         candidates += _scan_candidates(w, a, b, tol, n_shells, scan_angles)
-    costs = [weighted_length(p, w) for p in candidates]
+    costs = weighted_length(candidates, w)
     k = int(np.argmin(costs))
     return candidates[k], float(costs[k])

@@ -202,8 +202,8 @@ def stack(w: WeightField, levels=None, policy: SwitchPolicy = ALL_MINIMAL,
 def bv_energy(s: SolutionStack) -> float:
     """Coarea sum: weighted curve length integrated over the level grid."""
     dts = np.gradient(s.levels)
-    return float(sum(dt * weighted_length(lc.path, s.weight)
-                     for dt, lc in zip(dts, s.curves)))
+    costs = weighted_length([lc.path for lc in s.curves], s.weight)
+    return float(sum(dt * cost for dt, cost in zip(dts, costs)))
 
 
 def _jump_touch_angles(s: SolutionStack) -> list[float]:

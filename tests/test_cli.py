@@ -1,4 +1,9 @@
 """Command-line behaviour: artifacts, determinism, exit codes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -402,3 +407,31 @@ def test_nesting_violation_exits_3(monkeypatch, tmp_path, capsys):
     code, _, err = run(["solve", "--weight", "constant", "--resolution", "32",
                         "--levels", "16", "--outdir", str(tmp_path)], capsys)
     assert code == 3 and "cross by" in err
+
+
+def test_verify_timings_go_to_stderr_only(tmp_path, capsys):
+    argv = ["verify", "--experiments", "thresholds,clearance",
+            "--outdir", str(tmp_path)]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    data = (tmp_path / "report.csv").read_bytes()
+    code, timed_out, timed_err = run(argv + ["--timings"], capsys)
+    assert code == 0
+    assert timed_out == out
+    assert (tmp_path / "report.csv").read_bytes() == data
+    parts = timed_err.split()[1:]
+    assert timed_err.startswith("timings: ") and timed_err.count("\n") == 1
+    assert [part.split("=")[0] for part in parts] == ["thresholds",
+                                                      "clearance"]
+    assert all(float(part.split("=")[1].rstrip("s")) > 0.0 for part in parts)
+
+
+def test_python_m_lglab_runs_the_cli(capsys):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-m", "lglab", "catalog"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(["catalog"], capsys)[1]

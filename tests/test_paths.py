@@ -1,14 +1,15 @@
 """Polyline container and weighted length integration."""
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lglab.paths import Polyline, segment, weighted_length
 from lglab.weights import (ConstantWeight, CustomWeight, LayeredWeight,
                            MultiDiamondWeight, RadialWeight, Region,
-                           catalog_names, make_weight)
+                           WeightField, catalog_names, make_weight)
 
 COORD = st.floats(-0.95, 0.95)
 
@@ -322,3 +323,88 @@ def test_a_segment_along_a_diamond_edge_costs_the_inf_of_its_limits():
     w = make_weight("three_heavy_diamonds", math.sqrt(2.0))
     got = weighted_length(segment((-0.7, 0.45), (-0.3, 0.05)), w)
     assert got == pytest.approx(0.565685424949238, rel=0.0, abs=1e-12)
+
+
+# A list of polylines is priced in one pass, joined with NaN rows; each of
+# its costs must be the float its own call returns.
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=lambda w: w.name)
+def test_a_list_prices_each_polyline_as_its_own_call(w):
+    for seed in range(3):
+        paths = list(_seeded_polylines(seed))
+        assert weighted_length(paths, w) == [weighted_length(p, w)
+                                             for p in paths]
+        for p in paths[::7]:
+            assert weighted_length([p], w) == [weighted_length(p, w)]
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=lambda w: w.name)
+def test_polylines_that_meet_end_to_start_price_apart(w):
+    # each ends where the next starts, on an axis, a diamond tip, a
+    # breakpoint or off every interface
+    stops = [(-0.9, 0.1), (0.0, 0.0), (0.5, 0.0), (0.3, 0.4), (0.0, -0.5),
+             (-0.25, 0.0), (0.2, -0.1), (0.7, 0.2)]
+    paths = [segment(a, b) for a, b in zip(stops, stops[1:])]
+    paths.append(Polyline(stops[-3:]))
+    assert weighted_length(paths, w) == [weighted_length(p, w)
+                                         for p in paths]
+
+
+def test_a_list_prices_a_diamond_edge_as_its_own_call():
+    # the edge piece is priced by the side its midpoint rounds to either
+    # way; see the strict xfail above
+    w = make_weight("three_heavy_diamonds", math.sqrt(2.0))
+    edge = segment((-0.7, 0.45), (-0.3, 0.05))
+    paths = [segment((-0.9, 0.0), (-0.7, 0.45)), edge,
+             Polyline(((-0.3, 0.05), (0.0, 0.3), (0.4, -0.2))), edge]
+    costs = weighted_length(paths, w)
+    assert costs == [weighted_length(p, w) for p in paths]
+    assert costs[1] == costs[3] == weighted_length(edge, w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_list_prices_overflowing_routes_as_inf_without_warnings():
+    w = make_weight("three_heavy_diamonds", sys.float_info.max)
+    # a piece costs at most alpha / 2, so the sums overflow: the first
+    # and last routes run more than 1 inside the diamonds
+    paths = [Polyline(((-0.7, 0.0), (-0.3, 0.0), (-0.7, 0.02), (-0.3, 0.02))),
+             segment((-0.9, 0.6), (0.9, 0.6)),
+             Polyline(((-0.8, 0.0), (0.8, 0.0), (-0.8, 0.01)))]
+    costs = weighted_length(paths, w)
+    assert costs == [weighted_length(p, w) for p in paths]
+    assert costs[0] == costs[2] == math.inf and math.isfinite(costs[1])
+
+
+class _StripedWeight(WeightField):
+    """1 and 2 on alternate vertical strips a quarter wide; the integer
+    cast in values warns on a NaN row."""
+
+    def values(self, x, y):
+        return 1.0 + np.floor(4.0 * np.asarray(x)).astype(int) % 2
+
+    def interfaces(self):
+        return [(1.0, 0.0, k / 4.0) for k in range(-4, 5)], [], []
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_joining_nan_rows_price_without_warnings():
+    w = _StripedWeight()
+    paths = [segment((-0.9, 0.1), (0.9, -0.2)),
+             Polyline(((0.1, 0.5), (0.6, 0.0), (0.2, -0.5)))]
+    assert weighted_length(paths, w) == [weighted_length(p, w)
+                                         for p in paths]
+    assert weighted_length(paths[0], w) == pytest.approx(
+        1.5 * math.hypot(1.8, 0.3), rel=1e-14)
+
+
+POINT = st.tuples(st.sampled_from(SNAP) | COORD, st.sampled_from(SNAP) | COORD)
+
+
+@settings(max_examples=60, deadline=None)
+@given(routes=st.lists(st.lists(POINT, min_size=2, max_size=6, unique=True),
+                       min_size=1, max_size=5),
+       w=st.sampled_from(WEIGHTS))
+def test_fuzzed_lists_price_each_polyline_as_its_own_call(routes, w):
+    paths = [Polyline(r) for r in routes]
+    assert weighted_length(paths, w) == [weighted_length(p, w)
+                                         for p in paths]
