@@ -20,12 +20,13 @@ the cheapest, the branch deciding among tied ones:
   family ends, that innermost band curve and the apex curve with the
   lowest exit.
 
-Sweeps work in the first quadrant on a shell grid: crossing a shell of
-signed width dr (negative moving inward) at angle theta from the edge normal
-advances by (dr/2)(1 + tan, 1 - tan), and sin(theta) in each shell is the
-conserved kappa over the shell weight (see _shell_step).  Tables and root
-searches read only where sweeps exit, as running sums of those steps (see
-_exits); a sweep's path is built only for a curve that is drawn.
+Sweeps work in the first quadrant, in closed form on each piece of the
+profile, which is affine in the l1 radius r: at angle theta from the edge
+normal a sweep advances by (dr/2)(1 + tan, 1 - tan), where sin(theta) is the
+conserved kappa over the weight, and the drift integral of tan over a piece
+is a logarithm (see _drift).  Tables and root searches read only where
+sweeps exit; a sweep's path, sampled uniformly in r on its sloped pieces, is
+built only for a curve that is drawn.
 """
 from __future__ import annotations
 
@@ -40,12 +41,8 @@ from .snell import SolverError
 from .weights import (SQRT2, ConstantWeight, MultiDiamondWeight, RadialWeight,
                       WeightField, circle_hits)
 
-SWEEP_SHELLS = 4096  # l1 shells each level-curve sweep crosses
 _APEX_STARTS = 1024  # evenly spaced starts in the apex table
-# (start, shell) pairs per temporary of a blocked sweep (an _exits chunk, a
-# tracer leg), 96 KiB: at 2^15 pairs the allocator handed the temporaries
-# back after each block, and every block page-faulted them in again
-_BLOCK = 12288
+_SWEEP_SAMPLES = 1000  # vertices a drawn sweep puts on its sloped pieces
 
 BRANCHES = ("minimal", "maximal")
 
@@ -54,8 +51,6 @@ _TIE_TOL = 1e-12
 
 # Bracket width to which _refine pins a sweep root.
 _ROOT_TOL = 1e-15
-
-_DECIMATE_TARGET = 512  # vertex count _decimate thins a sweep polyline to
 
 
 def _half_chord(h: float) -> float:
@@ -120,60 +115,58 @@ def _pick(w: WeightField, paths: list[Polyline], branch: str) -> Polyline:
         0.0, *path.as_array().T))
 
 
-def _decimate(pts: np.ndarray) -> np.ndarray:
-    """Thin a dense sweep polyline, always keeping both endpoints."""
-    if len(pts) <= _DECIMATE_TARGET:
-        return pts
-    return pts[[*range(0, len(pts) - 1, len(pts) // _DECIMATE_TARGET), -1]]
-
-
 # ---------------------------------------------------------------- sweeps ----
 
-def _shell_step(s):
-    """(tir, tan): the shells that reflect a sweep and tan(theta) in each,
-    in place on s = sin(theta) = kappa / weight, clipped below 1."""
-    tir = s >= 1.0 - 1e-13
-    np.minimum(s, 1.0 - 1e-13, out=s)
-    tan = np.multiply(s, s)
-    np.sqrt(np.subtract(1.0, tan, out=tan), out=tan)
-    return tir, np.divide(s, tan, out=tan)
-
-
-def _run(radii, weights, kappa):
-    """Offsets from its start of a monotone run across l1 shells.
-
-    radii[..., k] are the shell radii in the order crossed, rising outward
-    and falling inward; weights[..., k] is the weight between radii k and
-    k + 1.  A shell of signed width dr moves the run (dr/2)(1 + tan,
-    1 - tan), tan from _shell_step.  Returns (tir, offsets): the reflecting
-    shells, and the x and y offsets at each radius, summed in shell order.
+def _drift(w0, slope, dr, kappa, xp=math):
+    """Signed tangential drift of a sweep at conserved kappa across dr of a
+    profile piece from weight w0: the integral of kappa / sqrt(w^2 - kappa^2)
+    over the l1 radius, (kappa / slope) log1p(z) with s = sqrt(w^2 - kappa^2)
+    and z = (w1 - w0)(1 + (w1 + w0) / (s1 + s0)) / (w0 + s0).  w1 - w0 is
+    slope dr, so that a nearly flat piece does not cancel and log1p(z) / z
+    tends to 1 with the slope.  Weights are in units of kappa, so that a tiny
+    one neither under- nor overflows.  xp is math, or numpy for arrays.
     """
-    # in place, so that a block's temporaries stay few (see _BLOCK)
-    s = kappa / weights
-    tir, tan = _shell_step(s)
-    half = np.subtract(radii[..., 1:], radii[..., :-1])
-    half *= 0.5
-    offsets = np.zeros((2, *radii.shape))
-    np.add(1.0, tan, out=s)
-    np.cumsum(np.multiply(half, s, out=s), axis=-1, out=offsets[0, ..., 1:])
-    np.subtract(1.0, tan, out=s)
-    np.cumsum(np.multiply(half, s, out=s), axis=-1, out=offsets[1, ..., 1:])
-    return tir, offsets
+    w0, w1 = w0 / kappa, (w0 + slope * dr) / kappa
+    # s is 0 at a turning point, where rounding may leave either sign
+    s0, s1 = (xp.sqrt(abs(w - 1.0)) * xp.sqrt(w + 1.0) for w in (w0, w1))
+    q = dr * (1.0 + (w1 + w0) / (s1 + s0)) / (w0 + s0)
+    z = slope * q / kappa
+    return q * (xp.log1p(z) / z if slope else 1.0)
 
 
-def _climb(w: RadialWeight, start, kappa):
-    """Outward quadrant-1 sweep from start (x, y >= 0) to the unit circle,
-    drifting +x, at conserved kappa.  Raises on total internal reflection,
-    which no curve family here may reach."""
-    r, wk = w.shell_grid(SWEEP_SHELLS)
-    rho0 = start[0] + start[1]
-    k0 = int(np.searchsorted(r, rho0 + 1e-13, side="right")) - 1
-    # clip the partial first shell; the sweep ends at the outermost radius
-    tir, offsets = _run(np.append(rho0, r[k0 + 1:]), wk[k0:-1], kappa)
-    if np.any(tir):
-        raise ValueError("sweep hit total internal reflection")
-    pts = start + offsets.T
-    return np.vstack([pts, _rim_step(pts[-1], kappa, w)])
+def _sweep(w: RadialWeight, start, kappa, r_end, samples: bool = False):
+    """A quadrant-1 sweep at conserved kappa from start to l1 radius r_end,
+    outward drifting +x or inward drifting up: crossing a piece from radius
+    r0 to r1 with drift T moves it ((r1 - r0 + T) / 2, (r1 - r0 - T) / 2).
+    Returns the vertices: start, each piece end and, with samples,
+    _SWEEP_SAMPLES more, shared among the sloped pieces in proportion to the
+    widths crossed and uniform in radius on each.  Raises where the weight
+    falls to kappa, where the sweep would reflect."""
+    x, y = start
+    rho, w0 = x + y, None
+    lo, hi = sorted((rho, r_end))
+    legs = [(p.slope, min(max(rho, p.lo), p.hi), min(max(r_end, p.lo), p.hi),
+             p.offset) for p in w.pieces if p.lo < hi and p.hi > lo]
+    legs = legs if r_end > rho else legs[::-1]
+    span = sum(abs(r1 - r0) for slope, r0, r1, _ in legs if slope)
+    pts = [np.array([start], dtype=float)]
+    for slope, r0, r1, offset in legs:
+        # carried over piece ends: sweep profiles are continuous, and an
+        # offset can cancel (the light diamond's ramp from alpha - 10)
+        w0 = offset + slope * r0 if w0 is None else w0
+        if min(w0, w0 + slope * (r1 - r0)) <= kappa:
+            raise ValueError("sweep hit total internal reflection")
+        if samples and slope:
+            m = max(1, round(_SWEEP_SAMPLES * abs(r1 - r0) / span))
+            dr = (r1 - r0) * np.arange(1, m) / m
+            t = _drift(w0, slope, dr, kappa, np)
+            pts.append(np.column_stack([x + 0.5 * (dr + t),
+                                        y + 0.5 * (dr - t)]))
+        t = _drift(w0, slope, r1 - r0, kappa)
+        x, y = x + 0.5 * (r1 - r0 + t), y + 0.5 * (r1 - r0 - t)
+        w0 += slope * (r1 - r0)
+        pts.append(np.array([(x, y)]))
+    return np.vstack(pts)
 
 
 def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
@@ -187,77 +180,57 @@ def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
     return p + t[..., None] * v
 
 
-def _exits(w: RadialWeight, start, kappa) -> np.ndarray:
-    """Last point of _climb(w, start, kappa), bit for bit, with no path; a
-    block's starts must rise in l1 radius.  Row 0 of a shells-major buffer
-    holds the running offsets; np.add.reduce adds the next shells' steps
-    below it row by row, as cumsum does (a lone column it adds pairwise)."""
-    r, wk = w.shell_grid(SWEEP_SHELLS)
-    starts, kappas = start.reshape(-1, 2), kappa.reshape(-1)
-    rho0 = starts[:, 0] + starts[:, 1]
-    k0 = np.searchsorted(r, rho0 + 1e-13, side="right") - 1
-    rows = max(2, min(_BLOCK // len(k0), len(r) - int(k0[0])))
-    buf = np.zeros((2, rows, len(k0)))
-    for k in range(int(k0[0]), len(r) - 1, rows - 1):
-        n = min(rows, len(r) - k)  # radii k .. k + n - 1
-        # columns [:p] started below these shells, [p:m] start among them
-        p, m = k0.searchsorted([k - 1, k + n - 2], side="right")
-        inside = np.arange(k, k + n)[:, None] <= k0[p:m]
-        radii = np.where(inside, rho0[p:m], r[k:k + n, None])
-        s = kappas[:m] / wk[k:k + n - 1, None]
-        np.copyto(s[:, p:], 0.0, where=inside[1:])  # no reflection inside
-        tir, tan = _shell_step(s)
-        if tir.any():
-            raise ValueError("sweep hit total internal reflection")
-        sums = buf[:, :n, :m]
-        np.add(1.0, tan, out=sums[0, 1:])
-        np.subtract(1.0, tan, out=sums[1, 1:])
-        sums[:, 1:, :p] *= (r[k + 1:k + n] - r[k:k + n - 1])[:, None] * 0.5
-        sums[:, 1:, p:] *= (radii[1:] - radii[:-1]) * 0.5
-        sums[:, 0] = (np.add.reduce(sums, axis=1) if m > 1
-                      else np.cumsum(sums, axis=1)[:, -1])
-    return _rim_step(start + buf[:, 0].T.reshape(start.shape), kappa, w)
-
-
 def _depart(w: RadialWeight, start, exits: bool = False) -> np.ndarray:
-    """Outward sweep leaving start, a point on an axis (or with exits, only
-    the exits of a point or block): horizontally, at 45 degrees to the edge
-    normal, so kappa is w(start)/sqrt(2)."""
+    """Outward sweep leaving start, a point on an axis, to the unit circle
+    (or with exits, only the exits of a point or block): horizontally, at 45
+    degrees to the edge normal, so kappa is w(start)/sqrt(2).  The path's
+    last point is its exit, bit for bit."""
     start = np.asarray(start, dtype=float)
     kappa = w.values(start[..., 0], start[..., 1]) / SQRT2
-    return (_exits if exits else _climb)(w, start, kappa)
+    r_out = w.pieces[-1].lo  # where the outer piece's straight leg starts
+    if exits:
+        ends = [_sweep(w, p, k, r_out)[-1] for p, k in zip(
+            start.reshape(-1, 2).tolist(), kappa.reshape(-1).tolist())]
+        return _rim_step(np.reshape(ends, start.shape), kappa, w)
+    pts = _sweep(w, start.tolist(), float(kappa), r_out, samples=True)
+    return np.vstack([pts, _rim_step(pts[-1], kappa, w)])
 
 
 def _glide_in(w: RadialWeight, a: float):
     """Inward quadrant-1 sweep from (a, 0), horizontal launch, drifting up.
 
     Returns (event, y_cross, pts): event is 'ycross' when the path reaches
-    the y-axis (y_cross = height there), 'sag' when it turns back down to
-    y < 0 first, 'tir' when a shell reflects it.
+    the y-axis (y_cross = height there, a scalar root in l1 radius; pts the
+    sampled path), 'sag' when it turns back down to y < 0 first, 'tir' when
+    it turns back outward first, where the weight falls to kappa.
     """
-    r, wk = w.shell_grid(SWEEP_SHELLS)
-    k0 = int(np.searchsorted(r, a - 1e-13, side="left")) - 1
-    radii = np.concatenate([[a], r[k0::-1] if k0 >= 0 else []])
-    weights = wk[k0::-1] if k0 >= 0 else np.array([])
-    # horizontal in the discrete launch shell, so the first step cannot sag
-    tir, offsets = _run(radii, weights, weights[0] / SQRT2)
-    xs, ys = offsets + [[a], [0.0]]
-    n = len(xs)
-    i_tir = int(np.argmax(tir)) + 1 if bool(np.any(tir)) else n
-    hit_x = xs <= 0.0
-    i_x = int(np.argmax(hit_x)) if bool(np.any(hit_x)) else n
-    sag = ys < -1e-15
-    i_sag = int(np.argmax(sag)) if bool(np.any(sag)) else n
-    i = min(i_tir, i_x, i_sag)
-    if i == n or (i == i_tir and i < min(i_x, i_sag)):
-        return "tir", None, np.column_stack([xs[:i], ys[:i]])
-    if i == i_sag and i_sag < i_x:
-        return "sag", None, np.column_stack([xs[:i], ys[:i]])
-    # crossed the y-axis inside step i-1 -> i: interpolate the crossing
-    f = xs[i - 1] / (xs[i - 1] - xs[i])
-    yc = ys[i - 1] + f * (ys[i] - ys[i - 1])
-    pts = np.vstack([np.column_stack([xs[:i], ys[:i]]), [0.0, yc]])
-    return "ycross", float(yc), pts
+    w_a = w_hi = float(w.values(a, 0.0))
+    kappa, x, y, rho = w_a / SQRT2, a, 0.0, a
+    for p in [p for p in w.pieces if p.lo < a][::-1]:
+        # the glide turns back where the weight falls to kappa, and y is
+        # least at an end or where the weight rises through w(a) outward
+        turn, bottom = (rho + (k - w_hi) / p.slope if p.slope > 0 else -1.0
+                        for k in (kappa, w_a))
+        lo = max(p.lo, turn)
+
+        def at(r):
+            t = _drift(w_hi, p.slope, r - rho, kappa)
+            return x + 0.5 * (r - rho + t), y + 0.5 * (r - rho - t)
+
+        x_lo, y_lo = at(lo)
+        if x_lo <= 0.0:
+            lo = y_lo = _refine(lambda r: at(r)[0], lo, rho, x_lo, x)
+        if min(y_lo, at(bottom)[1] if lo < bottom < rho else 0.0) < -1e-15:
+            return "sag", None, np.array([(a, 0.0)])
+        if x_lo <= 0.0:
+            pts = _sweep(w, (a, 0.0), kappa, lo, samples=True)
+            pts[-1] = (0.0, lo)  # on the y-axis, y is the l1 radius
+            return "ycross", lo, pts
+        if lo == turn:
+            return "tir", None, np.array([(a, 0.0)])
+        x, y, rho, w_hi = x_lo, y_lo, lo, w_hi + p.slope * (lo - rho)
+    # x and y within 1e-15 of 0: the glide ran into the origin
+    return "ycross", 0.0, _sweep(w, (a, 0.0), kappa, 0.0, samples=True)
 
 
 def _refine(f, lo, hi, flo, fhi):
@@ -295,33 +268,24 @@ def _core_geometry(w: RadialWeight):
     (a*, 0) to (0, H*)).
     """
 
-    def g(a):
+    def g(a):  # the crossing height less the height where w = w(a)
         event, yc, _ = _glide_in(w, a)
-        if event == "sag":
-            return -1.0
-        if event == "tir":
-            return 1.0
-        r_horiz = 2.0 * (0.75 - a)
-        return yc - r_horiz
+        if event != "ycross":
+            return -1.0 if event == "sag" else 1.0
+        return yc - 2.0 * (0.75 - a)
 
     lo, hi = 0.55, 0.74
     flo, fhi = g(lo), g(hi)
     if not flo < 0 < fhi:
         raise SolverError("inner-arc bracket failed")
     a_star = _refine(g, lo, hi, flo, fhi)
-    h_star = 2.0 * (0.75 - a_star)
-    _, yc, pts = _glide_in(w, a_star)
-    # the discrete sweep overshoots the crossing height first-order in the
-    # shell width; rescale onto the conserved-quantity value, keeping the
-    # path smooth instead of notching the apex vertex
-    pts[:, 1] *= h_star / yc
-    return a_star, h_star, pts
+    return a_star, 2.0 * (0.75 - a_star), _glide_in(w, a_star)[2]
 
 
 @lru_cache(maxsize=32)
 def _apex_grid(w: RadialWeight, lo: float, hi: float):
     """Exit heights of _depart(w, (0, y0)) for _APEX_STARTS starts y0
-    evenly spaced over [lo, hi], from running shell sums, with no paths."""
+    evenly spaced over [lo, hi], with no paths."""
     y0s = np.linspace(lo, hi, _APEX_STARTS)
     return y0s, _depart(w, y0s[:, None] * (0.0, 1.0), exits=True)[:, 1]
 
@@ -329,7 +293,7 @@ def _apex_grid(w: RadialWeight, lo: float, hi: float):
 @lru_cache(maxsize=32)
 def _band_ends(w: RadialWeight, lo: float, hi: float):
     """Exit heights of the band curves departing the x-axis at lo and hi,
-    from running shell sums, with no paths."""
+    with no paths."""
     return tuple(_depart(w, [(lo, 0.0), (hi, 0.0)], exits=True)[:, 1])
 
 
@@ -340,7 +304,7 @@ def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
     The half is flipped below the axis when h < 0, pinned to (xb, h) at its
     end and mirrored in x; inner, running left to right, joins the halves.
     """
-    right = _decimate(right) * (1.0, -1.0 if h < 0 else 1.0)
+    right = right * (1.0, -1.0 if h < 0 else 1.0)
     right[-1] = (xb, h)
     left = right[::-1] * (-1.0, 1.0)
     return Polyline.from_points(np.vstack([left, inner, right]))
@@ -378,9 +342,9 @@ def _radial_paths(w: RadialWeight, h: float, xb: float,
     if is_core:
         # band curves run through the shared inner arc, lifted by the branch
         sign = 1.0 if branch == "minimal" else -1.0
-        arc_thin = _decimate(_core_geometry(w)[2])
-        inner = np.vstack([arc_thin * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
-                           arc_thin[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
+        arc = _core_geometry(w)[2]
+        inner = np.vstack([arc * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
+                           arc[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
     paths = []
     ah = abs(h)
     if band_top <= ah <= exits.min():

@@ -8,7 +8,7 @@ profiles are discretized into concentric constant-weight shells, the weight
 of each shell taken at its outer radius, so refined shells converge to the
 continuous bending ray.  One loop, _propagate, traces every medium; a
 medium supplies its launch, its legs (the straight pieces up to its next
-event) and its turns; an l1 leg is one curves._run across a quadrant's shells.
+event) and its turns; an l1 leg is one _run across a quadrant's shells.
 trace_fan traces many rays from one start in lockstep, one leg of every
 live ray at a time, with the same arithmetic, and returns their end points.
 
@@ -25,7 +25,6 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .curves import _BLOCK, SWEEP_SHELLS, _run
 from .paths import Polyline
 from .snell import SolverError, TotalInternalReflection, snell_refract
 from .weights import (SQRT2, LayeredWeight, RadialWeight, WeightField,
@@ -33,6 +32,10 @@ from .weights import (SQRT2, LayeredWeight, RadialWeight, WeightField,
 
 _EPS = 1e-12
 _MAX_LEGS = 200000
+SWEEP_SHELLS = 4096  # default l1 shell count of a traced sloped profile
+# (ray, shell) pairs per temporary of a fan's run legs, 96 KiB: at 2^15 the
+# allocator handed them back after each block, to page-fault them in again
+_BLOCK = 12288
 
 
 class TraceError(SolverError):
@@ -137,6 +140,33 @@ def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):
             v = _refract_direction(v, n, w_from, shell_w[j],
                                    f"launch r={rho:.6g}")
     return j, v
+
+
+def _run(radii, weights, kappa):
+    """Offsets from its start of a monotone run across l1 shells.
+
+    radii[..., k] are the shell radii in the order crossed, rising outward
+    and falling inward; weights[..., k] is the weight between radii k and
+    k + 1.  A shell of signed width dr moves the run (dr/2)(1 + tan,
+    1 - tan), sin(theta) = kappa / weight clipped below 1.  Returns (tir,
+    offsets): the reflecting shells, where sin(theta) >= 1 - 1e-13, and the
+    x and y offsets at each radius, summed in shell order.
+    """
+    # in place, so that a block's temporaries stay few (see _BLOCK)
+    s = kappa / weights
+    tir = s >= 1.0 - 1e-13
+    np.minimum(s, 1.0 - 1e-13, out=s)
+    tan = np.multiply(s, s)
+    np.sqrt(np.subtract(1.0, tan, out=tan), out=tan)
+    np.divide(s, tan, out=tan)
+    half = np.subtract(radii[..., 1:], radii[..., :-1])
+    half *= 0.5
+    offsets = np.zeros((2, *radii.shape))
+    np.add(1.0, tan, out=s)
+    np.cumsum(np.multiply(half, s, out=s), axis=-1, out=offsets[0, ..., 1:])
+    np.subtract(1.0, tan, out=s)
+    np.cumsum(np.multiply(half, s, out=s), axis=-1, out=offsets[1, ..., 1:])
+    return tir, offsets
 
 
 def _quadrant(p, v):

@@ -164,7 +164,8 @@ class RadialWeight(WeightField):
 
     @lru_cache(maxsize=32)
     def shell_grid(self, n_shells: int):
-        """Concentric constant-weight shells that discretize the profile.
+        """Concentric constant-weight shells that discretize the profile for
+        the ray tracer, their only user.
 
         Returns (r, ws): radii 0 = r[0] < r[1] < ... < r[M] and the weight
         ws[k] of shell k between r[k] and r[k+1] (r[M+1] = inf).  Piece

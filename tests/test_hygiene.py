@@ -112,6 +112,15 @@ def test_only_pick_prices_level_curve_routes():
     assert callers == ["_pick"], f"curves.py prices routes in {callers}"
 
 
+def test_level_curves_read_no_shell_grid():
+    # the sweeps are solved in closed form; the shell staircase is the
+    # tracer's alone
+    names = {getattr(node, key, None)
+             for node in ast.walk(_tree(SRC / "curves.py"))
+             for key in ("id", "attr", "name")}
+    assert not names & {"shell_grid", "SWEEP_SHELLS"}
+
+
 def test_private_helpers_are_referenced_and_do_work():
     trees = {p.name: _tree(p) for p in [SRC / "__init__.py", *MODULES]}
     used = set().union(*(_used_names(t) for t in trees.values()))

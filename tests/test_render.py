@@ -352,7 +352,9 @@ def test_encoder_matches_percent_formatting_across_blocks(layout, sizes,
 # _ARTIFACTS order, as written before the array encoders and the one-count
 # fill replaced the per-pixel and per-vertex ones; heavy_disk's contours.svg
 # and curves.csv are as written once its rim-wrap tangent angles came from
-# atan2, which moves three printed coordinates by an ulp-sized amount
+# atan2, which moves three printed coordinates by an ulp-sized amount, and
+# the four l1 sweep presets' are as drawn once their sweeps were solved in
+# closed form instead of on a 4,096-shell staircase
 _ARTIFACTS = ("contours.svg", "curves.csv", "run.cfg", "solution.pgm")
 _FIGURE_SHA256 = {
     "constant": """
@@ -371,23 +373,23 @@ _FIGURE_SHA256 = {
         78ea62ad578d4102c004d3894ff403d35184eb8d8dc260f87bc68ae215a61dda
         fc6816f51d5e1b6bb3026896d359856914f21255e5b8ef0267610d2830abb290""",
     "light_diamond": """
-        0368775f8558efac719aaa88e8f72b436e2ee54d38747f929555e241390a7359
-        e01fab8c4083b775f7273b295b524d8bc3d8f6d89b82c5e15458b15bdb43205b
+        3ed3558b755e4c3690cf824614ecc10262f47fd26b78f9de3ebc2f45eb9b047e
+        e19ec5190fe27adb954da58327544c7e9ef2b81d142e6b2c0aa4a1ace9ab159e
         2dc43061d7962f093871851bea2ac2debd51d349b62545b733676452cbbec8be
         48fc51048c88a06ec0e324aecf2377ebd1a7b1685da8567f5d137508545922fd""",
     "light_diamond_tight": """
-        711dc428abc173e56390b903bbd2525719db9fe1278c59351495c298b2f058a2
-        7a448d876cf31737be9634d7411305b861dde23e3254cf609898f44b1a7ea8b2
+        2a5426b85b993763974e17555fcbed256b4cd380f013da0a6028e34dc0de203e
+        6bf16427f625df59bb0b9b9a6fd2382a30fb17ac5a1bf78f94bc6abfc4d6ddee
         f15bb29497a3df950d5e51df29e7c5a3626abd10dc796052981e27a7228bc99e
         58786c533dc647005bd95c7a9ba0bced5f76389312aa33310c759e6d681060dc""",
     "lite_dmd_heavy_core": """
-        c846169292d926402c15603bbde314ec80e8481a43fca4a7c351f00cdfca52dc
-        214aa7df0458a4f1b4cd1d168fefe74ded74ed2991a3387cf4dd6c8fe198aaaa
+        7f15ccfca6bbeed83545e34ae8f1dbde61dd87efd6936d8d747f7d6cbe7c7dd2
+        f25101a225e566c1adaa530a8d1f791061d3c71bf39c2e17d7f58fa0b984b70f
         ea13db6eda12c19f8609b081b5dd296e5638ba91e395a4420a93c2f698baaa0c
         02e01f79cf632e668638251872605eabb91b06c8ac5c08146a12eae47d8bedf7""",
     "lite_dmd_heavy_core_maximal": """
-        5d096d9840da939a9d0e9ba8dd878faba57d887b1ca2beaa943bd457b05e99ef
-        8054745ca659e2bb0dd5c63aa1bbda4433a54ca4b2901096435c1d3e0faa684a
+        9915eba86e1adb9e149c45198fee0a9517abee3a7691c864a204ce536eef4cb6
+        4e020941a94d21b89b96dd7cfbf22c249ada663387020ffc3f338d3193ebff4e
         7dc9fb51e2936cbef849902982fea019daa9ad80a7cf7fa51861268f471cbc1e
         d31fea7c10d865f8ff26dbfb6db0856a98f20dd881d03540257c442b1e3f54cb""",
     "three_heavy_diamonds": """

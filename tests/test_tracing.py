@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lglab.curves import SWEEP_SHELLS
 from lglab.paths import Polyline, weighted_length
-from lglab.tracing import (TotalInternalReflection, TraceError,
+from lglab.tracing import (SWEEP_SHELLS, TotalInternalReflection, TraceError,
                            _refract_direction, trace_fan, trace_layered_ray)
 from lglab.weights import (LayeredWeight, ProfilePiece, RadialWeight,
                            circle_hits, make_weight)
