@@ -24,9 +24,10 @@ Sweeps work in the first quadrant, in closed form on each piece of the
 profile, which is affine in the l1 radius r: at angle theta from the edge
 normal a sweep advances by (dr/2)(1 + tan, 1 - tan), where sin(theta) is the
 conserved kappa over the weight, and the drift integral of tan over a piece
-is a logarithm (see _drift).  Tables and root searches read only where
-sweeps exit; a sweep's path, sampled uniformly in r on its sloped pieces, is
-built only for a curve that is drawn.
+is a logarithm (see _drift).  Tables and root searches call _exit, which
+walks the pieces in scalar floats and returns only where a sweep meets the
+unit circle; _depart samples the same walk, uniformly in r on its sloped
+pieces, for a curve that is drawn, and ends on the same exit bit for bit.
 """
 from __future__ import annotations
 
@@ -128,35 +129,35 @@ def _drift(w0, slope, dr, kappa, xp=math):
     """
     w0, w1 = w0 / kappa, (w0 + slope * dr) / kappa
     # s is 0 at a turning point, where rounding may leave either sign
-    s0, s1 = (xp.sqrt(abs(w - 1.0)) * xp.sqrt(w + 1.0) for w in (w0, w1))
+    s0 = xp.sqrt(abs(w0 - 1.0)) * xp.sqrt(w0 + 1.0)
+    s1 = xp.sqrt(abs(w1 - 1.0)) * xp.sqrt(w1 + 1.0)
     q = dr * (1.0 + (w1 + w0) / (s1 + s0)) / (w0 + s0)
     z = slope * q / kappa
     return q * (xp.log1p(z) / z if slope else 1.0)
 
 
-def _sweep(w: RadialWeight, start, kappa, r_end, samples: bool = False):
+def _sweep(w: RadialWeight, start, kappa, r_end, pts=None):
     """A quadrant-1 sweep at conserved kappa from start to l1 radius r_end,
     outward drifting +x or inward drifting up: crossing a piece from radius
     r0 to r1 with drift T moves it ((r1 - r0 + T) / 2, (r1 - r0 - T) / 2).
-    Returns the vertices: start, each piece end and, with samples,
-    _SWEEP_SAMPLES more, shared among the sloped pieces in proportion to the
-    widths crossed and uniform in radius on each.  Raises where the weight
-    falls to kappa, where the sweep would reflect."""
+    Returns its end.  With pts, a list, appends the vertices after start:
+    each piece end and _SWEEP_SAMPLES more, shared among the sloped pieces in
+    proportion to the widths crossed and uniform in radius on each.  Raises
+    where the weight falls to kappa, where the sweep would reflect."""
     x, y = start
     rho, w0 = x + y, None
     lo, hi = sorted((rho, r_end))
     legs = [(p.slope, min(max(rho, p.lo), p.hi), min(max(r_end, p.lo), p.hi),
              p.offset) for p in w.pieces if p.lo < hi and p.hi > lo]
     legs = legs if r_end > rho else legs[::-1]
-    span = sum(abs(r1 - r0) for slope, r0, r1, _ in legs if slope)
-    pts = [np.array([start], dtype=float)]
     for slope, r0, r1, offset in legs:
         # carried over piece ends: sweep profiles are continuous, and an
         # offset can cancel (the light diamond's ramp from alpha - 10)
         w0 = offset + slope * r0 if w0 is None else w0
         if min(w0, w0 + slope * (r1 - r0)) <= kappa:
             raise ValueError("sweep hit total internal reflection")
-        if samples and slope:
+        if pts is not None and slope:
+            span = sum(abs(b - a) for s, a, b, _ in legs if s)
             m = max(1, round(_SWEEP_SAMPLES * abs(r1 - r0) / span))
             dr = (r1 - r0) * np.arange(1, m) / m
             t = _drift(w0, slope, dr, kappa, np)
@@ -165,35 +166,32 @@ def _sweep(w: RadialWeight, start, kappa, r_end, samples: bool = False):
         t = _drift(w0, slope, r1 - r0, kappa)
         x, y = x + 0.5 * (r1 - r0 + t), y + 0.5 * (r1 - r0 - t)
         w0 += slope * (r1 - r0)
-        pts.append(np.array([(x, y)]))
-    return np.vstack(pts)
+        if pts is not None:
+            pts.append((x, y))
+    return x, y
 
 
-def _rim_step(p, kappa, w: RadialWeight) -> np.ndarray:
-    """Where the straight outer legs of sweeps from points p (..., 2), one
-    kappa each, meet the unit circle."""
-    s_out = np.divide(kappa, float(w.pieces[-1].offset))
-    c_out = np.sqrt(1.0 - s_out * s_out)
-    # c + (-s) is c - s exactly
-    v = (c_out[..., None] + s_out[..., None] * (1.0, -1.0)) / SQRT2
-    t = circle_hits((p[..., 0], p[..., 1]), (v[..., 0], v[..., 1]), 1.0)[2]
-    return p + t[..., None] * v
+def _exit(w: RadialWeight, x: float, y: float,
+          pts=None) -> tuple[float, float]:
+    """Where the outward sweep leaving (x, y), a point on an axis, meets the
+    unit circle: horizontally, at 45 degrees to the edge normal, so kappa is
+    w(x, y)/sqrt(2).  Its last leg is straight, in the outer piece.  With
+    pts, appends the sweep's vertices before the exit (see _sweep)."""
+    kappa = w.profile_at(abs(x) + abs(y)) / SQRT2
+    x, y = _sweep(w, (x, y), kappa, w.pieces[-1].lo, pts)
+    s_out = kappa / w.pieces[-1].offset
+    c_out = math.sqrt(1.0 - s_out * s_out)
+    v = ((c_out + s_out) / SQRT2, (c_out - s_out) / SQRT2)
+    t = circle_hits((x, y), v, 1.0, math)[2]
+    return x + t * v[0], y + t * v[1]
 
 
-def _depart(w: RadialWeight, start, exits: bool = False) -> np.ndarray:
-    """Outward sweep leaving start, a point on an axis, to the unit circle
-    (or with exits, only the exits of a point or block): horizontally, at 45
-    degrees to the edge normal, so kappa is w(start)/sqrt(2).  The path's
-    last point is its exit, bit for bit."""
-    start = np.asarray(start, dtype=float)
-    kappa = w.values(start[..., 0], start[..., 1]) / SQRT2
-    r_out = w.pieces[-1].lo  # where the outer piece's straight leg starts
-    if exits:
-        ends = [_sweep(w, p, k, r_out)[-1] for p, k in zip(
-            start.reshape(-1, 2).tolist(), kappa.reshape(-1).tolist())]
-        return _rim_step(np.reshape(ends, start.shape), kappa, w)
-    pts = _sweep(w, start.tolist(), float(kappa), r_out, samples=True)
-    return np.vstack([pts, _rim_step(pts[-1], kappa, w)])
+def _depart(w: RadialWeight, start) -> np.ndarray:
+    """The drawn outward sweep from start, a point on an axis, to its exit
+    _exit(w, *start), which is its last point."""
+    pts = [start]
+    end = _exit(w, *start, pts)
+    return np.vstack([*pts, end])
 
 
 def _glide_in(w: RadialWeight, a: float):
@@ -204,7 +202,7 @@ def _glide_in(w: RadialWeight, a: float):
     sampled path), 'sag' when it turns back down to y < 0 first, 'tir' when
     it turns back outward first, where the weight falls to kappa.
     """
-    w_a = w_hi = float(w.values(a, 0.0))
+    w_a = w_hi = w.profile_at(a)
     kappa, x, y, rho = w_a / SQRT2, a, 0.0, a
     for p in [p for p in w.pieces if p.lo < a][::-1]:
         # the glide turns back where the weight falls to kappa, and y is
@@ -223,14 +221,17 @@ def _glide_in(w: RadialWeight, a: float):
         if min(y_lo, at(bottom)[1] if lo < bottom < rho else 0.0) < -1e-15:
             return "sag", None, np.array([(a, 0.0)])
         if x_lo <= 0.0:
-            pts = _sweep(w, (a, 0.0), kappa, lo, samples=True)
+            pts = [(a, 0.0)]
+            _sweep(w, (a, 0.0), kappa, lo, pts)
             pts[-1] = (0.0, lo)  # on the y-axis, y is the l1 radius
-            return "ycross", lo, pts
+            return "ycross", lo, np.vstack(pts)
         if lo == turn:
             return "tir", None, np.array([(a, 0.0)])
         x, y, rho, w_hi = x_lo, y_lo, lo, w_hi + p.slope * (lo - rho)
     # x and y within 1e-15 of 0: the glide ran into the origin
-    return "ycross", 0.0, _sweep(w, (a, 0.0), kappa, 0.0, samples=True)
+    pts = [(a, 0.0)]
+    _sweep(w, (a, 0.0), kappa, 0.0, pts)
+    return "ycross", 0.0, np.vstack(pts)
 
 
 def _refine(f, lo, hi, flo, fhi):
@@ -284,17 +285,16 @@ def _core_geometry(w: RadialWeight):
 
 @lru_cache(maxsize=32)
 def _apex_grid(w: RadialWeight, lo: float, hi: float):
-    """Exit heights of _depart(w, (0, y0)) for _APEX_STARTS starts y0
-    evenly spaced over [lo, hi], with no paths."""
+    """Exit heights of _exit(w, 0, y0) for _APEX_STARTS starts y0 evenly
+    spaced over [lo, hi]."""
     y0s = np.linspace(lo, hi, _APEX_STARTS)
-    return y0s, _depart(w, y0s[:, None] * (0.0, 1.0), exits=True)[:, 1]
+    return y0s, np.array([_exit(w, 0.0, y0)[1] for y0 in y0s.tolist()])
 
 
 @lru_cache(maxsize=32)
 def _band_ends(w: RadialWeight, lo: float, hi: float):
-    """Exit heights of the band curves departing the x-axis at lo and hi,
-    with no paths."""
-    return tuple(_depart(w, [(lo, 0.0), (hi, 0.0)], exits=True)[:, 1])
+    """Exit heights of the band curves departing the x-axis at lo and hi."""
+    return tuple(_exit(w, c, 0.0)[1] for c in (lo, hi))
 
 
 def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
@@ -354,13 +354,13 @@ def _radial_paths(w: RadialWeight, h: float, xb: float,
                                          h, xb, inner))
     else:
         if 1e-12 < ah < band_top:  # the axis-touching band curve
-            c = _refine(lambda cc: _depart(w, (cc, 0.0), exits=True)[1] - ah,
+            c = _refine(lambda cc: _exit(w, cc, 0.0)[1] - ah,
                         c_lo, c_hi, band_top - ah, band_end - ah)
             paths.append(_assemble_symmetric(_depart(w, (c, 0.0)),
                                              h, xb, inner))
         diff = exits - ah  # every apex curve whose exit height is ah
-        starts = [_refine(lambda y: _depart(w, (0.0, y), exits=True)[1] - ah,
-                          y0s[i], y0s[i + 1], diff[i], diff[i + 1])
+        starts = [_refine(lambda y: _exit(w, 0.0, y)[1] - ah,
+                          *y0s[i:i + 2].tolist(), *diff[i:i + 2].tolist())
                   for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
     paths += [_assemble_symmetric(_depart(w, (0.0, y0)), h, xb)
               for y0 in starts]

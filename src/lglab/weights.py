@@ -43,20 +43,21 @@ def _limits(pieces, r):
     return offset[i] + slope[i] * r, offset[k] + slope[k] * r
 
 
-def circle_hits(p, v, radius):
+def circle_hits(p, v, radius, xp=np):
     """Where the line p + t v meets the circle of given radius about 0.
 
     Returns (disc, t_near, t_far): the quadratic's discriminant and its
     roots (-bb - sqrt(disc)) / (2 aa) and (-bb + sqrt(disc)) / (2 aa), with
     disc clamped at 0 inside the root.  disc < 0 means the line misses the
     circle and disc == 0 that it touches it; each caller decides which of
-    those count as a hit.  The coordinates may be arrays of lines.
+    those count as a hit.  The coordinates may be arrays of lines, or with
+    xp = math floats of one line.
     """
     aa = v[0] * v[0] + v[1] * v[1]
     bb = 2.0 * (p[0] * v[0] + p[1] * v[1])
     cc = p[0] * p[0] + p[1] * p[1] - radius * radius
     disc = bb * bb - 4 * aa * cc
-    sq = np.sqrt(np.maximum(0.0, disc))
+    sq = xp.sqrt(np.maximum(0.0, disc) if xp is np else max(0.0, disc))
     return disc, (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)
 
 
@@ -155,6 +156,16 @@ class RadialWeight(WeightField):
     def profile(self, r):
         """Profile value with the inf-of-limits rule at piece boundaries."""
         return np.minimum(*_limits(self.pieces, r))
+
+    def profile_at(self, r: float) -> float:
+        """profile at one float radius, bit for bit: _limits' products, sums
+        and comparisons in scalar arithmetic."""
+        pieces = self.pieces
+        r, i = max(r, pieces[0].lo), 0
+        while pieces[i].hi < r:
+            i += 1
+        a, b = pieces[i], pieces[min(i + (pieces[i].hi == r), len(pieces) - 1)]
+        return min(a.offset + a.slope * r, b.offset + b.slope * r)
 
     def values(self, x, y):
         return self.profile(self.radius(x, y))

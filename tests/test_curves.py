@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lglab import curves
 from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _band_ends,
-                          _chord, _core_geometry, _depart,
+                          _chord, _core_geometry, _depart, _exit,
                           _heavy_obstacle_paths, _pick, _refine,
                           _SWEEP_BOUNDS, _three_diamond_paths,
                           boundary_points, level_curve)
@@ -353,17 +353,23 @@ def test_refiner_without_a_sign_change_returns_the_collapse_end():
 def test_radial_stack_sweep_count(monkeypatch, name, alpha):
     # a warm 21-level stack made about 960 quadrant sweeps with 45-step
     # bisection and makes about 150 with the refiner; the root searches
-    # read only exits, and only drawn curves build their paths
+    # evaluate only exits, and only drawn curves build their paths
     w = make_weight(name, alpha)
     stack(w, midpoint_levels(21))
     calls = []
-    depart = curves._depart
+    depart, exit_ = curves._depart, curves._exit
 
-    def counted(w, start, exits=False):
-        calls.append("exit" if exits else "path")
-        return depart(w, start, exits)
+    def counted_path(w, start):
+        calls.append("path")
+        return depart(w, start)
 
-    monkeypatch.setattr(curves, "_depart", counted)
+    def counted_exit(w, x, y, pts=None):
+        if pts is None:  # not a drawn path's own exit
+            calls.append("exit")
+        return exit_(w, x, y, pts)
+
+    monkeypatch.setattr(curves, "_depart", counted_path)
+    monkeypatch.setattr(curves, "_exit", counted_exit)
     stack(w, midpoint_levels(21))
     assert 0 < calls.count("path") < calls.count("exit")
     assert len(calls) <= 300
@@ -428,6 +434,43 @@ def test_sweep_tables_hold_all_that_the_level_curves_read(name, alpha):
             level_curve(w, t, branch)
     assert [table.cache_info().misses for table in tables] == [
         info.misses for info in built]
+
+
+def _exit_or_error(f):
+    try:
+        return np.array(f(), dtype=float).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def _check_exit_is_the_departures_end(w, start):
+    got = _exit_or_error(lambda: _exit(w, *start))
+    assert got == _exit_or_error(lambda: _depart(w, start)[-1]), start
+    return got
+
+
+@pytest.mark.parametrize("name,alpha", RADIAL)
+def test_exit_is_the_departures_last_point_bit_for_bit(name, alpha):
+    # seeded starts on both axes out to the outer piece; the core's starts
+    # near its center reflect, and both raise the same error there
+    w = make_weight(name, alpha)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    ends = [_check_exit_is_the_departures_end(w, start)
+            for r in rng.uniform(1e-9, w.pieces[-1].lo, 100).tolist()
+            for start in ((0.0, r), (r, 0.0))]
+    reflected = ends.count("sweep hit total internal reflection")
+    assert (reflected > 0) == (name == "lite_dmd_heavy_core")
+    assert all(len(end) == 16 for end in ends if isinstance(end, bytes))
+    assert len(ends) - reflected >= 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(RADIAL), on_x=st.booleans(),
+       frac=st.floats(1e-9, 1.0))
+def test_exit_is_the_departures_last_point_on_any_start(which, on_x, frac):
+    w = make_weight(*which)
+    r = frac * w.pieces[-1].lo
+    _check_exit_is_the_departures_end(w, (r, 0.0) if on_x else (0.0, r))
 
 
 def test_apex_table_raises_on_total_internal_reflection():
@@ -505,9 +548,9 @@ def test_drawn_sweeps_cost_little_more_than_denser_ones(monkeypatch, name,
     w = make_weight(name, alpha)
     depart, sizes = curves._depart, []
 
-    def counted(w, start, exits=False):
-        pts = depart(w, start, exits)
-        sizes.append(0 if exits else len(pts))
+    def counted(w, start):
+        pts = depart(w, start)
+        sizes.append(len(pts))
         return pts
 
     monkeypatch.setattr(curves, "_depart", counted)

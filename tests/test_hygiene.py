@@ -333,6 +333,16 @@ def test_every_tracer_patch_target_exists():
     assert not missing, f"tracer patch targets not found: {missing}"
 
 
+def test_the_benchmarks_selftest_passes():
+    # its tests trace a figure pass with every patch installed, so a
+    # refactor that breaks `perfbench/run.py --trace 1` fails here as well
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench/selftest.py"], cwd=TESTS.parent, env=_package_env(),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
 def test_the_benchmarks_stackable_table_matches_the_package():
     # the benchmark keeps its own copy, since it also runs trees older
     # than weights.STACKABLE; a drifted copy would time other presets

@@ -251,6 +251,27 @@ def test_profile_matches_the_per_piece_reference_bit_for_bit(name):
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+# a step up at r = 1/2, where the inf of the limits is the inner one; every
+# catalog jump steps down
+STEP_UP = RadialWeight("step_up", "l1", (ProfilePiece(0.0, 0.5, 0.5, 0.0),
+                                         ProfilePiece(0.5, math.inf, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("w", [*map(make_weight, RADIAL), STEP_UP],
+                         ids=[*RADIAL, "step_up"])
+def test_profile_at_one_radius_matches_the_profile_bit_for_bit(w):
+    # the sweeps' scalar kappa: at and beside each breakpoint, below the
+    # first piece, and at seeded radii
+    rng = np.random.default_rng(sum(map(ord, w.name)) + 1)
+    bps = np.array(w.breakpoints())
+    tiny = np.finfo(float).smallest_subnormal
+    r = np.concatenate([bps, np.nextafter(bps, 0.0), np.nextafter(bps, 2.0),
+                        [-1.0, -tiny, -0.0, 0.0, tiny],
+                        rng.uniform(0.0, 1.5, 1000)])
+    got = np.array([w.profile_at(x) for x in r.tolist()])
+    assert got.tobytes() == w.profile(r).tobytes()
+
+
 def _reference_shell_grid(w, r):
     """The per-shell comprehension that built the shell weights before."""
     inner = [float(_piece_values(w.pieces, np.array([float(x)]), side=-1)[0])
