@@ -13,7 +13,7 @@ from lglab import oracle
 from lglab.curves import BRANCHES, level_curve
 from lglab.oracle import _build_graph, grid_shortest_path
 from lglab.paths import Polyline, segment, weighted_length
-from lglab.weights import STACKABLE, Region, make_weight
+from lglab.weights import STACKABLE, Region, WeightField, make_weight
 
 # worst-case metric stretch of the move stencils on a uniform grid
 STENCIL_STRETCH = {8: 1.0824, 16: 1.0196}
@@ -24,9 +24,22 @@ def test_resolution_floor():
         grid_shortest_path(make_weight("constant"), 16, 8, (-1, 0), (1, 0))
 
 
-def test_unknown_stencil_rejected():
-    with pytest.raises(ValueError):
-        grid_shortest_path(make_weight("constant"), 64, 5, (-1, 0), (1, 0))
+def test_unknown_stencil_rejected(monkeypatch, spied):
+    w = make_weight("constant")
+    grid_shortest_path(w, 64, 8, (-0.5, 0.0), (0.5, 0.0))
+    held = oracle._held
+
+    def no_snap(*args):
+        raise AssertionError("snapped")
+
+    monkeypatch.setattr(oracle, "_snap", no_snap)
+    with pytest.raises(ValueError, match="stencil must be 8 or 16"):
+        grid_shortest_path(make_weight("heavy_disk", 2.0), 64, 5, (-1, 0),
+                           (1, 0))
+    # rejected before it snaps, and the held graph neither dropped nor
+    # re-priced
+    assert oracle._held is held and held[0] == (w, 64, 8)
+    assert spied[2] == [w]
 
 
 @pytest.mark.parametrize("stencil", [8, 16])
@@ -259,23 +272,32 @@ def _fresh_path(w, res, stencil, a, b):
 @pytest.fixture
 def spied(monkeypatch):
     """Spies on the oracle, from a start with no graph held: a weak reference
-    to each graph handed to Dijkstra, and for each graph build, which of
-    those graphs were alive as it began."""
+    to each graph handed to Dijkstra; for each topology build, which of
+    those graphs were alive as it began; and the weight of each cost fill."""
     oracle._held = None
-    graphs, builds = [], []
-    search, build = oracle.dijkstra, oracle._build_graph
+    graphs, builds, fills = [], [], []
+    search, topology, fill = oracle.dijkstra, oracle._topology, oracle._fill
 
     def spy_search(graph, **kwargs):
         graphs.append(weakref.ref(graph))
         return search(graph, **kwargs)
 
-    def spy_build(*args):
+    def spy_topology(*args):
         builds.append([ref() is not None for ref in graphs])
-        return build(*args)
+        return topology(*args)
+
+    def spy_fill(graph, w, *args):
+        fills.append(w)
+        return fill(graph, w, *args)
 
     monkeypatch.setattr(oracle, "dijkstra", spy_search)
-    monkeypatch.setattr(oracle, "_build_graph", spy_build)
-    return graphs, builds
+    monkeypatch.setattr(oracle, "_topology", spy_topology)
+    monkeypatch.setattr(oracle, "_fill", spy_fill)
+    return graphs, builds, fills
+
+
+def _fresh_data(w, res, stencil):
+    return _build_graph(w, res, stencil)[0].data.tobytes()
 
 
 @pytest.mark.parametrize("res", [32, 64])
@@ -284,17 +306,28 @@ def test_interleaved_queries_match_fresh_graphs(stencil, res, spied):
     wa = make_weight("heavy_disk", 2.0)
     wb = make_weight("three_heavy_diamonds", 2.0)
     a, b = (-0.875, -0.25), (0.75, 0.5)
-    for w in (wa, wa, wb, wa):
+    queries = (wa, wa, wb, wa)
+    refs = [(*_fresh_path(w, res, stencil, a, b), _fresh_data(w, res, stencil))
+            for w in queries]
+    graphs, builds, fills = spied
+    builds.clear()
+    fills.clear()
+    held = []
+    for w, (ref_pts, ref_cost, ref_data) in zip(queries, refs):
         path, cost = grid_shortest_path(w, res, stencil, a, b)
-        ref_pts, ref_cost = _fresh_path(w, res, stencil, a, b)
         assert cost == ref_cost
         assert np.array_equal(path.as_array(), ref_pts)
-    graphs, builds = spied
-    # the repeat reuses wa's graph; each new key drops the held graph
-    # before its build begins, and only the last graph stays held
-    assert builds == [[], [False, False], [False, False, False]]
-    assert [ref() is not None for ref in graphs] == [False, False, False,
-                                                     True]
+        key, graph, cells = oracle._held
+        assert key == (w, res, stencil)
+        assert graph.data.tobytes() == ref_data
+        assert not graph.data.flags.writeable
+        held.append((graph, graph.data, graph.indices, graph.indptr, cells))
+    # one topology build, from a start with no graph; the repeat reuses wa's
+    # costs, and each weight change re-prices the same arrays in place
+    assert builds == [[]]
+    assert fills == [wa, wb, wa]
+    assert all(x is y for h in held for x, y in zip(h, held[0]))
+    assert [ref() is not None for ref in graphs] == [True] * 4
 
 
 def test_a_query_on_the_held_graph_does_not_copy_it():
@@ -311,6 +344,57 @@ def test_a_query_on_the_held_graph_does_not_copy_it():
     assert oracle._held[1] is graph
     # a copy of the graph's edges would take their nbytes or more
     assert peak < 0.5 * (graph.data.nbytes + graph.indices.nbytes)
+
+
+def test_a_weight_change_reprices_the_held_edges_in_place():
+    wa = make_weight("heavy_disk", 2.0)
+    wb = make_weight("lite_dmd_heavy_core")
+    a, b = (-0.9, 0.1), (0.8, 0.3)
+    grid_shortest_path(wa, 256, 16, a, b)
+    _, graph, cells = oracle._held
+    data = graph.data
+    tracemalloc.start()
+    try:
+        grid_shortest_path(wb, 256, 16, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle._held[0] == (wb, 256, 16)
+    assert oracle._held[1] is graph and oracle._held[2] is cells
+    assert graph.data is data and not data.flags.writeable
+    assert data.tobytes() == _fresh_data(wb, 256, 16)
+    # a second edge array, or a rebuilt topology, would take their nbytes
+    # or more
+    assert peak < 0.5 * (data.nbytes + graph.indices.nbytes)
+
+
+class _FailingWeight(WeightField):
+    """Values for x <= 0.5, an error past it: at res 64 a fill meets the
+    error in its second block of nodes, after the first block's values."""
+
+    def values(self, x, y):
+        if np.max(x) > 0.5:
+            raise RuntimeError("no weight here")
+        return np.ones(np.shape(x))
+
+
+def test_a_failed_refill_holds_no_weight(spied):
+    wa = make_weight("heavy_disk", 2.0)
+    a, b = (-0.875, -0.25), (0.75, 0.5)
+    grid_shortest_path(wa, 64, 16, a, b)
+    graph = oracle._held[1]
+    with pytest.raises(RuntimeError, match="no weight here"):
+        grid_shortest_path(_FailingWeight(), 64, 16, a, b)
+    # still held, for its topology, but under no weight and read-only
+    assert oracle._held[0] == (None, 64, 16) and oracle._held[1] is graph
+    assert not graph.data.flags.writeable
+    # so a query on the first weight re-prices it, with no new topology
+    path, cost = grid_shortest_path(wa, 64, 16, a, b)
+    assert oracle._held[1] is graph and spied[1] == [[]]
+    ref_pts, ref_cost = _fresh_path(wa, 64, 16, a, b)
+    assert cost == ref_cost
+    assert np.array_equal(path.as_array(), ref_pts)
+    assert graph.data.tobytes() == _fresh_data(wa, 64, 16)
 
 
 def test_held_arrays_are_read_only(spied):
