@@ -129,14 +129,15 @@ def _mask_perimeter(mask: np.ndarray, ch: np.ndarray, cv: np.ndarray):
 
 def _span(flags: np.ndarray) -> slice:
     """Smallest slice that holds every True of a 1-D bool array."""
-    i = np.flatnonzero(flags)
-    return slice(i[0], i[-1] + 1) if i.size else slice(0, 0)
+    i = flags.nonzero()[0]
+    return slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0)
 
 
-def _ball_union(c: np.ndarray, rng) -> np.ndarray:
-    """One to four random l1/l2 balls, each tested on the box where its
-    one-axis terms pass: a non-negative addend never rounds below them."""
-    mask = np.zeros((c.size, c.size), dtype=bool)
+def _balls(c: np.ndarray, rng) -> list:
+    """One to four random l1/l2 balls as (rows, columns, inside) boxes,
+    each tested where its one-axis terms pass: a non-negative addend never
+    rounds below them.  Balls that cover no cell centre are left out."""
+    balls = []
     for _ in range(int(rng.integers(1, 5))):
         cx, cy = rng.uniform(-0.7, 0.7, 2)
         rad = float(rng.uniform(0.1, 0.5))
@@ -145,8 +146,35 @@ def _ball_union(c: np.ndarray, rng) -> np.ndarray:
         else:
             dx, dy, bar = (c - cx) ** 2, (c - cy) ** 2, rad * rad
         sx, sy = _span(dx < bar), _span(dy < bar)
-        mask[sy, sx] |= dx[sx] + dy[sy, None] < bar
-    return mask
+        if sx.stop > sx.start and sy.stop > sy.start:
+            balls.append((sy, sx, dx[sx] + dy[sy, None] < bar))
+    return balls
+
+
+def _raster_box(a: list, b: list):
+    """Union, intersection, A and B of two ball lists in one (4, h + 2,
+    w + 2) box over grid rows sy and columns sx, with an empty border."""
+    balls = a + b
+    y0 = min((r.start for r, _, _ in balls), default=0)
+    x0 = min((q.start for _, q, _ in balls), default=0)
+    sy = slice(y0, max((r.stop for r, _, _ in balls), default=y0))
+    sx = slice(x0, max((q.stop for _, q, _ in balls), default=x0))
+    box = np.zeros((4, sy.stop - y0 + 2, sx.stop - x0 + 2), dtype=bool)
+    inner = box[:, 1:-1, 1:-1]
+    for mask, part in ((inner[2], a), (inner[3], b)):
+        for r, q, inside in part:
+            mask[r.start - y0:r.stop - y0, q.start - x0:q.stop - x0] |= inside
+    np.logical_or(box[2], box[3], out=box[0])
+    np.logical_and(box[2], box[3], out=box[1])
+    return box, sy, sx
+
+
+def _box_perimeters(box: np.ndarray, ch: np.ndarray, cv: np.ndarray):
+    """Weighted perimeter of each mask of a padded box; ch and cv are cut
+    to the box's inner cells and their border edges."""
+    bh = box[:, 1:-1, 1:] != box[:, 1:-1, :-1]
+    bv = box[:, 1:, 1:-1] != box[:, :-1, 1:-1]
+    return [ch[h].sum() + cv[v].sum() for h, v in zip(bh, bv)]
 
 
 def submodularity_check(res: int = 256, trials: int = 1000,
@@ -155,8 +183,8 @@ def submodularity_check(res: int = 256, trials: int = 1000,
 
     Each trial rasterizes two unions of random l1/l2 balls and checks
     P(union) + P(intersection) <= P(A) + P(B) + 1e-9 for the discrete
-    weighted perimeter, cycling through the weight catalog.  Each ball and
-    the four perimeters are worked out over bounding boxes only.
+    weighted perimeter, cycling through the weight catalog.  All four sets
+    are rasterized and priced in one box around the balls.
     """
     if res < 64:
         raise ValueError("res must be at least 64")
@@ -169,19 +197,16 @@ def submodularity_check(res: int = 256, trials: int = 1000,
     passed = 0
     for k in range(trials):
         ch, cv = costs[k % len(costs)]
-        a, b = _ball_union(c, rng), _ball_union(c, rng)
-        u = a | b
-        sy, sx = _span(u.any(axis=1)), _span(u.any(axis=0))
-        a, b = a[sy, sx], b[sy, sx]
-        p = _mask_perimeter(np.stack((u[sy, sx], a & b, a, b)),
-                            ch[sy, sx.start:sx.stop + 1],
+        box, sy, sx = _raster_box(_balls(c, rng), _balls(c, rng))  # A, B
+        p = _box_perimeters(box, ch[sy, sx.start:sx.stop + 1],
                             cv[sy.start:sy.stop + 1, sx])
         if p[0] + p[1] <= p[2] + p[3] + 1e-9:
             passed += 1
     return passed
 
 
-_BLOCK = 1 << 15  # elements in each temporary of the rectangle sweep
+_BLOCK = 1 << 14  # elements in each temporary of the rectangle sweep
+_COLUMNS = 1 << 15  # elements in each column table of the rectangle sweep
 
 # Rectangle-kernel tables over interval codes: code c < lo.size is [lo[c],
 # hi[c]], code[c, d] that of [c, d] or the empty lo.size.  Rectangle (x, y)
@@ -241,24 +266,43 @@ def _rect_pair_terms(T: _Tables, xp: _Pairs, yp: _Pairs, get):
             get(pr, xp.s, yp.s), cut)
 
 
-def _outer(table, x, y):
-    return np.take(table[x], y, axis=1)
+def _columns():
+    """A table reader for _rect_pair_terms that gathers the columns of each
+    (table, y codes) once, then reads one row gather per term; the y codes
+    it is given must stay alive while it does."""
+    cols = {}
+
+    def get(table, x, y):
+        key = id(table), id(y)
+        if key not in cols:
+            cols[key] = np.take(table, y, axis=1)
+        return cols[key][x]
+    return get
 
 
 def _sweep(T: _Tables, *parts):
-    """Least deficit, violations and worst cut residual over xp x yp parts."""
+    """Least deficit, violations and worst cut residual over xp x yp parts,
+    each yp cut along its first axis so that a column table holds about
+    _COLUMNS elements."""
     worst, fails, resid = math.inf, 0, 0.0
     for xp, yp in parts:
-        step = max(1, _BLOCK // yp.s.size)
-        for r in range(0, xp.a.size, step):
-            rows = _Pairs(*(v[r:r + step] for v in xp))
-            pa, pb, p_union, p_inter, cut = _rect_pair_terms(T, rows, yp,
-                                                             _outer)
-            deficit = pa + pb - p_union - p_inter
-            worst = min(worst, float(deficit.min()))
-            fails += int(np.count_nonzero(deficit < -1e-9))
-            r_cut = deficit - 2.0 * cut
-            resid = max(resid, float(r_cut.max()), -float(r_cut.min()))
+        rows = max(1, _COLUMNS * len(yp.s) // (yp.s.size * len(T.rs)))
+        for c in range(0, len(yp.s), rows):
+            # a field of one row broadcasts over every chunk
+            ys = _Pairs(*(v if len(v) == 1 else v[c:c + rows] for v in yp))
+            get, step = _columns(), max(1, _BLOCK // ys.s.size)
+            for r in range(0, xp.a.size, step):
+                xs = _Pairs(*(v[r:r + step] for v in xp))
+                pa, pb, p_union, p_inter, cut = _rect_pair_terms(T, xs, ys,
+                                                                 get)
+                deficit = pa + pb - p_union - p_inter
+                low = float(deficit.min())
+                worst = min(worst, low)
+                if low < -1e-9:
+                    fails += int(np.count_nonzero(deficit < -1e-9))
+                cut *= 2.0
+                np.subtract(deficit, cut, out=cut)
+                resid = max(resid, float(np.abs(cut, out=cut).max()))
     return worst, fails, resid
 
 
@@ -335,15 +379,16 @@ def three_diamonds_thresholds(alpha: float = SQRT2) -> tuple[float, float]:
     w = three_heavy_diamonds(alpha)
     under, over, _, apex, _ = _THREE_DIAMOND_VIAS
 
-    def cost(t, verts):
-        left, right = boundary_points(t)
-        return weighted_length(Polyline((left, *verts, right)), w)
+    def gap(first, second):
+        # one pass prices both routes; each is bit for bit its own call's
+        def f(t):
+            left, right = boundary_points(t)
+            a, b = weighted_length([Polyline((left, *verts, right))
+                                    for verts in (first, second)], w)
+            return a - b
+        return f
 
-    def bottom_minus_top(t):
-        return cost(t, under) - cost(t, over)
-
-    def top_minus_apex(t):
-        return cost(t, over) - cost(t, apex)
+    bottom_minus_top, top_minus_apex = gap(under, over), gap(over, apex)
 
     def root(f, lo, hi):
         flo, fhi = f(lo), f(hi)
