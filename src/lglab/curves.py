@@ -18,7 +18,8 @@ the cheapest, the branch deciding among tied ones:
   that of the innermost departure, apex curves down to the lowest exit in
   the apex table; a level in the gap between those two heights takes both
   family ends, that innermost band curve and the apex curve with the
-  lowest exit.
+  lowest exit.  On the core every band curve runs through one inner arc,
+  the inward glide that reaches the y-axis where it turns horizontal.
 
 Sweeps work in the first quadrant, in closed form on each piece of the
 profile, which is affine in the l1 radius r: at angle theta from the edge
@@ -28,6 +29,8 @@ is a logarithm (see _drift).  Tables and root searches call _exit, which
 walks the pieces in scalar floats and returns only where a sweep meets the
 unit circle; _depart samples the same walk, uniformly in r on its sloped
 pieces, for a curve that is drawn, and ends on the same exit bit for bit.
+The core's arc is the root of one inward _sweep over its launch radius (see
+_core_arc).  sweep_tables builds and caches all a weight's sweep data once.
 """
 from __future__ import annotations
 
@@ -83,7 +86,8 @@ class LevelCurve:
     def __post_init__(self):
         arr = self.path.as_array()
         if np.any(np.diff(arr[:, 0]) < -1e-12):
-            raise ValueError(f"level-{self.level:g} curve is not a graph in x")
+            raise SolverError(f"level-{self.level:g} curve is not a graph "
+                              "in x")
 
     def x_bound(self) -> float:
         return _half_chord(self.level - 1.0)
@@ -194,46 +198,6 @@ def _depart(w: RadialWeight, start) -> np.ndarray:
     return np.vstack([*pts, end])
 
 
-def _glide_in(w: RadialWeight, a: float):
-    """Inward quadrant-1 sweep from (a, 0), horizontal launch, drifting up.
-
-    Returns (event, y_cross, pts): event is 'ycross' when the path reaches
-    the y-axis (y_cross = height there, a scalar root in l1 radius; pts the
-    sampled path), 'sag' when it turns back down to y < 0 first, 'tir' when
-    it turns back outward first, where the weight falls to kappa.
-    """
-    w_a = w_hi = w.profile_at(a)
-    kappa, x, y, rho = w_a / SQRT2, a, 0.0, a
-    for p in [p for p in w.pieces if p.lo < a][::-1]:
-        # the glide turns back where the weight falls to kappa, and y is
-        # least at an end or where the weight rises through w(a) outward
-        turn, bottom = (rho + (k - w_hi) / p.slope if p.slope > 0 else -1.0
-                        for k in (kappa, w_a))
-        lo = max(p.lo, turn)
-
-        def at(r):
-            t = _drift(w_hi, p.slope, r - rho, kappa)
-            return x + 0.5 * (r - rho + t), y + 0.5 * (r - rho - t)
-
-        x_lo, y_lo = at(lo)
-        if x_lo <= 0.0:
-            lo = y_lo = _refine(lambda r: at(r)[0], lo, rho, x_lo, x)
-        if min(y_lo, at(bottom)[1] if lo < bottom < rho else 0.0) < -1e-15:
-            return "sag", None, np.array([(a, 0.0)])
-        if x_lo <= 0.0:
-            pts = [(a, 0.0)]
-            _sweep(w, (a, 0.0), kappa, lo, pts)
-            pts[-1] = (0.0, lo)  # on the y-axis, y is the l1 radius
-            return "ycross", lo, np.vstack(pts)
-        if lo == turn:
-            return "tir", None, np.array([(a, 0.0)])
-        x, y, rho, w_hi = x_lo, y_lo, lo, w_hi + p.slope * (lo - rho)
-    # x and y within 1e-15 of 0: the glide ran into the origin
-    pts = [(a, 0.0)]
-    _sweep(w, (a, 0.0), kappa, 0.0, pts)
-    return "ycross", 0.0, np.vstack(pts)
-
-
 def _refine(f, lo, hi, flo, fhi):
     """Sign change of f in [lo, hi] to within _ROOT_TOL; flo, fhi are f there.
 
@@ -259,42 +223,37 @@ def _refine(f, lo, hi, flo, fhi):
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=32)
-def _core_geometry(w: RadialWeight):
-    """Tangency data for the heavy-core weight's shared inner arc.
+def _core_arc(w: RadialWeight) -> np.ndarray:
+    """The heavy-core weight's shared inner arc, from (a*, 0) to (0, H*).
 
-    Finds the departure radius a* whose inward glide crosses the y-axis
-    exactly where it turns horizontal; by the conserved quantity that height
-    satisfies w(0, H*) = w(a*, 0).  Returns (a*, H*, arc vertices from
-    (a*, 0) to (0, H*)).
+    The inward glide from (a*, 0), launched horizontally, turns horizontal
+    where it crosses the y-axis; by the conserved quantity that height
+    satisfies w(0, H*) = w(a*, 0), so H* = 2 (0.75 - a*) on the core's
+    piece.  a* is the root of minus the x at which the glide from (a, 0)
+    reaches l1 radius 2 (0.75 - a): x falls all the way in, so it is
+    negative where the glide crossed the axis further out.  A glide that
+    reflects first reads as +1.
     """
 
-    def g(a):  # the crossing height less the height where w = w(a)
-        event, yc, _ = _glide_in(w, a)
-        if event != "ycross":
-            return -1.0 if event == "sag" else 1.0
-        return yc - 2.0 * (0.75 - a)
+    def glide(a, pts=None):
+        return _sweep(w, (a, 0.0), w.profile_at(a) / SQRT2, 2.0 * (0.75 - a),
+                      pts)
+
+    def g(a):
+        try:
+            return -glide(a)[0]
+        except ValueError:
+            return 1.0
 
     lo, hi = 0.55, 0.74
     flo, fhi = g(lo), g(hi)
     if not flo < 0 < fhi:
         raise SolverError("inner-arc bracket failed")
     a_star = _refine(g, lo, hi, flo, fhi)
-    return a_star, 2.0 * (0.75 - a_star), _glide_in(w, a_star)[2]
-
-
-@lru_cache(maxsize=32)
-def _apex_grid(w: RadialWeight, lo: float, hi: float):
-    """Exit heights of _exit(w, 0, y0) for _APEX_STARTS starts y0 evenly
-    spaced over [lo, hi]."""
-    y0s = np.linspace(lo, hi, _APEX_STARTS)
-    return y0s, np.array([_exit(w, 0.0, y0)[1] for y0 in y0s.tolist()])
-
-
-@lru_cache(maxsize=32)
-def _band_ends(w: RadialWeight, lo: float, hi: float):
-    """Exit heights of the band curves departing the x-axis at lo and hi."""
-    return tuple(_exit(w, c, 0.0)[1] for c in (lo, hi))
+    pts = [(a_star, 0.0)]
+    glide(a_star, pts)
+    pts[-1] = (0.0, 2.0 * (0.75 - a_star))  # on the y-axis, y is the radius
+    return np.vstack(pts)
 
 
 def _assemble_symmetric(right: np.ndarray, h: float, xb: float,
@@ -320,31 +279,35 @@ _SWEEP_BOUNDS = {
 }
 
 
+@lru_cache(maxsize=32)
 def sweep_tables(w: WeightField):
-    """Build the cached sweep data of a continuous l1-radial weight, and
-    return its band range, band ends and apex table; None for others."""
+    """The cached sweep data of a continuous l1-radial weight, None for
+    others: its band range, the exit heights of the band curves departing
+    the x-axis at both ends of it, the apex table of exit heights of
+    _exit(w, 0, y0) for _APEX_STARTS starts y0 evenly spaced over the apex
+    range, and the core's inner arc (no vertices on the other weights)."""
     if not (isinstance(w, RadialWeight) and w.name in _SWEEP_BOUNDS):
         return None
     c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[w.name]
+    arc = np.empty((0, 2))
     if w.name == "lite_dmd_heavy_core":
-        a_star, h_star, _ = _core_geometry(w)
-        c_lo, y_lo = a_star + c_lo, h_star + y_lo
+        arc = _core_arc(w)
+        c_lo += arc[0, 0].item()  # a*
+        y_lo += arc[-1, 1].item()  # H*
     band = (c_lo + 1e-12, c_hi)
-    return band, _band_ends(w, *band), _apex_grid(w, y_lo, y_hi)
+    y0s = np.linspace(y_lo, y_hi, _APEX_STARTS)
+    exits = np.array([_exit(w, 0.0, y0)[1] for y0 in y0s.tolist()])
+    return band, tuple(_exit(w, c, 0.0)[1] for c in band), (y0s, exits), arc
 
 
 def _radial_paths(w: RadialWeight, h: float, xb: float,
                   branch: str) -> list[Polyline]:
     """Band and apex routes for the continuous l1-radial weights."""
-    (c_lo, c_hi), (band_top, band_end), (y0s, exits) = sweep_tables(w)
-    is_core = w.name == "lite_dmd_heavy_core"
-    inner = np.empty((0, 2))
-    if is_core:
-        # band curves run through the shared inner arc, lifted by the branch
-        sign = 1.0 if branch == "minimal" else -1.0
-        arc = _core_geometry(w)[2]
-        inner = np.vstack([arc * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
-                           arc[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
+    (c_lo, c_hi), (band_top, band_end), (y0s, exits), arc = sweep_tables(w)
+    # band curves run through the core's inner arc, lifted by the branch
+    sign = 1.0 if branch == "minimal" else -1.0
+    inner = np.vstack([arc * (-1.0, sign),       # (-a*, 0)..(0, ±H*)
+                       arc[::-1] * (1.0, sign)])  # (0, ±H*)..(a*, 0)
     paths = []
     ah = abs(h)
     if band_top <= ah <= exits.min():
@@ -364,7 +327,7 @@ def _radial_paths(w: RadialWeight, h: float, xb: float,
                   for i in np.nonzero(np.diff(np.signbit(diff)))[0]]
     paths += [_assemble_symmetric(_depart(w, (0.0, y0)), h, xb)
               for y0 in starts]
-    if is_core and ah <= 1e-12:
+    if len(arc) and ah <= 1e-12:
         # exactly level 1: the band curve degenerates to glides plus the arc
         paths.append(_assemble_symmetric(np.array([(xb, h)]), h, xb, inner))
     return paths

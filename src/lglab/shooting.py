@@ -125,7 +125,8 @@ def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,
     """
     a = (float(a[0]), float(a[1]))
     b = (float(b[0]), float(b[1]))
-    if math.hypot(*a) > 1 + 1e-9 or math.hypot(*b) > 1 + 1e-9:
+    # written so that a NaN coordinate fails it too
+    if not (math.hypot(*a) <= 1 + 1e-9 and math.hypot(*b) <= 1 + 1e-9):
         raise ValueError("endpoints must lie in the closed unit disk")
     if math.hypot(a[0] - b[0], a[1] - b[1]) < 1e-15:
         raise ValueError("endpoints coincide")

@@ -122,7 +122,7 @@ def _launch_shell(w: RadialWeight, radii, rho):
     on_boundary = any(abs(r - rho) < 1e-11
                       for r in radii[max(i - 1, 0):i + 1])
     j = bisect_right(radii, rho + (1e-11 if on_boundary else 0.0))
-    return j, float(w.profile(np.array([rho]))[0]) if on_boundary else None
+    return j, w.profile_at(rho) if on_boundary else None
 
 
 def _launch(w: RadialWeight, radii, shell_w, rho, v, n, outward):

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import lglab.cli as cli
@@ -339,9 +338,7 @@ def test_timings_go_to_stderr_only(argv, tmp_path, capsys, monkeypatch):
     assert code == 0 and err == ""
     data = [(folder / name).read_bytes() for name in ARTIFACTS]
     # cold sweep tables: the core's are built in their own stage
-    for table in (curves._apex_grid, curves._band_ends,
-                  curves._core_geometry):
-        table.cache_clear()
+    curves.sweep_tables.cache_clear()
     code, timed_out, timed_err = run(argv + ["--timings"], capsys)
     assert code == 0
     assert timed_out == out
@@ -376,16 +373,18 @@ def test_geodesic_timings_go_to_stderr_only(route, tmp_path, capsys):
 
 
 @pytest.fixture
-def sagging_glide(monkeypatch):
-    """Every inward glide sags, so the core's inner-arc bracket fails."""
-    curves._core_geometry.cache_clear()
-    monkeypatch.setattr(curves, "_glide_in",
-                        lambda w, a: ("sag", None, np.empty((0, 2))))
+def reflecting_glide(monkeypatch):
+    """Every sweep reflects, so the core's inner-arc bracket fails."""
+    def reflect(*args):
+        raise ValueError("sweep hit total internal reflection")
+
+    curves.sweep_tables.cache_clear()
+    monkeypatch.setattr(curves, "_sweep", reflect)
     yield
-    curves._core_geometry.cache_clear()
+    curves.sweep_tables.cache_clear()
 
 
-def test_core_bracket_failure_exits_3(sagging_glide, tmp_path, capsys):
+def test_core_bracket_failure_exits_3(reflecting_glide, tmp_path, capsys):
     # a typed error, not an assert, so it also holds under python -O
     with pytest.raises(SolverError, match="inner-arc bracket"):
         level_curve(make_weight("lite_dmd_heavy_core"), 0.5)
@@ -393,6 +392,20 @@ def test_core_bracket_failure_exits_3(sagging_glide, tmp_path, capsys):
                         "--resolution", "32", "--levels", "16",
                         "--outdir", str(tmp_path)], capsys)
     assert code == 3 and "inner-arc bracket" in err
+
+
+def test_level_curve_that_is_no_graph_exits_3(monkeypatch, tmp_path, capsys):
+    # a constructed route that doubles back in x is the solver's failure,
+    # not a usage error
+    def zig_zag(w, paths, branch):
+        (xa, h), (xb, _) = paths[0].as_array().tolist()  # the chord
+        return Polyline(((xa, h), (0.2, h), (-0.2, h), (xb, h)))
+
+    monkeypatch.setattr(curves, "_pick", zig_zag)
+    code, _, err = run(["solve", "--weight", "constant", "--resolution", "32",
+                        "--levels", "16", "--outdir", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("solver failure") and "not a graph in x" in err
 
 
 def test_nesting_violation_exits_3(monkeypatch, tmp_path, capsys):

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lglab import curves
-from lglab.curves import (BRANCHES, LevelCurve, _apex_grid, _band_ends,
-                          _chord, _core_geometry, _depart, _exit,
+from lglab.curves import (BRANCHES, LevelCurve, _chord, _depart, _exit,
                           _heavy_obstacle_paths, _pick, _refine,
                           _SWEEP_BOUNDS, _three_diamond_paths,
-                          boundary_points, level_curve)
+                          boundary_points, level_curve, sweep_tables)
 from lglab.paths import Polyline, weighted_length
-from lglab.snell import H_of
+from lglab.snell import H_of, SolverError
 from lglab.stacker import midpoint_levels, stack
 from lglab.weights import (STACKABLE, ProfilePiece, light_diamond_tight,
                            make_weight)
@@ -63,7 +62,8 @@ def test_the_smallest_level_off_the_rim_still_has_a_chord():
 
 
 def test_level_curve_must_be_a_graph():
-    with pytest.raises(ValueError):
+    # a construction's failure, not a caller's: cli exits 3 on it
+    with pytest.raises(SolverError, match="not a graph in x"):
         LevelCurve(1.0, "minimal",
                    Polyline(((0.0, 0.0), (0.5, 0.1), (0.2, 0.2))))
 
@@ -375,26 +375,17 @@ def test_radial_stack_sweep_count(monkeypatch, name, alpha):
     assert len(calls) <= 300
 
 
-def _apex_bounds(w):
-    _, _, lo, hi = _SWEEP_BOUNDS[w.name]
-    if w.name == "lite_dmd_heavy_core":
-        lo += _core_geometry(w)[1]
-    return lo, hi
-
-
 @pytest.mark.parametrize("name,alpha", RADIAL)
 def test_levels_between_the_sweep_families_cost_between_their_ends(name,
                                                                    alpha):
     # band curves exit up to band_top, apex curves down to the lowest
-    # tabled exit; across the gap between the two (8.8e-5 wide on the
-    # core) the cost runs from one family end to the other, where the
-    # chord would cost 2.39% more on the core
+    # tabled exit; across the gap between the two (3.2e-9 wide on the core,
+    # 1.3e-6 on the light diamond and 6.9e-7 on the tight one) the cost runs
+    # from one family end to the other, where the chord would cost 2.39%
+    # more on the core
     w = make_weight(name, alpha)
-    c_lo, c_hi, _, _ = _SWEEP_BOUNDS[name]
-    if name == "lite_dmd_heavy_core":
-        c_lo += _core_geometry(w)[0]
-    band_top = _band_ends(w, c_lo + 1e-12, c_hi)[0]
-    lowest = _apex_grid(w, *_apex_bounds(w))[1].min()
+    _, (band_top, _), (_, exits), _ = sweep_tables(w)
+    lowest = exits.min()
     for sign, branch in itertools.product((1.0, -1.0), BRANCHES):
         top, mid, low = (weighted_length(level_curve(
             w, 1.0 + sign * h, branch).path, w)
@@ -410,7 +401,7 @@ def _same(a, b):
 @pytest.mark.parametrize("name,alpha", RADIAL)
 def test_apex_table_matches_one_departure_per_start_bit_for_bit(name, alpha):
     w = make_weight(name, alpha)
-    y0s, exits = _apex_grid(w, *_apex_bounds(w))
+    y0s, exits = sweep_tables(w)[2]
     ref = np.array([_depart(w, (0.0, y0))[-1, 1] for y0 in y0s])
     assert exits.tobytes() == ref.tobytes()
 
@@ -418,22 +409,42 @@ def test_apex_table_matches_one_departure_per_start_bit_for_bit(name, alpha):
 @pytest.mark.parametrize("name,alpha", STACKABLE)
 def test_sweep_tables_hold_all_that_the_level_curves_read(name, alpha):
     w = make_weight(name, alpha)
-    tables = (_apex_grid, _band_ends, _core_geometry)
-    for table in tables:
-        table.cache_clear()
-    got = curves.sweep_tables(w)
-    built = [table.cache_info() for table in tables]
+    sweep_tables.cache_clear()
+    got = sweep_tables(w)
+    misses = sweep_tables.cache_info().misses
     if name not in _SWEEP_BOUNDS:
-        assert got is None and all(info.currsize == 0 for info in built)
-        return
-    band, (band_top, band_end), (y0s, exits) = got
-    assert (band_top, band_end) == _band_ends(w, *band)
-    assert _same(exits, _apex_grid(w, *_apex_bounds(w))[1])
+        assert got is None
+    else:
+        band, ends, (y0s, exits), arc = got
+        c_lo, c_hi, y_lo, y_hi = _SWEEP_BOUNDS[name]
+        if name == "lite_dmd_heavy_core":  # offsets from (a*, H*)
+            c_lo, y_lo = c_lo + arc[0, 0], y_lo + arc[-1, 1]
+        else:
+            assert arc.shape == (0, 2)
+        assert band == (c_lo + 1e-12, c_hi)
+        assert ends == tuple(_exit(w, c, 0.0)[1] for c in band)
+        assert _same(y0s, np.linspace(y_lo, y_hi, curves._APEX_STARTS))
     for t in (0.3, 0.99, 1.0, 1.4):
         for branch in BRANCHES:
             level_curve(w, t, branch)
-    assert [table.cache_info().misses for table in tables] == [
-        info.misses for info in built]
+    assert sweep_tables.cache_info().misses == misses
+
+
+def test_core_arc_runs_from_the_tangency_to_the_axis():
+    # a* is the root of one inward sweep; the piece walk that found it
+    # before put it at 0.6753077854033414
+    w = make_weight("lite_dmd_heavy_core")
+    arc = sweep_tables(w)[3]
+    a_star, h_star = arc[0, 0], 2.0 * (0.75 - arc[0, 0])
+    assert abs(a_star - 0.6753077854033414) <= 1e-14
+    assert arc[0].tolist() == [a_star, 0.0]
+    assert arc[-1].tolist() == [0.0, h_star]
+    # the glide itself ends on the axis there, turning horizontal: the
+    # weight at (0, H*) is the launch weight w(a*, 0)
+    kappa = w.profile_at(a_star) / math.sqrt(2.0)
+    x, y = curves._sweep(w, (a_star, 0.0), kappa, h_star)
+    assert abs(x) <= 1e-14 and abs(y - h_star) <= 1e-14
+    assert w.profile_at(h_star) == pytest.approx(a_star, abs=1e-15)
 
 
 def _exit_or_error(f):
@@ -473,13 +484,16 @@ def test_exit_is_the_departures_last_point_on_any_start(which, on_x, frac):
     _check_exit_is_the_departures_end(w, (r, 0.0) if on_x else (0.0, r))
 
 
-def test_apex_table_raises_on_total_internal_reflection():
+def test_apex_table_raises_on_total_internal_reflection(monkeypatch):
     # near the core's center the horizontal kappa exceeds the ring's weight
     w = make_weight("lite_dmd_heavy_core")
     with pytest.raises(ValueError, match="total internal reflection"):
         _depart(w, (0.0, 0.05))
+    # apex starts from 0.1 below H* = 0.149, where they reflect
+    monkeypatch.setitem(_SWEEP_BOUNDS, "lite_dmd_heavy_core",
+                        (0.0, 1.0 - 1e-9, -0.1, 0.7))
     with pytest.raises(ValueError, match="total internal reflection"):
-        _apex_grid.__wrapped__(w, 0.05, 0.7)
+        sweep_tables.__wrapped__(w)
 
 
 def test_cold_apex_table_stays_small():
@@ -489,10 +503,9 @@ def test_cold_apex_table_stays_small():
     # probe-scaled metric
     for name, alpha in RADIAL:
         w = make_weight(name, alpha)
-        bounds = _apex_bounds(w)
         tracemalloc.start()
         try:
-            _apex_grid.__wrapped__(w, *bounds)
+            sweep_tables.__wrapped__(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,14 +569,14 @@ def test_drawn_sweeps_cost_little_more_than_denser_ones(monkeypatch, name,
     monkeypatch.setattr(curves, "_depart", counted)
 
     def costs():
-        _core_geometry.cache_clear()
+        sweep_tables.cache_clear()
         return [weighted_length(level_curve(w, float(t), branch).path, w)
                 for t in midpoint_levels(41) for branch in BRANCHES]
 
     drawn = costs()
-    arc = _core_geometry(w)[2] if name == "lite_dmd_heavy_core" else ()
+    arc = sweep_tables(w)[3]
     assert 0 < max(sizes) <= 1024 and len(arc) <= 1024
     monkeypatch.setattr(curves, "_SWEEP_SAMPLES", 8 * curves._SWEEP_SAMPLES)
     dense = costs()
-    _core_geometry.cache_clear()
+    sweep_tables.cache_clear()
     assert all(a <= b * (1.0 + gap) for a, b in zip(drawn, dense))

@@ -112,6 +112,25 @@ def test_only_pick_prices_level_curve_routes():
     assert callers == ["_pick"], f"curves.py prices routes in {callers}"
 
 
+def test_only_sweep_walks_profile_pieces():
+    # one closed-form walk over the profile pieces, whose tables are built
+    # and cached in one place
+    tree = _tree(SRC / "curves.py")
+
+    def users(name):
+        return [getattr(top, "name", f"line {top.lineno}")
+                for top in tree.body
+                if not isinstance(top, (ast.Import, ast.ImportFrom))
+                for node in ast.walk(top)
+                if name in (getattr(node, "id", None),
+                            getattr(node, "attr", None))]
+
+    assert set(users("_drift")) == {"_sweep"}, \
+        f"curves.py walks profile pieces in {users('_drift')}"
+    assert users("lru_cache") + users("cache") == ["sweep_tables"], \
+        "sweep_tables must be curves.py's only cache"
+
+
 def test_level_curves_read_no_shell_grid():
     # the sweeps are solved in closed form; the shell staircase is the
     # tracer's alone

@@ -24,7 +24,9 @@ def test_constant_weight_returns_chord():
 
 @pytest.mark.parametrize("a, b, message", [
     ((1.0, 0.1), (0.0, 0.0), "closed unit disk"),
-    ((0.3, -0.2), (0.3, -0.2), "coincide")], ids=["outside", "coincident"])
+    ((math.nan, 0.0), (0.5, 0.0), "closed unit disk"),
+    ((0.3, -0.2), (0.3, -0.2), "coincide")],
+    ids=["outside", "nan", "coincident"])
 def test_shots_reject_bad_endpoints(a, b, message):
     with pytest.raises(ValueError, match=message):
         shoot_two_point(make_weight("constant"), a, b)
