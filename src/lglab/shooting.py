@@ -2,8 +2,10 @@
 
 Scans launch angles, tracing the whole fan of rays in lockstep to the line
 through the target perpendicular to the endpoint chord, and bisects the
-transverse miss between sign changes, one scalar ray at a time, to within
-tol or until the midpoint rounds onto an end, as it does across a jump.
+transverse miss between sign changes to within tol or until the midpoint
+rounds onto an end, as it does across a jump.  Each bisection fan traces
+three levels of midpoints of every live bracket at once; only a converged
+ray is traced again, with its vertices.
 Smooth refracted rays cannot produce corner routes around slow obstacles,
 so explicit candidates (the straight chord, obstacle-corner routes, rim
 wraps around a slow disk) compete with every converged ray and the
@@ -17,11 +19,12 @@ from itertools import combinations
 import numpy as np
 
 from .paths import Polyline, rim_wrap, weighted_length
-from .snell import TotalInternalReflection
-from .tracing import TraceError, trace_fan, trace_layered_ray
+from .tracing import trace_fan, trace_layered_ray
 from .weights import LayeredWeight, RadialWeight, WeightField
 
 DEFAULT_SCAN_ANGLES = 2048
+_LEVELS = 3  # bisection levels one fan advances every bracket
+_STEPS = 60  # midpoints a bracket visits at most
 
 
 def _aim(a, b):
@@ -41,16 +44,6 @@ def _miss(e, a, b, u):
     return np.where(along < 0.0, math.nan, miss)
 
 
-def _perp_miss(w, a, b, theta, n_shells):
-    """Signed transverse offset of the ray's hit on the through-b line."""
-    u, stop = _aim(a, b)
-    try:
-        path = trace_layered_ray(w, a, theta, stop, n_shells=n_shells)
-    except (TraceError, TotalInternalReflection):
-        return math.nan, None
-    return float(_miss(path.as_array()[-1], a, b, u)), path
-
-
 def _scan_angles(w, a, b, scan_angles):
     """(a, b, swapped, thetas): the endpoints in launch order, whether they
     were swapped, and the scan's launch angles."""
@@ -62,35 +55,71 @@ def _scan_angles(w, a, b, scan_angles):
     return (b, a, True, thetas) if a[1] < b[1] else (a, b, False, thetas)
 
 
+def _midpoints(lo, hi):
+    """The midpoints of _LEVELS bisection levels below [lo, hi], in heap
+    order: those of midpoint k's left and right halves are 2k + 1 and
+    2k + 2."""
+    spans, mids = [(lo, hi)], []
+    for k in range(2 ** _LEVELS - 1):
+        lo, hi = spans[k]
+        mids.append(0.5 * (lo + hi))
+        spans += [(lo, mids[k]), (mids[k], hi)]
+    return mids
+
+
+def _bisect(w, a, b, brackets, tol, n_shells):
+    """Bisect the transverse miss on each bracket (lo, hi, miss at lo).
+
+    One fan traces the midpoints of the next _LEVELS levels of every live
+    bracket, and each bracket walks down them by the signs of the misses.
+    It stops at a NaN miss, a miss below tol, a midpoint that rounds onto
+    an end (as it does across a jump) or after _STEPS midpoints.  Returns,
+    per bracket, the (angle, miss, end point) of each midpoint it visited.
+    """
+    u, stop = _aim(a, b)
+    runs = [[lo, hi, flo, []] for lo, hi, flo in brackets]
+    live = runs
+    while live:
+        mids = [_midpoints(lo, hi) for lo, hi, _, _ in live]
+        ends = trace_fan(w, a, np.concatenate(mids), stop,
+                         n_shells).reshape(len(live), -1, 2)
+        going = []
+        for run, mid, miss, end in zip(live, mids, _miss(ends, a, b, u), ends):
+            lo, hi, flo, seen = run
+            k = 0
+            for _ in range(_LEVELS):
+                fm = float(miss[k])
+                seen.append((mid[k], fm, end[k]))
+                if math.isnan(fm) or abs(fm) < tol or mid[k] in (lo, hi) \
+                        or len(seen) == _STEPS:
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo, k = mid[k], fm, 2 * k + 2
+                else:
+                    hi, k = mid[k], 2 * k + 1
+            else:
+                run[:3] = lo, hi, flo
+                going.append(run)
+        live = going
+    return [seen for _, _, _, seen in runs]
+
+
 def _scan_candidates(w, a, b, tol, n_shells, scan_angles):
     a, b, swapped, thetas = _scan_angles(w, a, b, scan_angles)
     u, stop = _aim(a, b)
     misses = _miss(trace_fan(w, a, thetas, stop, n_shells), a, b, u)
     m0, m1 = misses[:-1], misses[1:]
-    out = []
     # NaN compares False, so a bracket needs two finite misses
-    for i in np.flatnonzero((m0 > 0) & (m1 <= 0) | (m0 <= 0) & (m1 > 0)):
-        lo, hi, flo = float(thetas[i]), float(thetas[i + 1]), m0[i]
-        path = None
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm, pm = _perp_miss(w, a, b, mid, n_shells)
-            if math.isnan(fm):
-                break
-            path = pm
-            # once mid rounds onto an end, every later step retraces it
-            if abs(fm) < tol or mid == lo or mid == hi:
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        if path is not None:
-            e = path.as_array()[-1]
-            if math.hypot(e[0] - b[0], e[1] - b[1]) < max(tol * 10, 1e-6):
-                verts = np.vstack([path.as_array()[:-1], [b]])
-                out.append(Polyline.from_points(
-                    verts[::-1] if swapped else verts))
+    brackets = [(float(thetas[i]), float(thetas[i + 1]), m0[i]) for i in
+                np.flatnonzero((m0 > 0) & (m1 <= 0) | (m0 <= 0) & (m1 > 0))]
+    out = []
+    for seen in _bisect(w, a, b, brackets, tol, n_shells):
+        # the last midpoint that reached the stop, ahead of a
+        reached = [(mid, e) for mid, fm, e in seen if not math.isnan(fm)]
+        if reached and math.dist(reached[-1][1], b) < max(tol * 10, 1e-6):
+            path = trace_layered_ray(w, a, reached[-1][0], stop, n_shells)
+            verts = np.vstack([path.as_array()[:-1], [b]])
+            out.append(Polyline.from_points(verts[::-1] if swapped else verts))
     return out
 
 
@@ -122,7 +151,16 @@ def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,
     Returns (path, weighted length).  For weights without a ray tracer
     (constant, multi-diamond, custom piecewise) only the explicit candidates
     compete; the grid oracle is the fallback for anything more general.
+
+    :param tol: the transverse miss a converged ray stays below, > 0.
+    :param n_shells: shell count for discretizing sloped radial profiles,
+        >= 1.
     """
+    # written so that NaN fails them too
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    if not n_shells >= 1:
+        raise ValueError(f"n_shells must be at least 1, not {n_shells!r}")
     a = (float(a[0]), float(a[1]))
     b = (float(b[0]), float(b[1]))
     # written so that a NaN coordinate fails it too

@@ -131,6 +131,18 @@ def test_only_sweep_walks_profile_pieces():
         "sweep_tables must be curves.py's only cache"
 
 
+def test_tracing_has_one_generation_loop():
+    # every ray is a row of the fan: one loop spends the leg budget, and
+    # the rows refract by the fan's own vector law, not by snell_refract
+    tree = _tree(SRC / "tracing.py")
+    loops = [top.name for top in tree.body
+             if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
+             if isinstance(node, (ast.For, ast.While))
+             and "_MAX_LEGS" in _used_names(node)]
+    assert loops == ["_trace"], f"tracing.py loops over legs in {loops}"
+    assert "snell_refract" not in _used_names(tree)
+
+
 def test_level_curves_read_no_shell_grid():
     # the sweeps are solved in closed form; the shell staircase is the
     # tracer's alone

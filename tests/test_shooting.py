@@ -10,7 +10,8 @@ from lglab import shooting
 from lglab.curves import BRANCHES, boundary_points, level_curve
 from lglab.paths import Polyline, segment, weighted_length
 from lglab.shooting import shoot_two_point
-from lglab.tracing import trace_fan
+from lglab.snell import TotalInternalReflection
+from lglab.tracing import TraceError, trace_fan, trace_layered_ray
 from lglab.weights import Region, make_weight
 
 
@@ -30,6 +31,20 @@ def test_constant_weight_returns_chord():
 def test_shots_reject_bad_endpoints(a, b, message):
     with pytest.raises(ValueError, match=message):
         shoot_two_point(make_weight("constant"), a, b)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_shells": 0}, "n_shells"), ({"n_shells": -5}, "n_shells"),
+    ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol")])
+def test_shots_reject_bad_settings(kwargs, message):
+    # once, n_shells = 0 traced one shell a sloped piece, tol = -1 let no
+    # miss converge (a cost of 0.689088698253377 here, not the default's
+    # 0.6890886982534469) and a NaN tol dropped every converged ray, which
+    # left the chord, 0.7034912934784623
+    w = make_weight("light_diamond_tight", 0.5)
+    with pytest.raises(ValueError, match=message):
+        shoot_two_point(w, (-0.5, 0.1), (0.5, 0.2), **kwargs)
 
 
 def _reference_corner_routes(w, a, b):
@@ -267,24 +282,56 @@ def _scan_queries():
         yield f"layers-seed{k}", layers3, a, b, 256, 1024
 
 
+def _one_row(w, a, b, theta, n_shells):
+    """The transverse miss and path of one ray from a at theta, traced on
+    its own: NaN and None where the ray fails."""
+    u, stop = shooting._aim(a, b)
+    try:
+        path = trace_layered_ray(w, a, theta, stop, n_shells=n_shells)
+    except (TraceError, TotalInternalReflection):
+        return math.nan, None
+    return float(shooting._miss(path.as_array()[-1], a, b, u)), path
+
+
 @pytest.mark.parametrize("query", list(_scan_queries()),
                          ids=lambda q: q[0])
 def test_lockstep_scan_matches_scalar_misses(query):
-    # the scan's misses from the lockstep fan against one scalar ray per
-    # angle: same failures, same signs (hence the same brackets) and the
-    # same values
+    # the scan's misses from the lockstep fan against one single-ray trace
+    # per angle: the same failures and the same values, to the last bit
     _, w, a, b, scan_angles, n_shells = query
     a, b, _, thetas = shooting._scan_angles(w, a, b, scan_angles)
     u, stop = shooting._aim(a, b)
     fan = shooting._miss(trace_fan(w, a, thetas, stop, n_shells), a, b, u)
-    ref = np.array([shooting._perp_miss(w, a, b, float(th), n_shells)[0]
+    ref = np.array([_one_row(w, a, b, float(th), n_shells)[0]
                     for th in thetas])
-    assert np.array_equal(np.isnan(fan), np.isnan(ref))
-    ok = ~np.isnan(ref)
-    assert ok.any()
-    assert np.array_equal(fan[ok] > 0, ref[ok] > 0)
-    assert np.all(np.abs(fan[ok] - ref[ok])
-                  <= 1e-12 * np.maximum(1.0, np.abs(ref[ok])))
+    assert (~np.isnan(ref)).any()
+    assert np.array_equal(fan, ref, equal_nan=True)
+
+
+def _spy(monkeypatch):
+    """Lists that the next shots fill: the rows of each trace_fan call,
+    the angles each bracket's bisection visited and the angles traced with
+    vertices."""
+    fans, visits, paths = [], [], []
+
+    def fan(w, start, thetas, *args):
+        fans.append(len(thetas))
+        return trace_fan(w, start, thetas, *args)
+
+    def bisect(*args):
+        runs = bisect_(*args)
+        visits.extend([mid for mid, _, _ in seen] for seen in runs)
+        return runs
+
+    def ray(*args, **kw):
+        paths.append(args[2])
+        return trace_layered_ray(*args, **kw)
+
+    bisect_ = shooting._bisect
+    monkeypatch.setattr(shooting, "trace_fan", fan)
+    monkeypatch.setattr(shooting, "_bisect", bisect)
+    monkeypatch.setattr(shooting, "trace_layered_ray", ray)
+    return fans, visits, paths
 
 
 @pytest.mark.parametrize("name, alpha, a, b", [
@@ -292,50 +339,94 @@ def test_lockstep_scan_matches_scalar_misses(query):
     ("light_diamond_tight", None, *boundary_points(0.5))],
     ids=["heavy_diamond", "light_diamond_tight"])
 def test_default_shot_traces_few_scalar_rays(name, alpha, a, b, monkeypatch):
-    # the 2,048-angle scan is one lockstep fan; scalar rays only bisect the
-    # brackets (a per-ray scan traced 2,150 and 2,068 here)
-    rays = []
-
-    def counted(*args, **kwargs):
-        rays.append(args[2])
-        return trace(*args, **kwargs)
-
-    trace = shooting.trace_layered_ray
-    monkeypatch.setattr(shooting, "trace_layered_ray", counted)
+    # the 2,048-angle scan is one lockstep fan; each bisection fan traces
+    # three levels of every live bracket, seven midpoints a bracket, and
+    # only a converged ray is traced again with its vertices.  The
+    # brackets visit 86 and 20 midpoints here; a per-ray scan traced 2,150
+    # and 2,068 rays
+    fans, visits, paths = _spy(monkeypatch)
     shoot_two_point(make_weight(name, alpha), a, b)
-    assert 0 < len(rays) < 300
+    assert fans[0] == 2048 and visits
+    assert all(rows % 7 == 0 for rows in fans[1:])
+    assert len(fans) - 1 == -(-max(map(len, visits)) // 3)
+    assert sum(fans[1:]) < 300
+    assert 0 < len(paths) <= len(visits)
 
 
-def _scan_candidates_without_early_exit(w, a, b, tol, n_shells, scan_angles):
-    # the scan with a bisection that only stops at tol, a NaN miss or 60
-    # steps, as it once did; kept as the reference for the early exit
+def _sequential_scan(w, a, b, tol, n_shells, scan_angles, early_exit=True):
+    """_scan_candidates as it was before a fan bisected: each midpoint is
+    one ray traced on its own, bracket by bracket.  Without early_exit the
+    bisection stops only at tol, a NaN miss or 60 steps, as it once did.
+    Returns the candidates and, per bracket, the angles it visited and
+    why it stopped."""
     a, b, swapped, thetas = shooting._scan_angles(w, a, b, scan_angles)
     u, stop = shooting._aim(a, b)
     misses = shooting._miss(trace_fan(w, a, thetas, stop, n_shells), a, b, u)
     m0, m1 = misses[:-1], misses[1:]
-    out = []
+    out, brackets = [], []
     for i in np.flatnonzero((m0 > 0) & (m1 <= 0) | (m0 <= 0) & (m1 > 0)):
         lo, hi, flo = float(thetas[i]), float(thetas[i + 1]), m0[i]
-        path = None
+        path, seen, why = None, [], "steps"
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fm, pm = shooting._perp_miss(w, a, b, mid, n_shells)
+            seen.append(mid)
+            fm, pm = _one_row(w, a, b, mid, n_shells)
             if math.isnan(fm):
+                why = "nan"
                 break
             path = pm
-            if abs(fm) < tol:
+            if abs(fm) < tol or early_exit and mid in (lo, hi):
+                why = "tol" if abs(fm) < tol else "end"
                 break
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
                 hi = mid
+        brackets.append((seen, why))
         if path is not None:
             e = path.as_array()[-1]
             if math.hypot(e[0] - b[0], e[1] - b[1]) < max(tol * 10, 1e-6):
                 verts = np.vstack([path.as_array()[:-1], [b]])
                 out.append(Polyline.from_points(
                     verts[::-1] if swapped else verts))
-    return out
+    return out, brackets
+
+
+def _bisection_queries():
+    """(id, weight, a, b, scan_angles, n_shells) for the old bisection's
+    check."""
+    disk = make_weight("heavy_disk", 2.0)
+    layers3 = make_weight("layered_horizontal", layers=LAYERS3)
+    for k, (a, b) in enumerate(_seeded_pairs(21, 4)):
+        yield f"disk-seed{k}", disk, a, b, 256, 1024
+        yield f"layers-seed{k}", layers3, a, b, 256, 1024
+    # the benchmark's l1 shot
+    yield "l1-benchmark", make_weight("light_diamond_tight", 0.5), \
+        *boundary_points(0.5), 16, 128
+    # the default core shot, with three brackets
+    yield "core-1.3", make_weight("lite_dmd_heavy_core"), \
+        *boundary_points(1.3), 2048, 1024
+    # a bracket across a jump of the miss
+    yield "jump", disk, (-0.5, 0.3), (0.6, -0.2), 2048, 1024
+
+
+@pytest.mark.parametrize("query", list(_bisection_queries()),
+                         ids=lambda q: q[0])
+def test_fan_bisection_visits_what_the_scalar_bisection_visited(
+        query, monkeypatch):
+    # each bracket visits the same angles as when its midpoints were
+    # traced one ray at a time, and every converged path is the same
+    name, w, a, b, scan_angles, n_shells = query
+    ref, brackets = _sequential_scan(w, a, b, 1e-9, n_shells, scan_angles)
+    _, visits, _ = _spy(monkeypatch)
+    got = shooting._scan_candidates(w, a, b, 1e-9, n_shells, scan_angles)
+    assert visits == [seen for seen, _ in brackets]
+    assert [p.as_array().tobytes() for p in got] \
+        == [p.as_array().tobytes() for p in ref]
+    if name == "core-1.3":
+        assert len(brackets) == 3
+    if name == "jump":
+        assert "end" in [why for _, why in brackets]
 
 
 @pytest.mark.parametrize("name, alpha, a, b", [
@@ -345,23 +436,20 @@ def _scan_candidates_without_early_exit(w, a, b, tol, n_shells, scan_angles):
 def test_bisection_stops_where_its_midpoint_rounds_onto_an_end(
         name, alpha, a, b, monkeypatch):
     # each shot has a bracket across a jump of the miss, which the full
-    # bisection halves for all 60 steps (102 and 101 scalar rays in all,
+    # bisection halves for all 60 steps (102 and 101 midpoints in all,
     # against 86 and 85 with the early exit); the paths are the same
-    rays = []
-
-    def counted(*args, **kwargs):
-        rays.append(args[2])
-        return trace(*args, **kwargs)
-
-    trace = shooting.trace_layered_ray
-    monkeypatch.setattr(shooting, "trace_layered_ray", counted)
     w = make_weight(name, alpha)
+    _, visits, _ = _spy(monkeypatch)
     path, cost = shoot_two_point(w, a, b)
-    n_rays = len(rays)
-    rays.clear()
-    monkeypatch.setattr(shooting, "_scan_candidates",
-                        _scan_candidates_without_early_exit)
+    brackets = []
+
+    def full(*args):
+        out, runs = _sequential_scan(*args, early_exit=False)
+        brackets.extend(runs)
+        return out
+
+    monkeypatch.setattr(shooting, "_scan_candidates", full)
     ref_path, ref_cost = shoot_two_point(w, a, b)
     assert cost == ref_cost
     assert path.as_array().tobytes() == ref_path.as_array().tobytes()
-    assert n_rays < len(rays)
+    assert sum(map(len, visits)) < sum(len(seen) for seen, _ in brackets)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from lglab.paths import Polyline, weighted_length
+from lglab.snell import snell_refract
 from lglab.tracing import (SWEEP_SHELLS, TotalInternalReflection, TraceError,
-                           _refract_direction, trace_fan, trace_layered_ray)
+                           _refract_rows, trace_fan, trace_layered_ray)
 from lglab.weights import (LayeredWeight, ProfilePiece, RadialWeight,
                            circle_hits, make_weight)
 
@@ -26,9 +27,11 @@ def test_two_layer_kink_obeys_refraction_law():
 
 
 def test_layered_tir_raised():
-    # entering the faster lower layer too steeply
+    # entering the faster lower layer too steeply: sin = 2 sin(0.7), at
+    # (0.5 tan(0.7), -0.5) on the depth line
     w = make_weight("layered_horizontal", layers=((0.5, 2.0), (9.0, 1.0)))
-    with pytest.raises(TotalInternalReflection):
+    with pytest.raises(TotalInternalReflection,
+                       match=r"sin = 1\.28844 > 1 at \(0\.421144, -0\.5\)"):
         trace_layered_ray(w, (0.0, 0.0), 0.7, (0.0, 1.0, -1.0))
 
 
@@ -94,9 +97,10 @@ def test_radial_ray_conserves_snell_invariant():
 def test_normal_incidence_passes_straight_through(n, sign):
     # an l1 shell normal in quadrant 3 and l2 normals with a negative
     # component: a ray along the normal, either way, keeps its direction
-    v = (sign * n[0], sign * n[1])
-    out = _refract_direction(v, n, 1.0, 0.5, "interface")
+    v = np.array([[sign * n[0], sign * n[1]]])
+    out, sin_out = _refract_rows(v, np.array([n]), 1.0, 0.5)
     assert out == pytest.approx(v, abs=1e-15)
+    assert sin_out == pytest.approx([0.0], abs=1e-15)
 
 
 # ------------------------------------------------------------- reference ----
@@ -107,6 +111,22 @@ def test_normal_incidence_passes_straight_through(n, sign):
 # reference adds each step to the position, so vertices agree to 1e-11.
 
 _EPS = 1e-12
+
+
+def _refract_direction(v, n, w_in, w_out, where):
+    """Bend the unit direction v across an interface with unit normal n."""
+    vn = v[0] * n[0] + v[1] * n[1]
+    tx, ty = v[0] - vn * n[0], v[1] - vn * n[1]
+    tlen = math.hypot(tx, ty)
+    theta_in = math.asin(min(tlen, 1.0))
+    try:
+        theta_out = snell_refract(w_in, w_out, theta_in)
+    except TotalInternalReflection:
+        raise TotalInternalReflection(w_in, w_out, theta_in, where) from None
+    # at normal incidence (no tangential part) the ray goes straight on
+    s = math.sin(theta_out) / tlen if tlen >= _EPS else 0.0
+    c = math.copysign(math.cos(theta_out), vn)
+    return (c * n[0] + s * tx, c * n[1] + s * ty)
 
 
 def _ref_stop_crossing(stop, p, v, t_max):
@@ -382,8 +402,8 @@ def test_single_loop_matches_the_reference_trace(name):
 
 @pytest.mark.parametrize("name", list(_MEDIA))
 def test_fan_ends_where_each_scalar_ray_ends(name):
-    # one lockstep fan per seeded launch against a scalar ray per angle:
-    # the same end point to the last bit, NaN where the scalar ray raises
+    # one lockstep fan per seeded launch against a one-row trace per
+    # angle: the same end point to the last bit, NaN where the ray raises
     w = _MEDIA[name]()
     rng = np.random.default_rng(sum(map(ord, name)) + 1)
     reached = set()
@@ -413,7 +433,7 @@ def test_fan_rejects_what_the_scalar_tracer_rejects():
         trace_fan(layered, (0.0, 0.0), [0.1, 2.0], (0.0, 1.0, -1.0), 64)
     with pytest.raises(ValueError, match="unknown stop"):
         trace_fan(layered, (0.0, 0.0), [0.1], "x_axis", 64)
-    # a weight with no medium: the scalar tracer and the fan both raise
+    # a weight with no medium: a single ray and the fan both raise
     constant = make_weight("constant", 1.3)
     with pytest.raises(TraceError, match="no traced medium"):
         trace_layered_ray(constant, (0.0, 0.0), 0.1, (1.0, 0.0, 1.0), 64)
@@ -421,10 +441,29 @@ def test_fan_rejects_what_the_scalar_tracer_rejects():
         trace_fan(constant, (0.0, 0.0), [0.1], (1.0, 0.0, 1.0), 64)
 
 
+@pytest.mark.parametrize("name", ["layered", "light_diamond_tight",
+                                  "heavy_disk"])
+@pytest.mark.parametrize("bad, message", [
+    ("theta", "launch angle"), ("start", "start"), ("stop", "stop")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_rejected(name, bad, message, value):
+    # both entry points name the input; radial media once answered a NaN
+    # with TraceError, an infinite angle with a math domain error, and the
+    # fan with a NaN row
+    w = _MEDIA[name]()
+    args = {"theta": 0.3, "start": (0.1, -0.2), "stop": (0.0, 1.0, -0.9)}
+    args[bad] = {"theta": value, "start": (0.1, value),
+                 "stop": (0.0, 1.0, value)}[bad]
+    with pytest.raises(ValueError, match=message):
+        trace_layered_ray(w, args["start"], args["theta"], args["stop"], 64)
+    with pytest.raises(ValueError, match=message):
+        trace_fan(w, args["start"], [0.2, args["theta"]], args["stop"], 64)
+
+
 @pytest.mark.parametrize("start", [(0.0, 0.0), (1e-13, -1e-13)])
 def test_l2_launch_from_the_centre_leaves_along_x(start):
     # every direction is outward at the centre: theta counts from +x, and
-    # the fan's rays end where the scalar rays end, to the last bit
+    # the fan's rays end where the single rays end, to the last bit
     w = _MEDIA["heavy_disk"]()
     thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
     stop = (0.6, -0.8, 0.9)
