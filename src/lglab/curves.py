@@ -129,7 +129,8 @@ def _drift(w0, slope, dr, kappa, xp=math):
     and z = (w1 - w0)(1 + (w1 + w0) / (s1 + s0)) / (w0 + s0).  w1 - w0 is
     slope dr, so that a nearly flat piece does not cancel and log1p(z) / z
     tends to 1 with the slope.  Weights are in units of kappa, so that a tiny
-    one neither under- nor overflows.  xp is math, or numpy for arrays.
+    one neither under- nor overflows.  xp is math, or numpy for arrays; an
+    array of slopes may hold no 0.
     """
     w0, w1 = w0 / kappa, (w0 + slope * dr) / kappa
     # s is 0 at a turning point, where rounding may leave either sign
@@ -137,7 +138,8 @@ def _drift(w0, slope, dr, kappa, xp=math):
     s1 = xp.sqrt(abs(w1 - 1.0)) * xp.sqrt(w1 + 1.0)
     q = dr * (1.0 + (w1 + w0) / (s1 + s0)) / (w0 + s0)
     z = slope * q / kappa
-    return q * (xp.log1p(z) / z if slope else 1.0)
+    flat = not isinstance(slope, np.ndarray) and not slope
+    return q if flat else q * (xp.log1p(z) / z)
 
 
 def _sweep(w: RadialWeight, start, kappa, r_end, pts=None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def _midpoints(lo, hi):
     return mids
 
 
-def _bisect(w, a, b, brackets, tol, n_shells):
+def _bisect(w, a, b, brackets, tol):
     """Bisect the transverse miss on each bracket (lo, hi, miss at lo).
 
     One fan traces the midpoints of the next _LEVELS levels of every live
@@ -81,8 +82,8 @@ def _bisect(w, a, b, brackets, tol, n_shells):
     live = runs
     while live:
         mids = [_midpoints(lo, hi) for lo, hi, _, _ in live]
-        ends = trace_fan(w, a, np.concatenate(mids), stop,
-                         n_shells).reshape(len(live), -1, 2)
+        ends = trace_fan(w, a, np.concatenate(mids),
+                         stop).reshape(len(live), -1, 2)
         going = []
         for run, mid, miss, end in zip(live, mids, _miss(ends, a, b, u), ends):
             lo, hi, flo, seen = run
@@ -107,13 +108,13 @@ def _bisect(w, a, b, brackets, tol, n_shells):
 def _scan_candidates(w, a, b, tol, n_shells, scan_angles):
     a, b, swapped, thetas = _scan_angles(w, a, b, scan_angles)
     u, stop = _aim(a, b)
-    misses = _miss(trace_fan(w, a, thetas, stop, n_shells), a, b, u)
+    misses = _miss(trace_fan(w, a, thetas, stop), a, b, u)
     m0, m1 = misses[:-1], misses[1:]
     # NaN compares False, so a bracket needs two finite misses
     brackets = [(float(thetas[i]), float(thetas[i + 1]), m0[i]) for i in
                 np.flatnonzero((m0 > 0) & (m1 <= 0) | (m0 <= 0) & (m1 > 0))]
     out = []
-    for seen in _bisect(w, a, b, brackets, tol, n_shells):
+    for seen in _bisect(w, a, b, brackets, tol):
         # the last midpoint that reached the stop, ahead of a
         reached = [(mid, e) for mid, fm, e in seen if not math.isnan(fm)]
         if reached and math.dist(reached[-1][1], b) < max(tol * 10, 1e-6):
@@ -153,14 +154,19 @@ def shoot_two_point(w: WeightField, a, b, tol: float = 1e-9,
     compete; the grid oracle is the fallback for anything more general.
 
     :param tol: the transverse miss a converged ray stays below, > 0.
-    :param n_shells: shell count for discretizing sloped radial profiles,
-        >= 1.
+    :param n_shells: the vertices a converged ray's path puts on sloped l1
+        pieces (see trace_layered_ray), an integer >= 1.
+    :param scan_angles: the launch angles scanned for brackets, an integer
+        >= 2.
     """
-    # written so that NaN fails them too
+    # written so that NaN fails it too
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, not {tol!r}")
-    if not n_shells >= 1:
-        raise ValueError(f"n_shells must be at least 1, not {n_shells!r}")
+    for name, value, least in (("n_shells", n_shells, 1),
+                               ("scan_angles", scan_angles, 2)):
+        if not isinstance(value, Integral) or value < least:
+            raise ValueError(f"{name} must be an integer of at least "
+                             f"{least}, not {value!r}")
     a = (float(a[0]), float(a[1]))
     b = (float(b[0]), float(b[1]))
     # written so that a NaN coordinate fails it too

@@ -1,18 +1,15 @@
 """Ray propagation through layered and radial media.
 
-A ray is a polyline that is straight inside each constant-weight region and
-refracts at interfaces.  Horizontally layered media refract at depth lines;
-l1-radial media refract at diamond shells (with the quadrant's edge normal);
-l2-radial media refract at circles (radial normal).  Sloped l1-radial
-profiles are discretized into concentric constant-weight shells, the weight
-of each shell taken at its outer radius, so refined shells converge to the
-continuous bending ray.
+A ray is straight inside each constant-weight region and refracts at
+interfaces: depth lines in horizontally layered media, diamonds (with the
+quadrant's edge normal) in l1-radial media and circles in l2-radial media.
+On a sloped l1-radial piece it bends, keeping w sin(theta) against the edge
+normal, by the closed form of the level curves' sweeps (curves._drift).
 
 Rays are traced as a fan, many rays from one start in lockstep, by one
 loop, _trace.  Each generation traces one leg of every live ray (its
-straight pieces up to the medium's next event), checks the pieces against
-the stop and turns the rays that go on; an l1 leg is one _run across a
-quadrant's shells.  trace_fan returns a fan's end points, and
+pieces up to the medium's next event), checks the pieces against the stop
+and turns the rays that go on.  trace_fan returns a fan's end points, and
 trace_layered_ray is the fan of one ray, which also keeps its vertices.
 
 Angle convention: theta is measured from the interface normal.  For layered
@@ -24,11 +21,11 @@ radial normal for l2, and +x at the centre, where every direction is outward.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .curves import _ROOT_TOL, _SWEEP_SAMPLES, _drift
 from .paths import Polyline
 from .snell import SolverError, TotalInternalReflection
 from .weights import (SQRT2, LayeredWeight, RadialWeight, WeightField,
@@ -36,11 +33,13 @@ from .weights import (SQRT2, LayeredWeight, RadialWeight, WeightField,
 
 _EPS = 1e-12
 _MAX_LEGS = 200000
-SWEEP_SHELLS = 4096  # default l1 shell count of a traced sloped profile
-# (ray, shell) pairs per temporary of a fan's run legs, 96 KiB: at 2^15 the
-# allocator handed them back after each block, to page-fault them in again
-_BLOCK = 12288
-_AXIS_X, _AXIS_Y = 2, 3  # l1 leg events besides the shell steps -1 and +1
+# legs an l1 ray may take per profile piece before it counts as trapped (a
+# turn holds a ray only within its quadrant); catalog rays take at most 8
+_L1_LEGS = 16
+_ROOT_STEPS = 100  # regula falsi steps a crossing takes at most
+# l1 leg events besides the piece steps -1 and +1: the turn where w falls
+# to |kappa|, and the x and y coordinate reaching 0
+_TURN, _AXIS_X, _AXIS_Y = 0, 2, 3
 
 
 class TraceError(SolverError):
@@ -124,36 +123,6 @@ def _refract_rows(v, n, w_in, w_out):
                             c * n[:, 1] + s * ty)), s_out
 
 
-def _run(radii, weights, kappa):
-    """A monotone run across l1 shells, from its start.
-
-    radii[..., k] are the shell radii in the order crossed, rising outward
-    and falling inward; weights[..., k] is the weight between radii k and
-    k + 1.  A shell of signed width dr moves the run (dr/2)(1 + tan,
-    1 - tan), sin(theta) = kappa / weight clipped below 1.  Returns (tir,
-    sin, cos, offsets): the reflecting shells, where sin(theta) >=
-    1 - 1e-13, each shell's clipped sine and its cosine, and the x and y
-    offsets at each radius, summed in shell order.
-    """
-    # in place, so that a block's temporaries stay few (see _BLOCK)
-    s = kappa / weights
-    tir = s >= 1.0 - 1e-13
-    np.minimum(s, 1.0 - 1e-13, out=s)
-    c = np.multiply(s, s)
-    np.sqrt(np.subtract(1.0, c, out=c), out=c)
-    tan = np.divide(s, c)
-    half = np.subtract(radii[..., 1:], radii[..., :-1])
-    half *= 0.5
-    offsets = np.zeros((2, *radii.shape))
-    step = np.add(1.0, tan)
-    np.cumsum(np.multiply(half, step, out=step), axis=-1,
-              out=offsets[0, ..., 1:])
-    np.subtract(1.0, tan, out=tan)
-    np.cumsum(np.multiply(half, tan, out=tan), axis=-1,
-              out=offsets[1, ..., 1:])
-    return tir, s, c, offsets
-
-
 def _rotated_rows(n0, thetas):
     """The unit n0 rotated counterclockwise by each of thetas, as rows."""
     cos, sin = _libm(math.cos, thetas), _libm(math.sin, thetas)
@@ -161,23 +130,20 @@ def _rotated_rows(n0, thetas):
                             cos * n0[1] + sin * n0[0]))
 
 
-def _launch(w: RadialWeight, grid, ws, rho, v, n, outward):
-    """Shell indices, directions and refracted sines (0: no bend) of the
-    rays launched at radius rho along the rows v, bent in place, on the
-    shells (grid, ws) of w.shell_grid.  n are their outward normals and
-    outward their rates of radius change: a launch on an interface
-    refracts into whichever shell it proceeds to."""
-    radii = grid[1:].tolist()
-    i = bisect_left(radii, rho)
-    # the nearest interface is one of the two around rho
-    on_boundary = any(abs(r - rho) < 1e-11
-                      for r in radii[max(i - 1, 0):i + 1])
+def _launch(w: RadialWeight, rho, v, n, outward):
+    """Piece indices, directions and refracted sines (0: no bend) of the
+    rays launched at radius rho along the rows v, bent in place.  n are
+    their outward normals and outward their rates of radius change: a
+    launch on a breakpoint refracts into whichever piece it proceeds to."""
+    radii = w.breakpoints()
+    on_boundary = any(abs(r - rho) < 1e-11 for r in radii)
     j = np.full(len(v), bisect_right(radii,
                                      rho + (1e-11 if on_boundary else 0.0)))
     s = np.zeros(len(v))
     if on_boundary:
         w_from = w.profile_at(rho)
         j -= outward < -_EPS
+        ws = np.array([p.offset + p.slope * rho for p in w.pieces])
         bend = ws[j] != w_from
         v[bend], s[bend] = _refract_rows(v[bend], n[bend], w_from,
                                          ws[j[bend]])
@@ -219,151 +185,199 @@ def _quadrant(c, vc):
                     np.where(c < -_EPS, -1.0, np.where(vc >= 0, 1.0, -1.0)))
 
 
-def _diamonds(w: RadialWeight, p, thetas, n_shells):
-    """l1 shells: diamond edges with the quadrant's normal.
+def _roots(f, lo, hi, flo, fhi):
+    """The sign change of f(rows, x) on each bracket (lo, hi), either way
+    round, where flo and fhi are f there and fhi is 0 or of the other sign:
+    curves._refine's Illinois regula falsi on every row at once."""
+    done, moved, live = fhi == 0, np.zeros(len(hi)), np.flatnonzero(fhi)
+    for _ in range(_ROOT_STEPS):
+        live = live[abs(hi[live] - lo[live]) > 2.0 * _ROOT_TOL]
+        if not live.size:
+            break
+        a, b, fa, fb, mv = (z[live] for z in (lo, hi, flo, fhi, moved))
+        x = np.clip(b - fb * (b - a) / (fb - fa), np.minimum(a, b) + _ROOT_TOL,
+                    np.maximum(a, b) - _ROOT_TOL)
+        fx = f(live, x)
+        kept = (fx > 0) == (fa > 0)  # the sign change lies between x and b
+        lo[live], hi[live] = np.where(kept, x, a), np.where(kept, b, x)
+        flo[live] = np.where(kept, fx, fa * np.where(mv > 0, 0.5, 1.0))
+        fhi[live] = np.where(kept, fb * np.where(mv < 0, 0.5, 1.0), fx)
+        moved[live] = np.where(kept, -1.0, 1.0)
+    return np.where(done, hi, 0.5 * (lo + hi))
 
-    A leg is one _run in the quadrant frame (sx, sy), at kappa = w sin(theta)
-    against the edge normal.  It ends where the ray crosses an axis (the
-    weight is continuous there, so only the frame flips) or at the shell
-    the turn refracts into once: the outer or innermost one, or one _run
-    finds reflecting, where the turn reflects.  _run reflects from
-    sin(theta) >= 1 - 1e-13, the turn only beyond 1; a ray closer to
-    grazing keeps the clipped sine.  In the outer shell outward, the
-    innermost inward or tangent to the shells, a leg is straight to the
-    axis ahead.  The rows with a run leg are sorted by the shells it
-    crosses, so a block of them pads its rows little.
+
+def _diamonds(w: RadialWeight, p, thetas, n_shells):
+    """l1 pieces: diamond edges with the quadrant's normal.
+
+    In the quadrant frame (sx x, sy y) a ray keeps kappa = w sin(theta)
+    against the edge normal; across dr of r = |x| + |y| it moves (dr + T,
+    dr - T)/2 for its drift T (curves._drift).  A leg stays in one quadrant
+    and piece, r moving one way: straight on a constant piece, in closed
+    form on a sloped one, split where tan(theta) is 1, -1 or parallel to
+    the stop line, so that each crossing is a bracketed root.  It ends at an
+    axis (the frame flips), at the piece's end (a jump refracts) or where w
+    falls to |kappa| (the ray turns back).  A kept path samples a sloped
+    leg uniformly in r, n_shells points over the sloped pieces' width.
     """
-    grid, ws = w.shell_grid(n_shells)
-    n_radii = len(grid) - 1
-    # a run from shell j crosses the window at j outward, at 3 n_radii - j
-    # inward, then padding shells of zero width and infinite weight
-    pad = np.ones(n_radii)
-    run_radii = sliding_window_view(np.concatenate(
-        (grid[1:], grid[-1] * pad, grid[:0:-1], grid[1] * pad)), n_radii)
-    run_ws = sliding_window_view(np.concatenate(
-        (ws[:-1], np.inf * pad, ws[-1:0:-1], np.inf * pad)), n_radii)
+    lo, hi, off, slope = np.array([(q.lo, q.hi, q.offset, q.slope)
+                                   for q in w.pieces]).T
+    span = np.sum(np.where(slope != 0, hi - lo, 0.0)[:-1])
     sx, sy = _quadrant(np.array(p), np.ones(2))
     v = _rotated_rows((sx / SQRT2, sy / SQRT2), thetas)
     sx, sy = (_quadrant(c, vc) for c, vc in zip(p, v.T))
-    j, v, s = _launch(w, grid, ws, abs(p[0]) + abs(p[1]), v,
-                      np.column_stack((sx, sy)) / SQRT2,
+    r = abs(p[0]) + abs(p[1])
+    i, v, s = _launch(w, r, v, np.column_stack((sx, sy)) / SQRT2,
                       sx * v[:, 0] + sy * v[:, 1])
+    st = {"v": v, "sx": sx, "sy": sy, "i": i, "r": np.full(len(v), r),
+          "legs": np.zeros(len(v), dtype=int)}
 
-    def run(stop, keep, p, v, sx, sy, j, step, n_sh):
-        """One run leg per row, padded to the longest run with shells of
-        zero width and infinite weight."""
-        m, cols = len(j), np.arange(int(n_sh.max()))
-        rows = np.arange(m)
+    def straight(stop, keep, p, v, sx, sy, i, r):
         x0, y0, vx, vy = sx * p[:, 0], sy * p[:, 1], sx * v[:, 0], sy * v[:, 1]
-        at = np.where(step > 0, j, 3 * n_radii - j)
-        rr = np.column_stack((x0 + y0, run_radii[at, :len(cols)]))
-        wr = run_ws[at, :len(cols)]
-        kappa = (ws[j] * abs(vx - vy) / SQRT2)[:, None]
-        tir, s, c, off = _run(rr, wr, kappa)
-        # _run drifts toward +x; a ray drifting toward +y is its mirror image
-        mirror = (step * (vx - vy) < 0)[:, None]
-        xs = np.where(mirror, off[1], off[0]) + x0[:, None]
-        ys = np.where(mirror, off[0], off[1]) + y0[:, None]
-        # the first reflecting shell after the first, else the run's end
-        k = np.minimum(np.argmax(np.column_stack((tir[:, 1:], rows >= 0)),
-                                 axis=1) + 1, n_sh)
-        # a piece crosses an axis it starts more than _EPS away from
-        before = cols < k[:, None]
-        cut = [(c_[:, 1:] < 0) & (c_[:, :-1] > _EPS) & before
-               for c_ in (xs, ys)]
-        either = cut[0] | cut[1]
-        crossed = either.any(axis=1)
-        i = np.where(crossed, either.argmax(axis=1) + 1, k)
-        a, b = rows, i - 1
-        f = [np.divide(c_[a, b], c_[a, b] - c_[a, i], out=np.full(m, np.inf),
-                       where=crossed & m_[a, b])
-             for c_, m_ in zip((xs, ys), cut)]
-        # on a tie the x axis
-        on_x = f[0] <= f[1]
-        f = np.where(crossed, np.where(on_x, *f), 0.0)
-        end = [np.where(crossed, c_[a, b] + f * (c_[a, i] - c_[a, b]),
-                        c_[a, i]) for c_ in (xs, ys)]
-        event = np.where(crossed, np.where(on_x, _AXIS_X, _AXIS_Y), step)
-        # the pieces up to the end, in the world frame; mirroring negates
-        # the sines
-        n = int(i.max())
-        xs, ys = xs[:, :n + 1] * sx[:, None], ys[:, :n + 1] * sy[:, None]
-        xs[a, i], ys[a, i] = end[0] * sx, end[1] * sy
-        t = np.hypot(xs[:, 1:] - xs[:, :-1], ys[:, 1:] - ys[:, :-1])
-        t[cols[:n] >= i[:, None]] = np.nan
-        s, c = s[:, :n] * np.where(mirror, -1.0, 1.0), c[:, :n]
-        u = (((step * sx) / SQRT2)[:, None] * (c + s),
-             ((step * sy) / SQRT2)[:, None] * (c - s))
-        starts = xs[:, :-1].copy(), ys[:, :-1].copy()
-        starts[0][:, 0], starts[1][:, 0] = p[:, 0], p[:, 1]
-        e, pieces = _first_stop(stop, starts, u, t,
-                                (xs[:, 1:], ys[:, 1:]), keep)
-        return (e, np.column_stack((xs[a, i], ys[a, i])),
-                np.column_stack((u[0][a, b], u[1][a, b])), pieces, event,
-                j + step * (i - 1))
-
-    def ahead(stop, keep, p, v, sx, sy, j, step, n_sh):
-        """A straight leg per row to the axis ahead."""
-        t, event = np.full(len(j), np.inf), np.zeros(len(j), dtype=int)
-        for axis, c, vc in ((_AXIS_X, sx * p[:, 0], sx * v[:, 0]),
-                            (_AXIS_Y, sy * p[:, 1], sy * v[:, 1])):
-            tc = np.divide(-c, vc, out=np.full(len(j), np.inf),
+        rate, n = vx + vy, len(r)
+        # the origin is no piece end: the axes meet there
+        end = np.where(rate > 0, hi[i], np.where(i > 0, lo[i], np.nan))
+        t = np.divide(end - r, rate, out=np.full(n, np.inf),
+                      where=(abs(rate) > _EPS) & ~np.isnan(end))
+        event = np.where(rate > 0, 1, -1)
+        for axis, c, vc in ((_AXIS_X, x0, vx), (_AXIS_Y, y0, vy)):
+            tc = np.divide(-c, vc, out=np.full(n, np.inf),
                            where=(vc < 0) & (c > _EPS))
             event[tc < t] = axis
             t = np.minimum(t, tc)
-        return (*_straight_rows(stop, p, v, t, keep), event, j)
+        return (*_straight_rows(stop, p, v, t, keep), event,
+                np.where(abs(event) == 1, end, r))
+
+    def curved(stop, keep, p, v, sx, sy, i, r):
+        a, b, n = off[i], slope[i], len(r)
+        vx, vy = sx * v[:, 0], sy * v[:, 1]
+        # the way r goes, toward the larger weight along an edge, and the
+        # sign of tan(theta); a ray along the normal does not drift
+        k = (a + b * r) * np.clip((vx - vy) / SQRT2, -1.0, 1.0)
+        step, kk = np.where(vx + vy == 0, np.sign(b), np.sign(vx + vy)), abs(k)
+        sg = np.where(kk > 0, np.sign(k) * step, 0.0)
+        cols = np.array((r, a + b * r, b, np.where(kk > 0, kk, 1.0), sg,
+                         sx * p[:, 0], sy * p[:, 1]))
+
+        def at(rows, rr):
+            """The frame points at the radii rr of the rows' legs."""
+            r0, w0, bb, kq, sgn, x0, y0 = cols[:, rows].reshape(
+                (7, -1) + (1,) * (np.ndim(rr) - 1))
+            dr = rr - r0
+            with np.errstate(all="ignore"):
+                t = np.where(dr != 0, sgn * _drift(w0, bb, dr, kq, np), 0.0)
+            return x0 + 0.5 * (dr + t), y0 + 0.5 * (dr - t)
+
+        # an unbounded sloped piece is followed up to the stop's 1e6
+        end = np.where(step > 0, np.minimum(hi[i], 1e6), lo[i])
+        r_turn = (kk - a) / b
+        turns = (b * step < 0) & (step * (r_turn - end) <= 0)
+        r1 = np.where(turns, np.where(step * (r_turn - r) < 0, r, r_turn),
+                      end)
+        # split where tan(theta) is 1 or -1 (y or x stands still) and tau
+        # (the ray runs parallel to the stop line)
+        nx, ny, c = stop
+        ax, ay = nx * sx, ny * sy
+        with np.errstate(all="ignore"):
+            tau = np.array([np.ones(n), -np.ones(n), (ax + ay) / (ay - ax)])
+            r_tan = np.where(np.sign(tau) == sg, (
+                kk * np.hypot(1.0, tau) / abs(tau) - a) / b, np.nan)
+        inside = (step * (r_tan - r) > 0) & (step * (r1 - r_tan) > 0)
+        rr = step[:, None] * np.sort(step[:, None] * np.column_stack(
+            (r, *np.where(inside, r_tan, r1), r1)))
+        xs, ys = at(np.arange(n), rr)
+        fs = np.stack((xs, ys, ax[:, None] * xs + ay[:, None] * ys - c))
+        fa, fb = fs[..., :-1], fs[..., 1:]
+        # an axis is crossed from off it, the stop line from either side
+        cross = np.concatenate(((fa[:2] > 0) & (fb[:2] <= 0), (fa[2:] != 0) & (
+            (fb[2:] == 0) | ((fa[2:] > 0) != (fb[2:] > 0)))))
+        fn, row = np.nonzero(cross.any(axis=2))
+        j = cross[fn, row].argmax(axis=1)
+        cx, cy, cc = np.where(fn == 2, (ax[row], ay[row], c + 0 * row),
+                              (fn == 0, fn == 1, 0 * row))
+
+        def f(live, x):
+            px, py = at(row[live], x)
+            return cx[live] * px + cy[live] * py - cc[live]
+
+        roots = np.full((3, n), np.inf)
+        roots[fn, row] = _roots(f, rr[row, j], rr[row, j + 1],
+                                fa[fn, row, j], fb[fn, row, j])
+        # the first in travel order; the stop wins ties, then the x axis.
+        # The inner end of the first piece is the origin, on both axes
+        key = np.where(np.isinf(roots), np.inf, step * roots)
+        met = key[:2].min(axis=0) < np.inf
+        hit = (key[2] < np.inf) & (key[2] <= key[:2].min(axis=0))
+        on_x, axis = key[0] <= key[1], ~hit & (met | (r1 == 0))
+        r_end = np.where(hit, roots[2], np.where(
+            met, np.where(on_x, roots[0], roots[1]), r1))
+        event = np.where(axis, np.where(on_x, _AXIS_X, _AXIS_Y),
+                         np.where(turns, _TURN, step))
+        xe, ye = at(np.arange(n), r_end)
+        sin = np.where(event == _TURN, np.sign(k),
+                       np.clip(k / (a + b * r_end), -1.0, 1.0))
+        cos = step * np.sqrt(1.0 - sin * sin)
+        u = np.column_stack((sx * (cos + sin), sy * (cos - sin))) / SQRT2
+        q = np.column_stack((sx * xe, sy * ye))
+        pieces = []
+        for ix in range(n) if keep else ():
+            n_at = max(1, round(n_shells * abs(r_end[ix] - r[ix]) / span))
+            px, py = at(np.full(n_at - 1, ix), r[ix] + (r_end[ix] - r[ix])
+                        * np.arange(1, n_at) / n_at)
+            pts = np.column_stack((sx[ix] * px, sy[ix] * py))
+            pieces.append(pts if hit[ix] else np.vstack([pts, q[ix]]))
+        return np.where(hit[:, None], q, np.nan), q, u, pieces, event, r_end
 
     def leg(st, stop, keep):
-        p, v, sx, sy, j = (st[key] for key in ("p", "v", "sx", "sy", "j"))
-        step = np.where(sx * v[:, 0] + sy * v[:, 1] > 0, 1, -1)
-        n_sh = np.where(step > 0, n_radii - j, j)
-        flat = (abs(sx * v[:, 0] + sy * v[:, 1]) <= _EPS) | (n_sh == 0)
-        e, q, u = np.empty_like(p), np.empty_like(p), v.copy()
-        event, j, pieces = np.zeros(len(j), dtype=int), j.copy(), {}
-        # the flat rows, then the run legs, longest first, in blocks of
-        # about _BLOCK pieces
-        runs = np.flatnonzero(~flat)
-        runs = runs[np.argsort(-n_sh[runs], kind="stable")]
-        blocks, at = [(ahead, np.flatnonzero(flat))], 0
-        while at < len(runs):
-            blocks.append((run, runs[at:at + max(
-                1, _BLOCK // int(n_sh[runs[at]]))]))
-            at += len(blocks[-1][1])
-        for f, b in blocks:
+        st["legs"] += 1
+        n = len(st["r"])
+        e, q, u = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+        event, r_end, pieces = np.empty(n, dtype=int), np.empty(n), {}
+        flat = slope[st["i"]] == 0
+        for f, b in ((straight, np.flatnonzero(flat)),
+                     (curved, np.flatnonzero(~flat))):
             if b.size:
-                e[b], q[b], u[b], got, event[b], j[b] = f(
-                    stop, keep, p[b], v[b], sx[b], sy[b], j[b], step[b],
-                    n_sh[b])
+                e[b], q[b], u[b], got, event[b], r_end[b] = f(
+                    stop, keep, *(st[key][b] for key in (
+                        "p", "v", "sx", "sy", "i", "r")))
                 pieces.update(zip(b, got))
-        st["event"], st["j"] = event, j
+        # a ray out of legs fails, as does one past an unbounded piece
+        q[(st["legs"] >= _L1_LEGS * len(off))
+          | (event == 1) & (st["i"] == len(off) - 1)] = np.nan
+        st["event"], st["r"] = event, r_end
         return e, q, u, pieces
 
     def turn(st, q, u):
-        event, sx, sy, j = (st[key] for key in ("event", "sx", "sy", "j"))
+        event, sx, sy, i, r = map(st.get, ("event", "sx", "sy", "i", "r"))
         p, v, s = q.copy(), u.copy(), np.zeros(len(q))
         for axis, sk in ((_AXIS_X, sx), (_AXIS_Y, sy)):
             on = event == axis
-            sk[on] = np.where(u[on, axis - _AXIS_X] >= 0, 1.0, -1.0)
+            sk[on] = -sk[on]
             p[on, axis - _AXIS_X] = 0.0
-        sh = np.abs(event) == 1
-        j[sh] += event[sh]
-        v[sh], s[sh] = _refract_rows(
-            u[sh], np.column_stack((sx[sh], sy[sh])) / SQRT2,
-            ws[j[sh] - event[sh]], ws[j[sh]])
+            r[on] = abs(p[on, 0]) + abs(p[on, 1])
+        sh = np.flatnonzero(abs(event) == 1)
+        w_in = off[i[sh]] + slope[i[sh]] * r[sh]
+        i[sh] += event[sh]
+        w_out = off[i[sh]] + slope[i[sh]] * r[sh]
+        bend = sh[w_in != w_out]
+        if bend.size:
+            v[bend], s[bend] = _refract_rows(
+                u[bend], np.column_stack((sx[bend], sy[bend])) / SQRT2,
+                w_in[w_in != w_out], w_out[w_in != w_out])
         st["p"], st["v"] = p, v
         return s
 
-    return s, {"v": v, "sx": sx, "sy": sy, "j": j}, leg, turn
+    return s, st, leg, turn
 
 
 def _circles(w: RadialWeight, p, thetas, n_shells):
-    """l2 shells: circles with the radial normal, one per constant piece."""
-    grid, ws = w.shell_grid(n_shells)
+    """l2 pieces: circles with the radial normal, one per breakpoint."""
+    grid = np.array((0.0, *w.breakpoints()))
+    ws = np.array([q.offset for q in w.pieces])
     n_radii = len(grid) - 1
     r = math.hypot(*p)
     n0 = (p[0] / r, p[1] / r) if r >= _EPS else (1.0, 0.0)
     v = _rotated_rows(n0, thetas)
-    j, v, s = _launch(w, grid, ws, r, v, np.tile(n0, (len(v), 1)),
+    j, v, s = _launch(w, r, v, np.tile(n0, (len(v), 1)),
                       v[:, 0] * n0[0] + v[:, 1] * n0[1])
 
     def leg(st, stop, keep):
@@ -444,21 +458,22 @@ def _trace(w: WeightField, start, thetas, stop, n_shells, keep):
     return ends, tir, verts
 
 
-def trace_fan(w: WeightField, start, thetas, stop, n_shells: int):
-    """End points of the rays trace_layered_ray(w, start, theta, stop,
-    n_shells) for every theta in thetas, traced in lockstep.  A ray's row
-    is NaN where trace_layered_ray raises TraceError or
-    TotalInternalReflection; the fan raises the other errors it raises.
+def trace_fan(w: WeightField, start, thetas, stop):
+    """End points of the rays trace_layered_ray(w, start, theta, stop) for
+    every theta in thetas, traced in lockstep.  A ray's row is NaN where
+    trace_layered_ray raises TraceError or TotalInternalReflection; the fan
+    raises the other errors it raises.
     """
-    return _trace(w, start, thetas, stop, n_shells, False)[0]
+    return _trace(w, start, thetas, stop, None, False)[0]
 
 
 def trace_layered_ray(w: WeightField, start, theta_0: float, stop,
-                      n_shells: int = SWEEP_SHELLS) -> Polyline:
+                      n_shells: int = _SWEEP_SAMPLES) -> Polyline:
     """Propagate one ray through w from start until the stop condition.
 
     :param stop: the line (nx, ny, c), nx*x + ny*y = c.
-    :param n_shells: shell count for discretizing sloped radial profiles.
+    :param n_shells: the vertices the path puts on sloped l1 pieces, per
+        crossing of their whole width; its end points do not depend on it.
     :raises ValueError: a stop that is no line, a start, angle or stop
         that is not finite, or an invalid launch.
     :raises TotalInternalReflection: supercritical incidence at an interface.

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,8 +107,9 @@ class ConstantWeight(WeightField):
     c: float = 1.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"weight c must be positive and finite, not "
+                             f"{self.c!r}")
         object.__setattr__(self, "name", f"constant({self.c:g})")
 
     def values(self, x, y):
@@ -173,35 +173,6 @@ class RadialWeight(WeightField):
     def breakpoints(self):
         return tuple(p.hi for p in self.pieces[:-1])
 
-    @lru_cache(maxsize=32)
-    def shell_grid(self, n_shells: int):
-        """Concentric constant-weight shells that discretize the profile for
-        the ray tracer, their only user.
-
-        Returns (r, ws): radii 0 = r[0] < r[1] < ... < r[M] and the weight
-        ws[k] of shell k between r[k] and r[k+1] (r[M+1] = inf).  Piece
-        breakpoints are kept exactly; sloped pieces share about n_shells
-        shells in proportion to their width.  Each shell carries the
-        one-sided value at its outer radius, the unbounded last shell the
-        outer piece's value.  The arrays are shared, so they are read-only.
-        """
-        radii = [np.zeros(1)]
-        span = sum(p.hi - p.lo for p in self.pieces
-                   if math.isfinite(p.hi) and p.slope != 0.0)
-        for p in self.pieces:
-            if not math.isfinite(p.hi):
-                break
-            m = 1
-            if p.slope != 0.0 and span > 0.0:
-                m = max(1, int(round(n_shells * (p.hi - p.lo) / span)))
-            radii.append(p.lo + (p.hi - p.lo) * np.arange(1, m + 1) / m)
-        r = np.concatenate(radii)
-        ws = np.append(_limits(self.pieces, r[1:])[0],
-                       self.pieces[-1].offset)
-        r.setflags(write=False)
-        ws.setflags(write=False)
-        return r, ws
-
     def interfaces(self):
         circles = [(0.0, 0.0, r) for r in self.breakpoints()]
         if self.norm == "l1":
@@ -225,8 +196,9 @@ class MultiDiamondWeight(WeightField):
     CENTERS = ((-0.5, 0.0, 0.25), (0.5, 0.0, 0.25), (0.0, 0.25, 0.125))
 
     def __post_init__(self):
-        if not self.alpha >= SQRT2:
-            raise ValueError("three-diamond weight expects alpha >= sqrt(2)")
+        if not SQRT2 <= self.alpha < math.inf:
+            raise ValueError("three-diamond weight expects a finite alpha >= "
+                             f"sqrt(2), not {self.alpha!r}")
 
     def values(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -258,8 +230,9 @@ class LayeredWeight(WeightField):
         depths = self.depths()
         if not depths or not all(b > a for a, b in zip(depths, depths[1:])):
             raise ValueError("layer depths must increase")
-        if not (depths[0] > 0 and all(w > 0 for _, w in self.layers)):
-            raise ValueError("depths and weights must be positive")
+        if not all(0 < x < math.inf for layer in self.layers for x in layer):
+            raise ValueError("layer depths and weights must be positive and "
+                             f"finite, not {self.layers!r}")
 
     def values(self, x, y):
         # a piecewise-constant profile of the depth -y; the last weight
@@ -357,8 +330,9 @@ class CustomWeight(WeightField):
 
 def heavy_diamond(alpha: float = math.sqrt(1.5)) -> RadialWeight:
     """Weight alpha on the open l1 ball of radius 1/2, 1 outside."""
-    if not alpha > 1:
-        raise ValueError("heavy diamond expects alpha > 1")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"heavy diamond expects a finite alpha > 1, not "
+                         f"{alpha!r}")
     return RadialWeight("heavy_diamond", "l1", (
         ProfilePiece(0.0, 0.5, alpha, 0.0),
         ProfilePiece(0.5, math.inf, 1.0, 0.0),
@@ -371,8 +345,9 @@ def heavy_disk(alpha: float = 2.0) -> RadialWeight:
     Geodesic wrapping around the disk needs alpha >= pi/2; smaller values are
     rejected so the level-curve construction stays valid.
     """
-    if not alpha >= math.pi / 2:
-        raise ValueError("heavy disk expects alpha >= pi/2")
+    if not math.pi / 2 <= alpha < math.inf:
+        raise ValueError(f"heavy disk expects a finite alpha >= pi/2, not "
+                         f"{alpha!r}")
     return RadialWeight("heavy_disk", "l2", (
         ProfilePiece(0.0, 0.5, alpha, 0.0),
         ProfilePiece(0.5, math.inf, 1.0, 0.0),

@@ -264,6 +264,31 @@ def test_nan_alpha_exits_2_with_the_range_message(argv, message, tmp_path,
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["geodesic", "--weight", "constant", "--alpha", "inf"],
+     "c must be positive and finite"),
+    (["geodesic", "--weight", "three_heavy_diamonds", "--alpha", "inf"],
+     "finite alpha >= sqrt(2)"),
+    (["geodesic", "--weight", "layered_horizontal", "--layers",
+      "0.2:1e309"], "weights must be positive and finite")],
+    ids=["constant", "three_heavy_diamonds", "layered_horizontal"])
+def test_an_infinite_weight_parameter_exits_2(argv, message, tmp_path,
+                                              capsys):
+    # each once printed length=inf and exited 0
+    code, out, err = run([*argv, "--from=-0.5,0.1", "--to=0.5,0.2",
+                          "--outdir", str(tmp_path)], capsys)
+    assert code == 2 and message in err
+    assert "length=" not in out
+    assert not any(tmp_path.iterdir())
+
+
+def test_solve_with_an_infinite_alpha_writes_nothing(tmp_path, capsys):
+    code, _, err = run(["solve", "--weight", "heavy_diamond", "--alpha",
+                        "inf", "--outdir", str(tmp_path)], capsys)
+    assert code == 2 and "finite alpha > 1" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
     (["geodesic", "--weight", "heavy_disk", "--alpha", "2", "--layers",
       "0.2:1.0", "--from=-0.5,0.3", "--to=0.6,-0.2"], "take layers"),
     (["solve", "--weight", "heavy_diamond", "--alpha", "2", "--layers",

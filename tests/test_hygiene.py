@@ -144,12 +144,22 @@ def test_tracing_has_one_generation_loop():
 
 
 def test_level_curves_read_no_shell_grid():
-    # the sweeps are solved in closed form; the shell staircase is the
-    # tracer's alone
-    names = {getattr(node, key, None)
-             for node in ast.walk(_tree(SRC / "curves.py"))
-             for key in ("id", "attr", "name")}
-    assert not names & {"shell_grid", "SWEEP_SHELLS"}
+    # sweeps and rays are solved in closed form: no module defines or
+    # reads a shell staircase, and the tracer integrates its sloped legs
+    # with the level curves' drift kernel, not one of its own
+    for path in MODULES:
+        names = {getattr(node, key, None) for node in ast.walk(_tree(path))
+                 for key in ("id", "attr", "name")}
+        assert not names & {"shell_grid", "SWEEP_SHELLS", "_run"}, path.name
+    tracing = _tree(SRC / "tracing.py")
+    assert "_BLOCK" not in _used_names(tracing)
+    assert "_drift" in _called_names(tracing)
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "curves"
+               and "_drift" in [a.name for a in node.names]
+               for node in tracing.body)
+    assert not [node.name for node in ast.walk(tracing)
+                if isinstance(node, ast.FunctionDef)
+                and ("log1p" in _used_names(node) or node.name == "_drift")]
 
 
 def test_private_helpers_are_referenced_and_do_work():

@@ -244,7 +244,7 @@ def test_profile_matches_the_per_piece_reference_bit_for_bit(name):
         rng.uniform(0.0, 1.5, 20000), bps, np.nextafter(bps, 0.0),
         np.nextafter(bps, 2.0), [-1.0, -tiny, 0.0, -0.0, tiny, 2 * tiny,
                                  1e-310, np.finfo(float).tiny],
-        *(w.shell_grid(n)[0] for n in (4096, 64))])
+        *(_staircase(w, n) for n in (4096, 64))])
     ref = np.minimum(_piece_values(w.pieces, r, side=-1),
                      _piece_values(w.pieces, r, side=+1))
     got = w.profile(r)
@@ -272,6 +272,21 @@ def test_profile_at_one_radius_matches_the_profile_bit_for_bit(w):
     assert got.tobytes() == w.profile(r).tobytes()
 
 
+def _staircase(w, n_shells):
+    """The radii of the shell staircase that once discretized the profile
+    for the ray tracer: each breakpoint, and n_shells radii shared among
+    the sloped pieces in proportion to their widths."""
+    radii = [np.zeros(1)]
+    span = sum(p.hi - p.lo for p in w.pieces
+               if math.isfinite(p.hi) and p.slope != 0.0)
+    for p in w.pieces[:-1]:
+        m = 1
+        if p.slope != 0.0 and span > 0.0:
+            m = max(1, int(round(n_shells * (p.hi - p.lo) / span)))
+        radii.append(p.lo + (p.hi - p.lo) * np.arange(1, m + 1) / m)
+    return np.concatenate(radii)
+
+
 def _reference_shell_grid(w, r):
     """The per-shell comprehension that built the shell weights before."""
     inner = [float(_piece_values(w.pieces, np.array([float(x)]), side=-1)[0])
@@ -283,9 +298,29 @@ def _reference_shell_grid(w, r):
 @pytest.mark.parametrize("n_shells", [4096, 1024, 128, 64])
 def test_shell_grid_matches_the_per_shell_reference_bit_for_bit(name,
                                                                 n_shells):
-    r, ws = make_weight(name).shell_grid(n_shells)
-    ref = _reference_shell_grid(make_weight(name), r)
+    # the limits from below at the staircase's radii, which its shells
+    # carried; the tracer now reads the pieces themselves
+    w = make_weight(name)
+    r = _staircase(w, n_shells)
+    ws = np.append(weights._limits(w.pieces, r[1:])[0], w.pieces[-1].offset)
+    ref = _reference_shell_grid(w, r)
     assert ws.dtype == ref.dtype and ws.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("constant", {"alpha": math.inf}, "c must be positive and finite"),
+    ("heavy_diamond", {"alpha": math.inf}, "finite alpha > 1"),
+    ("heavy_disk", {"alpha": math.inf}, r"finite alpha >= pi/2"),
+    ("three_heavy_diamonds", {"alpha": math.inf},
+     r"finite alpha >= sqrt\(2\)"),
+    ("layered_horizontal", {"layers": ((0.2, math.inf),)},
+     "weights must be positive and finite"),
+    ("layered_horizontal", {"layers": ((0.2, 1.0), (math.inf, 2.0))},
+     "depths and weights must be positive and finite")])
+def test_builders_reject_non_finite_parameters(name, kwargs, message):
+    # each once built a weight whose every length was inf
+    with pytest.raises(ValueError, match=message):
+        make_weight(name, **kwargs)
 
 
 def test_vectorized_shapes():
